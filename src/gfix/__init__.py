@@ -1,13 +1,14 @@
 """Verification and fixed-point iteration toolkit for convex G-metric spaces."""
 
-from .analysis import (BoundReport, ContractionFactor, RateBound,
-                       convergence_diagnostics, delta_four_term,
-                       delta_three_term, diagnostics_maxima, product_bound,
-                       trace_products, verify_bound)
+from .analysis import (BoundReport, RateBound, convergence_diagnostics,
+                       diagnostics_maxima, product_bound, trace_products,
+                       verify_bound)
 from .contractions import (ApplicabilityVerdict, ConditionKind,
-                           ContractionSpec, Mapping, check_applicability,
-                           check_condition, make_affine_contraction,
-                           make_translation, rhs_value)
+                           ContractionFactor, ContractionSpec, Mapping,
+                           check_applicability, check_condition,
+                           delta_four_term, delta_three_term,
+                           make_affine_contraction, make_translation,
+                           rhs_value)
 from .convexity import (ConvexGSpace, ConvexStructure, ModiStructure,
                         centroid_structure, check_convexity,
                         check_modi_convexity, combine, linear_interpolation)

@@ -1,9 +1,10 @@
-"""Contraction factors, cumulative product bounds, and trace verification.
+"""Cumulative product bounds, trace verification and convergence diagnostics.
 
 For applicable coefficient regions the error of the averaged iteration
 contracts per step by 1 - alpha_n*(1-delta), where delta is the
-condition's derived factor.  B_n is the product of those factors over
-steps 0..n-1 (B_0 = 1), so B_n pairs with iterate x_n and
+condition's derived factor (``contractions.check_applicability``).  B_n
+is the product of those factors over steps 0..n-1 (B_0 = 1), so B_n
+pairs with iterate x_n and
 
     G(x_n, u, u) <= B_n * G(x_0, u, u).
 """
@@ -14,44 +15,10 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .core import Collector, CheckReport, Point
+from .core import CheckReport, Point, evaluate, le
 from .mann import IterationTrace, StepSchedule, schedule_values
 
 _LOGSPACE_TRIGGER = 1e-8  # switch to log accumulation below this factor
-
-
-@dataclass(frozen=True)
-class ContractionFactor:
-    """A derived per-step factor; ``vacuous`` flags value >= 1, where the
-    product bound no longer contracts."""
-
-    value: float
-    vacuous: bool
-
-
-def delta_four_term(a: float, b: float) -> float:
-    """Factor (a+b)/(1-2b) for the four-coefficient condition; lies in
-    [0, 1) whenever a + 3b < 1."""
-    if a < 0 or b < 0:
-        raise ValueError("coefficients must be >= 0")
-    if not a + 3.0 * b < 1.0:
-        raise ValueError(f"requires a + 3b < 1, got a + 3b = {a + 3.0 * b}")
-    return (a + b) / (1.0 - 2.0 * b)
-
-
-def delta_three_term(a: float) -> ContractionFactor:
-    """Factor a/(1-2a) for the three-displacement condition.
-
-    For a in [1/3, 1/2) the formula returns a value >= 1: the geometric
-    bound is vacuous there, which is reported via the flag rather than
-    silently tightening the admissible range to a < 1/3.
-    """
-    if a < 0:
-        raise ValueError("a must be >= 0")
-    if a >= 0.5:
-        raise ValueError(f"requires a < 1/2, got a = {a}")
-    value = a / (1.0 - 2.0 * a)
-    return ContractionFactor(value=value, vacuous=value >= 1.0)
 
 
 @dataclass(frozen=True)
@@ -170,8 +137,8 @@ def convergence_diagnostics(trace: IterationTrace, limit: Point, tail: int,
                             tol: float) -> CheckReport:
     """Check that all three (equivalent) convergence criteria fall below
     tol over the trace tail."""
+    def criterion(family, value):
+        yield le, f"conv-{family}", (limit,), value, tol
+
     maxima = diagnostics_maxima(trace, limit, tail)
-    col = Collector()
-    for family, value in maxima.items():
-        col.record(f"conv-{family}", (limit,), value, tol, value - tol)
-    return col.report()
+    return evaluate(maxima.items(), criterion, tol)

@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Optional
 
-from . import analysis, contractions, convexity, mann, spaces
+from . import analysis, contractions, convexity, core, mann, spaces
 from .core import CheckReport, SamplePlan
 from .spaces import UnknownSpaceError
 
@@ -150,26 +150,65 @@ def load_config(path: str) -> dict:
     return values
 
 
+_CHECKS = ("check-axioms", "check-derived", "check-convexity",
+           "check-condition")
+_COMMANDS = _CHECKS + ("iterate", "bound")
+_MAPPED = ("check-condition", "iterate")
+_REQUIRED = object()
+
+# One row per option: (name, type, {command: default}).  The table builds
+# every subparser, in this order and followed by --out and --config, and
+# names the keys a command echoes in its config line.  A callable default
+# is called when the command starts.
+_OPTIONS = (
+    ("space", str, dict.fromkeys(_CHECKS + ("iterate",), _REQUIRED)),
+    ("mapping", str, dict.fromkeys(_MAPPED, _REQUIRED)),
+    ("condition", str, {"check-condition": _REQUIRED, "iterate": None}),
+    ("coeff", str, dict.fromkeys(_MAPPED)),
+    ("delta", float, {"bound": _REQUIRED}),
+    ("schedule", str, dict.fromkeys(("iterate", "bound"), "constant")),
+    ("alpha", float, dict.fromkeys(("iterate", "bound"), 0.5)),
+    ("x0", str, {"iterate": "1"}),
+    ("max-iters", int, {"iterate": 10000, "bound": 100}),
+    ("residual-tol", float, {"iterate": 1e-10}),
+    ("seed", int, dict.fromkeys(_CHECKS + ("iterate",), _default_seed)),
+    ("samples", int, dict.fromkeys(_CHECKS, 1000)),
+    ("min-separation", float, dict.fromkeys(_CHECKS, 1e-3)),
+    ("tol", float, dict.fromkeys(_CHECKS, 1e-9)),
+)
+_TYPES = {name: kind for name, kind, _ in _OPTIONS}
+
+
 class Settings:
-    """Flag/file/default resolution: explicit flags win over the config
-    file, which wins over built-in defaults."""
+    """One command's option values: explicit flags win over the config
+    file, which wins over the command's defaults.  Values keep the form
+    they were given in, so the config line echoes file values verbatim."""
 
-    def __init__(self, args: argparse.Namespace, defaults: dict):
-        self._flags = vars(args)
-        self._file = load_config(args.config) if getattr(args, "config", None) else {}
-        self._defaults = defaults
+    def __init__(self, args: argparse.Namespace):
+        flags = vars(args)
+        file = load_config(args.config) if args.config else {}
+        self.values = {}
+        for name, _, defaults in _OPTIONS:
+            if args.command not in defaults:
+                continue
+            default = defaults[args.command]
+            if callable(default):
+                default = default()
+            value = flags[name.replace("-", "_")]
+            if value is None:
+                value = file.get(name, default)
+            if default is _REQUIRED and value in (_REQUIRED, ""):
+                raise ConfigError(f"--{name} is required")
+            self.values[name] = value
 
-    def get(self, key: str):
-        attr = key.replace("-", "_")
-        flag = self._flags.get(attr)
-        if flag is not None:
-            return flag
-        if key in self._file:
-            return self._file[key]
-        return self._defaults.get(key)
+    def get(self, name: str):
+        """The value converted to the option's type; None when unset."""
+        value = self.values[name]
+        return None if value is None else _TYPES[name](value)
 
-    def resolved(self, keys) -> dict:
-        return {key: self.get(key) for key in keys}
+    def config_line(self) -> str:
+        return "# config: " + " ".join(
+            f"{k}={v}" for k, v in sorted(self.values.items()) if v is not None)
 
 
 def _write_lines(path: Optional[str], lines) -> None:
@@ -181,10 +220,8 @@ def _write_lines(path: Optional[str], lines) -> None:
         sys.stdout.write(text)
 
 
-def _report_lines(cmd: str, config: dict, report: CheckReport) -> list:
-    lines = [f"# gfix {cmd}",
-             "# config: " + " ".join(f"{k}={v}" for k, v in sorted(config.items())
-                                     if v is not None)]
+def _report_lines(cmd: str, settings: Settings, report: CheckReport) -> list:
+    lines = [f"# gfix {cmd}", settings.config_line()]
     lines.append(f"result: {'PASS' if report.passed else 'FAIL'}")
     lines.append(f"total_checks: {report.total_checks}")
     lines.append(f"violations: {report.violation_count}")
@@ -200,116 +237,55 @@ def _report_lines(cmd: str, config: dict, report: CheckReport) -> list:
     return lines
 
 
-def _resolve_space(key: str):
-    return spaces.get_space(key)
-
-
-def _bare_space(obj):
-    return obj.space if isinstance(obj, convexity.ConvexGSpace) else obj
-
-
-_CHECK_DEFAULTS = {
-    "samples": 1000,
-    "min-separation": 1e-3,
-    "tol": 1e-9,
-}
-
-
-def _plan_from(settings: Settings) -> SamplePlan:
-    return SamplePlan(seed=int(settings.get("seed")),
-                      count=int(settings.get("samples")),
-                      min_separation=float(settings.get("min-separation")))
-
-
-def _cmd_check_space(args: argparse.Namespace, which: str) -> int:
-    settings = Settings(args, {**_CHECK_DEFAULTS, "seed": _default_seed()})
+def _space(settings: Settings, convex: bool):
+    """The configured space: its ConvexGSpace when ``convex``, else the
+    bare GSpace."""
     key = settings.get("space")
-    if not key:
-        raise ConfigError("--space is required")
-    target = _resolve_space(str(key))
-    plan = _plan_from(settings)
-    tol = float(settings.get("tol"))
-    if which == "check-axioms":
-        from .core import check_axioms
-        report = check_axioms(_bare_space(target), plan, tol)
-    elif which == "check-derived":
-        from .core import check_derived
-        report = check_derived(_bare_space(target), plan, tol)
+    target = spaces.get_space(key)
+    if isinstance(target, convexity.ConvexGSpace):
+        return target if convex else target.space
+    if convex:
+        raise ConfigError(f"space {key!r} carries no convex structure")
+    return target
+
+
+def _cmd_check(args: argparse.Namespace, settings: Settings) -> int:
+    cmd = args.command
+    space = _space(settings, convex=cmd == "check-convexity")
+    plan = SamplePlan(seed=settings.get("seed"),
+                      count=settings.get("samples"),
+                      min_separation=settings.get("min-separation"))
+    tol = settings.get("tol")
+    if cmd == "check-axioms":
+        report = core.check_axioms(space, plan, tol)
+    elif cmd == "check-derived":
+        report = core.check_derived(space, plan, tol)
+    elif cmd == "check-convexity":
+        report = convexity.check_convexity(space, plan, tol)
     else:
-        if not isinstance(target, convexity.ConvexGSpace):
-            raise ConfigError(f"space {key!r} carries no convex structure")
-        report = convexity.check_convexity(target, plan, tol)
-    config = settings.resolved(["space", "samples", "seed",
-                                "min-separation", "tol"])
-    _write_lines(args.out, _report_lines(which, config, report))
+        mapping = parse_mapping(settings.get("mapping"), space.dim)
+        spec = parse_condition(settings.get("condition"),
+                               settings.get("coeff"))
+        report = contractions.check_condition(spec, space, mapping, plan, tol)
+    _write_lines(args.out, _report_lines(cmd, settings, report))
     return 0 if report.passed else 1
 
 
-def _cmd_check_condition(args: argparse.Namespace) -> int:
-    settings = Settings(args, {**_CHECK_DEFAULTS, "seed": _default_seed()})
-    for required in ("space", "mapping", "condition"):
-        if not settings.get(required):
-            raise ConfigError(f"--{required} is required")
-    target = _resolve_space(str(settings.get("space")))
-    space = _bare_space(target)
-    mapping = parse_mapping(str(settings.get("mapping")), space.dim)
-    spec = parse_condition(str(settings.get("condition")), settings.get("coeff"))
-    plan = _plan_from(settings)
-    report = contractions.check_condition(spec, space, mapping, plan,
-                                          float(settings.get("tol")))
-    config = settings.resolved(["space", "mapping", "condition", "coeff",
-                                "samples", "seed", "min-separation", "tol"])
-    _write_lines(args.out, _report_lines("check-condition", config, report))
-    return 0 if report.passed else 1
-
-
-def _delta_for(spec: contractions.ContractionSpec):
-    """(delta, vacuous) for an applicable spec; None when no rate formula
-    targets the kind's coefficients as given."""
-    kind = spec.kind
-    K = contractions.ConditionKind
-    if kind in (K.FOUR_TERM, K.FOUR_TERM_ALT, K.SUM, K.MAX):
-        return analysis.delta_four_term(spec["a"], spec["b"]), False
-    if kind is K.THREE_TERM:
-        cf = analysis.delta_three_term(spec["a"])
-        return cf.value, cf.vacuous
-    cf = analysis.delta_three_term(spec["k"])
-    return cf.value, cf.vacuous
-
-
-_ITERATE_DEFAULTS = {
-    "schedule": "constant",
-    "alpha": 0.5,
-    "x0": "1",
-    "max-iters": 10000,
-    "residual-tol": 1e-10,
-}
-
-
-def _cmd_iterate(args: argparse.Namespace) -> int:
-    settings = Settings(args, {**_ITERATE_DEFAULTS, "seed": _default_seed()})
-    key = settings.get("space")
-    if not key or not settings.get("mapping"):
-        raise ConfigError("--space and --mapping are required")
-    target = _resolve_space(str(key))
-    if not isinstance(target, convexity.ConvexGSpace):
-        raise ConfigError(f"space {key!r} carries no convex structure; "
-                          "the averaged iteration needs one")
+def _cmd_iterate(args: argparse.Namespace, settings: Settings) -> int:
+    target = _space(settings, convex=True)
     space = target.space
-    mapping = parse_mapping(str(settings.get("mapping")), space.dim)
-    alpha = settings.get("alpha")
-    sched = parse_schedule(str(settings.get("schedule")),
-                           float(alpha) if alpha is not None else None)
-    x0 = _parse_coords(str(settings.get("x0")))
+    mapping = parse_mapping(settings.get("mapping"), space.dim)
+    sched = parse_schedule(settings.get("schedule"), settings.get("alpha"))
+    x0 = _parse_coords(settings.get("x0"))
     if len(x0) != space.dim:
         raise ConfigError("x0 dimension does not match space")
-    stop = mann.StoppingRule(max_iters=int(settings.get("max-iters")),
-                             residual_tol=float(settings.get("residual-tol")))
+    stop = mann.StoppingRule(max_iters=settings.get("max-iters"),
+                             residual_tol=settings.get("residual-tol"))
 
     warnings = []
     spec = None
     if settings.get("condition"):
-        spec = parse_condition(str(settings.get("condition")),
+        spec = parse_condition(settings.get("condition"),
                                settings.get("coeff"))
 
     trace = mann.run_mann(target, mapping, x0, sched, stop)
@@ -325,14 +301,12 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
         elif mapping.fixed_point is None:
             warnings.append("mapping has no known fixed point; "
                             "bound columns omitted")
+        elif verdict.vacuous:
+            warnings.append(f"delta={_fmt(verdict.delta)} >= 1: bound is "
+                            "vacuous; bound columns omitted")
         else:
-            delta, vacuous = _delta_for(spec)
-            if vacuous:
-                warnings.append(f"delta={_fmt(delta)} >= 1: bound is "
-                                "vacuous; bound columns omitted")
-                delta = None
-            else:
-                bound_report = analysis.verify_bound(trace, delta)
+            delta = verdict.delta
+            bound_report = analysis.verify_bound(trace, delta)
 
     rows = [CSV_HEADER]
     if bound_report is not None:
@@ -349,12 +323,8 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
                     f"{err},{bound},{slack}")
     _write_lines(args.out, rows)
 
-    config = settings.resolved(["space", "mapping", "condition", "coeff",
-                                "schedule", "alpha", "x0", "max-iters",
-                                "residual-tol", "seed"])
     summary = ["# gfix iterate",
-               "# config: " + " ".join(f"{k}={v}" for k, v in sorted(config.items())
-                                       if v is not None),
+               settings.config_line(),
                f"status: {trace.status}",
                f"steps: {len(trace) - 1}",
                f"final_residual: {_fmt(trace.residuals[-1])}",
@@ -370,18 +340,11 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
     return 1 if trace.status == mann.STATUS_DIVERGED else 0
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
-    settings = Settings(args, {"schedule": "constant", "alpha": 0.5,
-                               "max-iters": 100})
-    if settings.get("delta") is None:
-        raise ConfigError("--delta is required")
-    delta = float(settings.get("delta"))
-    alpha = settings.get("alpha")
-    sched = parse_schedule(str(settings.get("schedule")),
-                           float(alpha) if alpha is not None else None)
-    n = int(settings.get("max-iters"))
+def _cmd_bound(args: argparse.Namespace, settings: Settings) -> int:
+    delta = settings.get("delta")
+    sched = parse_schedule(settings.get("schedule"), settings.get("alpha"))
     try:
-        rb = analysis.product_bound(delta, sched, n)
+        rb = analysis.product_bound(delta, sched, settings.get("max-iters"))
     except ValueError as exc:
         raise ConfigError(str(exc))
     rows = ["n,alpha_n,factor,B_n", f"0,,,{_fmt(rb.products[0])}"]
@@ -397,50 +360,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify G-metric/convexity axioms and run the averaged "
                     "fixed-point iteration with rate-bound checking.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--min-separation", type=float, default=None)
-        p.add_argument("--tol", type=float, default=None)
+    for command in _COMMANDS:
+        p = sub.add_parser(command)
+        for name, kind, defaults in _OPTIONS:
+            if command in defaults:
+                p.add_argument(f"--{name}", type=kind, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--config", default=None)
-
-    for name in ("check-axioms", "check-derived", "check-convexity"):
-        p = sub.add_parser(name)
-        p.add_argument("--space", default=None)
-        add_common(p)
-
-    p = sub.add_parser("check-condition")
-    p.add_argument("--space", default=None)
-    p.add_argument("--mapping", default=None)
-    p.add_argument("--condition", default=None)
-    p.add_argument("--coeff", default=None)
-    add_common(p)
-
-    p = sub.add_parser("iterate")
-    p.add_argument("--space", default=None)
-    p.add_argument("--mapping", default=None)
-    p.add_argument("--condition", default=None)
-    p.add_argument("--coeff", default=None)
-    p.add_argument("--schedule", default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--x0", default=None)
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--residual-tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
-
-    p = sub.add_parser("bound")
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--schedule", default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
-
     return parser
+
+
+_HANDLERS = {"iterate": _cmd_iterate, "bound": _cmd_bound}
 
 
 def main(argv=None) -> int:
@@ -450,13 +380,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command in ("check-axioms", "check-derived", "check-convexity"):
-            return _cmd_check_space(args, args.command)
-        if args.command == "check-condition":
-            return _cmd_check_condition(args)
-        if args.command == "iterate":
-            return _cmd_iterate(args)
-        return _cmd_bound(args)
+        handler = _HANDLERS.get(args.command, _cmd_check)
+        return handler(args, Settings(args))
     except (ConfigError, UnknownSpaceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

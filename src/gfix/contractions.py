@@ -2,21 +2,29 @@
 
 Each condition bounds G(Tx,Ty,Tz) by a weighted combination of G-values
 of the arguments and their self-displacements G(p,Tp,Tp).  The checker
-verifies a condition on sampled triples; the applicability verdict
-reports whether the coefficients fall inside the region for which a
-convergence rate for the averaged iteration is available.
+verifies a condition on sampled triples.  This module is also the one
+home of the rate theory: ``check_applicability`` maps a condition kind
+and its coefficients to the region where a convergence rate for the
+averaged iteration is available and, inside it, to the per-step factor
+delta:
+
+    kind                          region                 delta
+    four-term, four-term-alt      a + 3b < 1, 2b < 1     (a+b)/(1-2b)
+    sum, max                      0 < a + 3b < 1         (a+b)/(1-2b)
+    three-term                    a + b + c < 1, a < 1/2 a/(1-2a)
+    k-sum                         0 < k < 1/3            k/(1-2k)
+
+A delta >= 1 is flagged vacuous: the product bound no longer contracts.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from .core import (Collector, CheckReport, GSpace, Point, SamplePlan,
-                   allowance, sample_quads)
-
-_RATIO_FLOOR = 1e-15  # denominator clamp for worst-ratio diagnostics
+from .core import (CheckReport, GSpace, Point, SamplePlan, evaluate, le_tol,
+                   sample_quads)
 
 
 class ConditionKind(enum.Enum):
@@ -69,12 +77,49 @@ class Mapping:
 @dataclass(frozen=True)
 class ApplicabilityVerdict:
     """Whether coefficients admit a convergence rate; each residual must
-    be strictly positive."""
+    be strictly positive.  When satisfied, ``delta`` is the per-step
+    factor and ``vacuous`` flags delta >= 1; otherwise delta is None."""
 
     rule: str
     satisfied: bool
     residuals: Dict[str, float]
     note: str = ""
+    delta: Optional[float] = None
+    vacuous: bool = False
+
+
+@dataclass(frozen=True)
+class ContractionFactor:
+    """A derived per-step factor; ``vacuous`` flags value >= 1, where the
+    product bound no longer contracts."""
+
+    value: float
+    vacuous: bool
+
+
+def delta_four_term(a: float, b: float) -> float:
+    """Factor (a+b)/(1-2b) for the four-coefficient condition; lies in
+    [0, 1) whenever a + 3b < 1."""
+    if a < 0 or b < 0:
+        raise ValueError("coefficients must be >= 0")
+    if not a + 3.0 * b < 1.0:
+        raise ValueError(f"requires a + 3b < 1, got a + 3b = {a + 3.0 * b}")
+    return (a + b) / (1.0 - 2.0 * b)
+
+
+def delta_three_term(a: float) -> ContractionFactor:
+    """Factor a/(1-2a) for the three-displacement condition.
+
+    For a in [1/3, 1/2) the formula returns a value >= 1: the geometric
+    bound is vacuous there, which is reported via the flag rather than
+    silently tightening the admissible range to a < 1/3.
+    """
+    if a < 0:
+        raise ValueError("a must be >= 0")
+    if a >= 0.5:
+        raise ValueError(f"requires a < 1/2, got a = {a}")
+    value = a / (1.0 - 2.0 * a)
+    return ContractionFactor(value=value, vacuous=value >= 1.0)
 
 
 def rhs_value(spec: ContractionSpec, space: GSpace, T: Mapping,
@@ -108,47 +153,43 @@ def check_condition(spec: ContractionSpec, space: GSpace, T: Mapping,
     the worst lhs/rhs ratio seen."""
     g = space.g
     t = T.apply
-    col = Collector()
-    for x, y, z, _ in sample_quads(space, plan):
-        lhs = g(t(x), t(y), t(z))
-        rhs = rhs_value(spec, space, T, x, y, z)
-        col.record(spec.kind.value, (x, y, z), lhs, rhs,
-                   lhs - rhs - allowance(tol, rhs))
-        col.note_ratio(lhs / max(rhs, _RATIO_FLOOR))
-    return col.report()
+
+    def condition(x, y, z, _):
+        return ((le_tol, spec.kind.value, (x, y, z), g(t(x), t(y), t(z)),
+                 rhs_value(spec, space, T, x, y, z)),)
+
+    return evaluate(sample_quads(space, plan), condition, tol, ratio=True)
 
 
 def check_applicability(spec: ContractionSpec) -> ApplicabilityVerdict:
     """Map the coefficients to the constraint region of the matching
-    convergence result."""
+    convergence result and, inside it, to the factor delta."""
     kind = spec.kind
-    if kind in (ConditionKind.FOUR_TERM, ConditionKind.FOUR_TERM_ALT):
+    note = ""
+    if kind is ConditionKind.THREE_TERM:
+        a = spec["a"]
+        residuals = {"1-(a+b+c)": 1.0 - (a + spec["b"] + spec["c"]),
+                     "1/2-a": 0.5 - a}
+    elif kind is ConditionKind.K_SUM:
+        a = spec["k"]  # k takes a's place in a/(1-2a)
+        residuals = {"k": a, "1/3-k": 1.0 / 3.0 - a}
+    else:
         a, b = spec["a"], spec["b"]
-        residuals = {"1-(a+3b)": 1.0 - (a + 3.0 * b), "1-2b": 1.0 - 2.0 * b}
-        note = ""
+        if kind in (ConditionKind.SUM, ConditionKind.MAX):
+            residuals = {"a+3b": a + 3.0 * b, "1-(a+3b)": 1.0 - (a + 3.0 * b)}
+        else:
+            residuals = {"1-(a+3b)": 1.0 - (a + 3.0 * b), "1-2b": 1.0 - 2.0 * b}
         if kind is ConditionKind.FOUR_TERM_ALT:
             note = ("alternate displacement orientation; rate constraint "
                     "borrowed from the four-term condition")
-        return ApplicabilityVerdict(kind.value,
-                                    all(r > 0 for r in residuals.values()),
-                                    residuals, note)
-    if kind in (ConditionKind.SUM, ConditionKind.MAX):
-        a, b = spec["a"], spec["b"]
-        residuals = {"a+3b": a + 3.0 * b, "1-(a+3b)": 1.0 - (a + 3.0 * b)}
-        return ApplicabilityVerdict(kind.value,
-                                    all(r > 0 for r in residuals.values()),
-                                    residuals)
-    if kind is ConditionKind.THREE_TERM:
-        a, b, c = spec["a"], spec["b"], spec["c"]
-        residuals = {"1-(a+b+c)": 1.0 - (a + b + c), "1/2-a": 0.5 - a}
-        return ApplicabilityVerdict(kind.value,
-                                    all(r > 0 for r in residuals.values()),
-                                    residuals)
-    k = spec["k"]
-    residuals = {"k": k, "1/3-k": 1.0 / 3.0 - k}
-    return ApplicabilityVerdict(kind.value,
-                                all(r > 0 for r in residuals.values()),
-                                residuals)
+    if not all(r > 0 for r in residuals.values()):
+        return ApplicabilityVerdict(kind.value, False, residuals, note)
+    if kind in (ConditionKind.THREE_TERM, ConditionKind.K_SUM):
+        cf = delta_three_term(a)
+    else:
+        cf = ContractionFactor(delta_four_term(a, b), False)
+    return ApplicabilityVerdict(kind.value, True, residuals, note,
+                                cf.value, cf.vacuous)
 
 
 def make_affine_contraction(center: Point, k: float) -> Mapping:

@@ -19,9 +19,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import (Collector, CheckReport, DomainError, GSpace, Point,
-                   SamplePlan, allowance, structured_points)
-from .rng import Stream
+from .core import (CheckReport, DomainError, GSpace, Point, SamplePlan,
+                   evaluate, le_tol, sample_tuples)
 
 
 @dataclass(frozen=True)
@@ -81,32 +80,24 @@ _LAMBDA_ANCHORS_OPEN = (0.01, 0.5, 1.0)
 def check_convexity(cs: ConvexGSpace, plan: SamplePlan,
                     tol: float = 1e-9) -> CheckReport:
     """Sampled verification of the two-point convexity inequality."""
-    space = cs.space
-    g = space.g
+    g = cs.space.g
     blend = cs.w.blend
-    box = plan.resolve_box(space)
-    col = Collector()
 
-    def check_tuple(x, y, u, v, lams):
+    def convexity(x, y, u, v, lams):
         gx = g(x, u, v)
         gy = g(y, u, v)
         for lam in lams:
-            w = blend(x, y, lam)
-            lhs = g(w, u, v)
-            rhs = lam * gx + (1.0 - lam) * gy
-            col.record("convexity", (x, y, u, v, lam), lhs, rhs,
-                       lhs - rhs - allowance(tol, rhs))
+            yield (le_tol, "convexity", (x, y, u, v, lam),
+                   g(blend(x, y, lam), u, v), lam * gx + (1.0 - lam) * gy)
 
-    for i in range(plan.count):
-        s = Stream(plan.seed, i)
-        x, y, u, v = (space.draw(s, box, plan.min_separation) for _ in range(4))
-        check_tuple(x, y, u, v, (s.uniform(),) + _LAMBDA_ANCHORS)
+    def structured(pts):
+        for x, y in itertools.combinations(pts, 2):
+            for u, v in ((x, y), (y, x), (x, x), (pts[0], pts[-1])):
+                yield x, y, u, v, _LAMBDA_ANCHORS
 
-    pts = structured_points(space, box)
-    for x, y in itertools.combinations(pts, 2):
-        for u, v in ((x, y), (y, x), (x, x), (pts[0], pts[-1])):
-            check_tuple(x, y, u, v, _LAMBDA_ANCHORS)
-    return col.report()
+    tuples = sample_tuples(cs.space, plan, 4, structured,
+                           lambda s: (s.uniform(),) + _LAMBDA_ANCHORS)
+    return evaluate(tuples, convexity, tol)
 
 
 def check_modi_convexity(space: GSpace, m: ModiStructure, plan: SamplePlan,
@@ -114,26 +105,19 @@ def check_modi_convexity(space: GSpace, m: ModiStructure, plan: SamplePlan,
     """Sampled verification of the three-point comparison inequality with
     lam drawn from (0, 1]."""
     g = space.g
-    box = plan.resolve_box(space)
-    col = Collector()
 
-    def check_tuple(x, y, z, u, v, lams):
-        third = (g(u, v, x), g(u, v, y), g(u, v, z))
+    def modi_convexity(x, y, z, u, v, lams):
+        total = sum((g(u, v, x), g(u, v, y), g(u, v, z)))
         for lam in lams:
-            w = m.blend3(x, y, z, lam)
-            lhs = g(u, v, w)
-            rhs = (lam / 3.0) * sum(third)
-            col.record("modi-convexity", (x, y, z, u, v, lam), lhs, rhs,
-                       lhs - rhs - allowance(tol, rhs))
+            yield (le_tol, "modi-convexity", (x, y, z, u, v, lam),
+                   g(u, v, m.blend3(x, y, z, lam)), (lam / 3.0) * total)
 
-    for i in range(plan.count):
-        s = Stream(plan.seed, i)
-        x, y, z, u, v = (space.draw(s, box, plan.min_separation)
-                         for _ in range(5))
-        lam = 1.0 - s.uniform()  # uniform in (0, 1]
-        check_tuple(x, y, z, u, v, (lam,) + _LAMBDA_ANCHORS_OPEN)
+    def structured(pts):
+        return ((x, y, z, pts[0], pts[-1], _LAMBDA_ANCHORS_OPEN)
+                for x, y, z in zip(pts, pts[1:], pts[2:]))
 
-    pts = structured_points(space, box)
-    for x, y, z in zip(pts, pts[1:], pts[2:]):
-        check_tuple(x, y, z, pts[0], pts[-1], _LAMBDA_ANCHORS_OPEN)
-    return col.report()
+    def weights(s):
+        return (1.0 - s.uniform(),) + _LAMBDA_ANCHORS_OPEN  # lam in (0, 1]
+
+    tuples = sample_tuples(space, plan, 5, structured, weights)
+    return evaluate(tuples, modi_convexity, tol)

@@ -9,14 +9,22 @@ G(x,y,z) <= G(x,a,a) + G(a,y,z).
 Nothing here is proved symbolically; the checkers sample the domain
 (random draws plus a structured pass over corners, midpoints and
 coincident tuples) and report violations as data.
+
+Every check, here and in the convexity and contraction modules, is a
+named inequality between G-values at a witness tuple.  A check family
+only states its inequalities: a function from one witness tuple to
+``(form, check_id, witness, lhs, rhs)`` rows.  ``evaluate`` runs it over
+the tuples from ``sample_tuples``, turns each row into a signed margin
+through one of the margin forms below, and records it in a Collector.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+import operator
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional, Sequence
 
 from .rng import Stream
 
@@ -26,6 +34,7 @@ Point = tuple
 Box = tuple
 
 STRICT_FLOOR = 1e-12  # strict positivity is witnessed above this level
+_RATIO_FLOOR = 1e-15  # denominator clamp for worst-ratio diagnostics
 
 
 class DomainError(ValueError):
@@ -80,8 +89,10 @@ class SamplePlan:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.min_separation < 0:
-            raise ValueError("min_separation must be >= 0")
+        sep = self.min_separation
+        if not math.isfinite(sep) or not 0.0 <= sep:
+            raise ValueError(
+                f"min_separation must be finite and >= 0, got {sep}")
         if self.box is not None:
             for lo, hi in self.box:
                 if not lo < hi:
@@ -122,49 +133,105 @@ class CheckReport:
 
 
 _KEEP_WORST = 10
+_BY_MARGIN = operator.attrgetter("margin")
 
 
 class Collector:
-    """Accumulates check outcomes; a check fails when margin > 0."""
+    """Accumulates check outcomes.
+
+    A check fails when its margin is > 0 or not finite.  Non-finite
+    margins are recorded under ``<check_id>:non-finite`` and rank as the
+    worst violations, in the order seen; once a NaN margin is seen,
+    ``worst_margin`` is NaN.
+    """
 
     def __init__(self):
         self.total = 0
         self.count = 0
         self.worst: list[Violation] = []
+        self.non_finite: list[Violation] = []
         self.worst_margin = -math.inf
         self.worst_ratio: Optional[float] = None
 
     def record(self, check_id: str, witness: tuple, lhs: float, rhs: float,
                margin: float) -> None:
         self.total += 1
-        if margin > self.worst_margin:
+        if margin > self.worst_margin or margin != margin:
             self.worst_margin = margin
-        if margin > 0:
-            self.count += 1
+        if -math.inf < margin <= 0.0:
+            return
+        self.count += 1
+        if 0.0 < margin < math.inf:
             self.worst.append(Violation(check_id, witness, lhs, rhs, margin))
             if len(self.worst) > 4 * _KEEP_WORST:
-                self.worst.sort(key=lambda v: -v.margin)
+                # stable, so equal margins keep the order they were seen in
+                self.worst.sort(key=_BY_MARGIN, reverse=True)
                 del self.worst[_KEEP_WORST:]
+        elif len(self.non_finite) < _KEEP_WORST:
+            self.non_finite.append(Violation(f"{check_id}:non-finite",
+                                             witness, lhs, rhs, margin))
 
     def note_ratio(self, ratio: float) -> None:
         if self.worst_ratio is None or ratio > self.worst_ratio:
             self.worst_ratio = ratio
 
     def report(self) -> CheckReport:
-        self.worst.sort(key=lambda v: -v.margin)
+        self.worst.sort(key=_BY_MARGIN, reverse=True)
         return CheckReport(
             total_checks=self.total,
             violation_count=self.count,
-            violations=tuple(self.worst[:_KEEP_WORST]),
+            violations=tuple((self.non_finite + self.worst)[:_KEEP_WORST]),
             worst_margin=self.worst_margin,
             passed=self.count == 0,
             worst_ratio=self.worst_ratio,
         )
 
 
-def allowance(tol: float, rhs: float) -> float:
-    """Slack granted to a <=-inequality: tol * max(1, |rhs|)."""
-    return tol * max(1.0, abs(rhs))
+# Margin forms: each maps a row's (lhs, rhs) and the run's tolerance to a
+# signed margin, > 0 on a violation.
+
+def le_tol(lhs: float, rhs: float, tol: float) -> float:
+    """lhs <= rhs, with slack tol * max(1, |rhs|)."""
+    return lhs - rhs - tol * max(1.0, abs(rhs))
+
+
+def spread_tol(lhs: float, rhs: float, tol: float) -> float:
+    """A largest value lhs exceeds a smallest value rhs by at most
+    tol * max(1, |lhs|)."""
+    return lhs - rhs - tol * max(1.0, abs(lhs))
+
+
+def abs_tol(lhs: float, rhs: float, tol: float) -> float:
+    """|lhs| <= tol; rhs is the 0 that lhs should equal."""
+    return abs(lhs) - tol
+
+
+def le(lhs: float, rhs: float, tol: float) -> float:
+    """lhs <= rhs, no slack."""
+    return lhs - rhs
+
+
+def ge(lhs: float, rhs: float, tol: float) -> float:
+    """lhs >= rhs, no slack."""
+    return rhs - lhs
+
+
+def evaluate(tuples: Iterable[tuple], inequalities: Callable,
+             tol: float, ratio: bool = False) -> CheckReport:
+    """Record every inequality at every witness tuple.
+
+    ``inequalities(*t)`` returns or yields ``(form, check_id, witness,
+    lhs, rhs)`` rows; a row's margin is ``form(lhs, rhs, tol)``.  With
+    ``ratio`` the report also carries the worst lhs/rhs ratio.
+    """
+    col = Collector()
+    record = col.record
+    for t in tuples:
+        for form, check_id, witness, lhs, rhs in inequalities(*t):
+            record(check_id, witness, lhs, rhs, form(lhs, rhs, tol))
+            if ratio:
+                col.note_ratio(lhs / max(rhs, _RATIO_FLOOR))
+    return col.report()
 
 
 def sample_points(space: GSpace, seed: int, count: int,
@@ -205,16 +272,28 @@ def structured_quads(pts: Sequence[Point]) -> list:
     return quads
 
 
-def sample_quads(space: GSpace, plan: SamplePlan) -> list:
-    """Random quadruples per the plan plus the structured pass."""
+def sample_tuples(space: GSpace, plan: SamplePlan, arity: int,
+                  structured: Callable[[list], Iterable[tuple]],
+                  weights: Optional[Callable[[Stream], object]] = None):
+    """Witness tuples: ``plan.count`` random ones, then the structured pass.
+
+    Random tuple i holds ``arity`` points drawn from Stream(seed, i),
+    followed by ``weights(stream)`` when given, so weights come from the
+    same stream after the points.  ``structured`` maps the box's
+    structured points to further tuples of the same shape.
+    """
     box = plan.resolve_box(space)
-    quads = []
+    draw, sep = space.draw, plan.min_separation
     for i in range(plan.count):
         s = Stream(plan.seed, i)
-        quads.append(tuple(space.draw(s, box, plan.min_separation)
-                           for _ in range(4)))
-    quads.extend(structured_quads(structured_points(space, box)))
-    return quads
+        t = tuple(draw(s, box, sep) for _ in range(arity))
+        yield t + (weights(s),) if weights else t
+    yield from structured(structured_points(space, box))
+
+
+def sample_quads(space: GSpace, plan: SamplePlan) -> list:
+    """Random quadruples per the plan plus the structured pass."""
+    return list(sample_tuples(space, plan, 4, structured_quads))
 
 
 _PERMS = tuple(itertools.permutations((0, 1, 2)))
@@ -229,32 +308,25 @@ def check_axioms(space: GSpace, plan: SamplePlan, tol: float = 1e-9) -> CheckRep
     """
     g = space.g
     sep = plan.min_separation
-    col = Collector()
-    for x, y, z, a in sample_quads(space, plan):
+
+    def axioms(x, y, z, a):
         # (i) vanishing on the diagonal
-        v = g(x, x, x)
-        col.record("axiom-i", (x,), v, 0.0, abs(v) - tol)
+        yield abs_tol, "axiom-i", (x,), g(x, x, x), 0.0
         # (ii) strict positivity for separated points
         if distance(x, y) >= sep:
-            v = g(x, x, y)
-            col.record("axiom-ii", (x, y), v, STRICT_FLOOR, STRICT_FLOOR - v)
+            yield ge, "axiom-ii", (x, y), g(x, x, y), STRICT_FLOOR
         # (iii) G(x,x,y) <= G(x,y,z) when z is separated from y
         if distance(z, y) >= sep:
-            lhs = g(x, x, y)
-            rhs = g(x, y, z)
-            col.record("axiom-iii", (x, y, z), lhs, rhs,
-                       lhs - rhs - allowance(tol, rhs))
+            yield le_tol, "axiom-iii", (x, y, z), g(x, x, y), g(x, y, z)
         # (iv) symmetry in all three arguments
         args = (x, y, z)
         vals = [g(args[i], args[j], args[k]) for i, j, k in _PERMS]
-        hi, lo = max(vals), min(vals)
-        col.record("axiom-iv", (x, y, z), hi, lo, hi - lo - allowance(tol, hi))
+        yield spread_tol, "axiom-iv", args, max(vals), min(vals)
         # (v) rectangle inequality
-        lhs = g(x, y, z)
-        rhs = g(x, a, a) + g(a, y, z)
-        col.record("axiom-v", (x, y, z, a), lhs, rhs,
-                   lhs - rhs - allowance(tol, rhs))
-    return col.report()
+        yield (le_tol, "axiom-v", (x, y, z, a), g(x, y, z),
+               g(x, a, a) + g(a, y, z))
+
+    return evaluate(sample_quads(space, plan), axioms, tol)
 
 
 def check_derived(space: GSpace, plan: SamplePlan, tol: float = 1e-9) -> CheckReport:
@@ -266,33 +338,26 @@ def check_derived(space: GSpace, plan: SamplePlan, tol: float = 1e-9) -> CheckRe
     """
     g = space.g
     sep = plan.min_separation
-    col = Collector()
-    for x, y, z, a in sample_quads(space, plan):
+
+    def derived(x, y, z, a):
         gxyz = g(x, y, z)
         # (i) constructive: diagonal gives 0, separated triples stay positive
-        col.record("derived-i", (x,), g(x, x, x), 0.0, abs(g(x, x, x)) - tol)
+        yield abs_tol, "derived-i", (x,), g(x, x, x), 0.0
         if (distance(x, y) >= sep and distance(y, z) >= sep
                 and distance(x, z) >= sep):
-            col.record("derived-i", (x, y, z), gxyz, tol, tol - gxyz)
+            yield ge, "derived-i", (x, y, z), gxyz, tol
         # (ii) G(x,y,z) <= G(x,x,y) + G(x,x,z)
-        rhs = g(x, x, y) + g(x, x, z)
-        col.record("derived-ii", (x, y, z), gxyz, rhs,
-                   gxyz - rhs - allowance(tol, rhs))
+        yield le_tol, "derived-ii", (x, y, z), gxyz, g(x, x, y) + g(x, x, z)
         # (iii) G(x,y,y) <= 2 G(y,x,x)
-        lhs = g(x, y, y)
-        rhs = 2.0 * g(y, x, x)
-        col.record("derived-iii", (x, y), lhs, rhs,
-                   lhs - rhs - allowance(tol, rhs))
+        yield le_tol, "derived-iii", (x, y), g(x, y, y), 2.0 * g(y, x, x)
         # (iv) G(x,y,z) <= G(x,a,z) + G(a,y,z)
-        rhs = g(x, a, z) + g(a, y, z)
-        col.record("derived-iv", (x, y, z, a), gxyz, rhs,
-                   gxyz - rhs - allowance(tol, rhs))
+        yield (le_tol, "derived-iv", (x, y, z, a), gxyz,
+               g(x, a, z) + g(a, y, z))
         # (v) G(x,y,z) <= (2/3)(G(x,y,a) + G(x,a,z) + G(a,y,z))
-        rhs = (2.0 / 3.0) * (g(x, y, a) + g(x, a, z) + g(a, y, z))
-        col.record("derived-v", (x, y, z, a), gxyz, rhs,
-                   gxyz - rhs - allowance(tol, rhs))
+        yield (le_tol, "derived-v", (x, y, z, a), gxyz,
+               (2.0 / 3.0) * (g(x, y, a) + g(x, a, z) + g(a, y, z)))
         # (vi) G(x,y,z) <= G(x,a,a) + G(y,a,a) + G(z,a,a)
-        rhs = g(x, a, a) + g(y, a, a) + g(z, a, a)
-        col.record("derived-vi", (x, y, z, a), gxyz, rhs,
-                   gxyz - rhs - allowance(tol, rhs))
-    return col.report()
+        yield (le_tol, "derived-vi", (x, y, z, a), gxyz,
+               g(x, a, a) + g(y, a, a) + g(z, a, a))
+
+    return evaluate(sample_quads(space, plan), derived, tol)

@@ -45,8 +45,8 @@ class StepSchedule:
         elif self.kind == "harmonic":
             pass
         elif self.kind == "power":
-            if self.p is None or self.p <= 0:
-                raise ValueError("power schedule needs p > 0")
+            if self.p is None or not math.isfinite(self.p) or not 0 < self.p:
+                raise ValueError("power schedule needs a finite p > 0")
         elif self.kind == "explicit":
             if not self.values:
                 raise ValueError("explicit schedule needs at least one value")

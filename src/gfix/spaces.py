@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 
 from .convexity import ConvexGSpace, linear_interpolation
-from .core import GSpace, Point
+from .core import DomainError, GSpace, Point
 from .rng import Stream
 
 _DEFAULT_HALF_WIDTH = 10.0
+_DRAW_ATTEMPTS = 10_000  # rejection budget of one sign-example draw
 
 
 def _euclid_contains(dim: int):
@@ -87,10 +88,12 @@ def make_sign_example_space() -> GSpace:
         # stay away from the excluded point and the discontinuity at 0
         lo, hi = box[0]
         floor = max(min_separation, 1e-12)
-        while True:
+        for _ in range(_DRAW_ATTEMPTS):
             v = stream.uniform(lo, hi)
             if abs(v) >= floor:
                 return (v,)
+        raise DomainError(f"no point of ({lo}, {hi}) with |v| >= {floor} "
+                          f"in {_DRAW_ATTEMPTS} draws")
 
     return GSpace(name="sign-example", dim=1, g=g, draw=draw,
                   contains=contains,

@@ -1,9 +1,12 @@
 """CLI behavior: exit codes, CSV contract, config handling."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import gfix
 from gfix.cli import CSV_HEADER, main, parse_mapping, parse_schedule
 
 
@@ -55,6 +58,30 @@ def test_check_condition_pass_and_fail(tmp_path, capsys):
     text = (tmp_path / "bad.txt").read_text()
     assert "result: FAIL" in text
     assert "witness=" in text
+
+
+def test_check_condition_nan_tol_fails(tmp_path):
+    out = tmp_path / "nan.txt"
+    rc = run(["check-condition", "--space", "perimeter-1",
+              "--mapping", "affine:k=2", "--condition", "four-term",
+              "--coeff", "a=0.5,b=0,c=0,d=0", "--samples", "100",
+              "--tol", "nan", "--out", str(out)])
+    assert rc == 1
+    assert "result: FAIL" in out.read_text()
+
+
+def test_nan_min_separation_exits_two_promptly():
+    src = os.path.dirname(os.path.dirname(gfix.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gfix.cli", "check-axioms", "--space",
+         "sign-example", "--min-separation", "nan"],
+        capture_output=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+
+
+def test_bound_rejects_nan_power(capsys):
+    assert run(["bound", "--delta", "0.5", "--schedule", "power:nan"]) == 2
 
 
 def iterate_args(out, extra=()):

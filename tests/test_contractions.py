@@ -144,6 +144,35 @@ def test_applicability_alt_kind_carries_note():
     assert verdict.note
 
 
+@pytest.mark.parametrize("kind, coeffs, delta, vacuous", [
+    (ConditionKind.FOUR_TERM, dict(a=0.2, b=0.1, c=0.3, d=0.3),
+     gfix.delta_four_term(0.2, 0.1), False),
+    (ConditionKind.FOUR_TERM_ALT, dict(a=0.4, b=0.1, c=0.0, d=0.0),
+     gfix.delta_four_term(0.4, 0.1), False),
+    (ConditionKind.SUM, dict(a=0.2, b=0.1), gfix.delta_four_term(0.2, 0.1),
+     False),
+    (ConditionKind.MAX, dict(a=0.5, b=0.15), gfix.delta_four_term(0.5, 0.15),
+     False),
+    (ConditionKind.THREE_TERM, dict(a=0.25, b=0.2, c=0.2),
+     gfix.delta_three_term(0.25).value, False),
+    (ConditionKind.THREE_TERM, dict(a=0.4, b=0.1, c=0.1),
+     gfix.delta_three_term(0.4).value, True),
+    (ConditionKind.K_SUM, dict(k=0.3), gfix.delta_three_term(0.3).value,
+     False),
+])
+def test_applicability_delta_table(kind, coeffs, delta, vacuous):
+    verdict = gfix.check_applicability(ContractionSpec(kind, coeffs))
+    assert verdict.satisfied
+    assert verdict.delta == delta
+    assert verdict.vacuous is vacuous
+
+
+def test_applicability_outside_region_has_no_delta():
+    verdict = gfix.check_applicability(four_term(0.5, 0.2, 0.0, 0.0))
+    assert not verdict.satisfied
+    assert verdict.delta is None
+
+
 # --- mapping constructors -------------------------------------------------------
 
 def test_affine_contraction_values():

@@ -1,6 +1,8 @@
 """Convex-structure contract: blending, the two-point inequality, and the
 three-point comparison checker."""
 
+import math
+
 import pytest
 
 import gfix
@@ -70,6 +72,16 @@ def test_adversarial_structure_fails_with_witness():
     assert report.violations
     v = report.violations[0]
     assert v.lhs > v.rhs
+
+
+def test_nan_evaluator_fails_convexity():
+    space = PERIM2.space
+    nan_space = gfix.GSpace("nan", 2, lambda x, y, z: math.nan, space.draw,
+                            space.contains, space.default_box)
+    report = gfix.check_convexity(gfix.ConvexGSpace(nan_space, PERIM2.w),
+                                  gfix.SamplePlan(seed=3, count=50))
+    assert not report.passed
+    assert report.violations[0].check_id == "convexity:non-finite"
 
 
 def test_chord_dominance_at_fixed_anchor():

@@ -190,8 +190,9 @@ def test_structured_points_respect_sign_domain():
 def test_sample_plan_validation():
     with pytest.raises(ValueError):
         gfix.SamplePlan(seed=0, count=0)
-    with pytest.raises(ValueError):
-        gfix.SamplePlan(seed=0, count=1, min_separation=-1.0)
+    for sep in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            gfix.SamplePlan(seed=0, count=1, min_separation=sep)
     with pytest.raises(ValueError):
         gfix.SamplePlan(seed=0, count=1, box=((1.0, 1.0),))
 
@@ -206,6 +207,42 @@ def test_collector_keeps_ten_worst():
     margins = [v.margin for v in report.violations]
     assert margins == sorted(margins, reverse=True)
     assert margins[0] == 99.0
+
+
+def test_collector_ranks_non_finite_margins_worst():
+    col = Collector()
+    col.record("x", (0,), 5.0, 0.0, 5.0)
+    col.record("x", (1,), math.nan, 0.0, math.nan)
+    col.record("x", (2,), 0.0, math.inf, -math.inf)
+    col.record("x", (3,), 9.0, 0.0, 9.0)
+    report = col.report()
+    assert not report.passed and report.violation_count == 4
+    assert [v.check_id for v in report.violations] == [
+        "x:non-finite", "x:non-finite", "x", "x"]
+    assert [v.witness for v in report.violations] == [(1,), (2,), (3,), (0,)]
+    assert math.isnan(report.worst_margin)
+
+
+def test_nan_evaluator_fails_axioms():
+    nan_space = gfix.GSpace(
+        name="nan", dim=2, g=lambda x, y, z: math.nan,
+        draw=PERIM2.draw, contains=PERIM2.contains,
+        default_box=PERIM2.default_box)
+    report = gfix.check_axioms(nan_space, gfix.SamplePlan(seed=1, count=50))
+    assert not report.passed
+    assert report.violation_count == report.total_checks
+    assert report.violations[0].check_id.endswith(":non-finite")
+
+
+def test_unbounded_box_fails_axioms():
+    plan = gfix.SamplePlan(seed=0, count=50, box=((-math.inf, math.inf),))
+    assert not gfix.check_axioms(PERIM1, plan).passed
+
+
+def test_sign_example_sampler_gives_up_on_empty_box():
+    with pytest.raises(gfix.DomainError):
+        gfix.sample_points(SIGN, seed=0, count=1, box=((-0.5, 0.5),),
+                           min_separation=1.0)
 
 
 # --- properties --------------------------------------------------------------

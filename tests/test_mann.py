@@ -1,5 +1,7 @@
 """Averaged iteration: steps, schedules, stopping, and traces."""
 
+import math
+
 import pytest
 
 import gfix
@@ -132,8 +134,9 @@ def test_explicit_schedule_bounds_iteration():
 def test_schedule_validation():
     with pytest.raises(ValueError):
         gfix.constant_schedule(1.5)
-    with pytest.raises(ValueError):
-        gfix.power_schedule(0.0)
+    for p in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            gfix.power_schedule(p)
     with pytest.raises(ValueError):
         gfix.explicit_schedule([0.5, 2.0])
     with pytest.raises(ValueError):
