@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, Optional, Sequence
 
 from .core import CheckReport, Point, evaluate, le
 from .mann import IterationTrace, StepSchedule, schedule_values
@@ -23,15 +23,24 @@ _LOGSPACE_TRIGGER = 1e-8  # switch to log accumulation below this factor
 
 @dataclass(frozen=True)
 class RateBound:
-    """Per-step factors 1 - alpha_k*(1-delta) and cumulative products
-    B_0 .. B_n."""
+    """Step sizes alpha_0 .. alpha_{n-1}, per-step factors
+    1 - alpha_k*(1-delta) and cumulative products B_0 .. B_n."""
 
     delta: float
     factors: tuple
     products: tuple
+    alphas: tuple = ()
 
 
-def _cumulative(factors: List[float], log_space: Optional[bool]) -> List[float]:
+def _rate_chain(delta: float, step_sizes: Callable[[], Sequence[float]],
+                log_space: Optional[bool] = None) -> RateBound:
+    """The chain from delta and the alphas ``step_sizes()`` to factors
+    and products.  ``step_sizes`` is called only once delta has passed,
+    so a bad delta is reported ahead of any schedule error."""
+    if not 0.0 <= delta < 1.0:
+        raise ValueError(f"delta must be in [0, 1), got {delta}")
+    alphas = tuple(step_sizes())
+    factors = [1.0 - a * (1.0 - delta) for a in alphas]
     if log_space is None:
         log_space = any(f < _LOGSPACE_TRIGGER for f in factors)
     products = [1.0]
@@ -40,18 +49,15 @@ def _cumulative(factors: List[float], log_space: Optional[bool]) -> List[float]:
         for f in factors:
             b *= f
             products.append(b)
-        return products
-    # log accumulation survives underflow over very long schedules
-    log_b = 0.0
-    dead = False
-    for f in factors:
-        if dead or f == 0.0:
-            dead = True
-            products.append(0.0)
-            continue
-        log_b += math.log(f)
-        products.append(math.exp(log_b))
-    return products
+    else:
+        # log accumulation survives underflow over very long schedules;
+        # a zero factor sends log B to -inf, so every later B_n is 0
+        log_b = 0.0
+        for f in factors:
+            log_b = log_b + math.log(f) if f else -math.inf
+            products.append(math.exp(log_b))
+    return RateBound(delta=delta, factors=tuple(factors),
+                     products=tuple(products), alphas=alphas)
 
 
 def product_bound(delta: float, sched: StepSchedule, n: int,
@@ -61,34 +67,28 @@ def product_bound(delta: float, sched: StepSchedule, n: int,
     ``log_space`` forces or forbids log accumulation; the default picks
     automatically when some factor drops below 1e-8.
     """
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"delta must be in [0, 1), got {delta}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    alphas = schedule_values(sched, n) if n >= 1 else []
-    factors = [1.0 - a * (1.0 - delta) for a in alphas]
-    return RateBound(delta=delta, factors=tuple(factors),
-                     products=tuple(_cumulative(factors, log_space)))
+    def step_sizes():
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        return schedule_values(sched, n) if n >= 1 else ()
+    return _rate_chain(delta, step_sizes, log_space)
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-step slack B_n*G(x_0,u,u) - G(x_n,u,u)."""
+    """Per-step bound B_n*G(x_0,u,u) and slack bound - G(x_n,u,u)."""
 
     slacks: tuple
     min_slack: float
     holds: bool
     first_violation: Optional[int]
+    bounds: tuple = ()
 
 
 def trace_products(trace: IterationTrace, delta: float) -> tuple:
     """B_0 .. B_{len(trace)-1} recomputed from the trace's own recorded
     step sizes, so B_n pairs with the recorded x_n."""
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(
-            f"delta must be in [0, 1) for a non-vacuous bound, got {delta}")
-    factors = [1.0 - a * (1.0 - delta) for a in trace.alphas[:len(trace) - 1]]
-    return tuple(_cumulative(factors, None))
+    return _rate_chain(delta, lambda: trace.alphas[:len(trace) - 1]).products
 
 
 def verify_bound(trace: IterationTrace, delta: float,
@@ -103,11 +103,13 @@ def verify_bound(trace: IterationTrace, delta: float,
     errors = trace.true_errors
     e0 = errors[0]
     products = trace_products(trace, delta)
-    slacks = []
+    bounds, slacks = [], []
     min_slack = math.inf
     first_violation = None
     for n, err in enumerate(errors):
-        slack = products[n] * e0 - err
+        bound = products[n] * e0
+        slack = bound - err
+        bounds.append(bound)
         slacks.append(slack)
         if slack < min_slack:
             min_slack = slack
@@ -115,7 +117,7 @@ def verify_bound(trace: IterationTrace, delta: float,
             first_violation = n
     return BoundReport(slacks=tuple(slacks), min_slack=min_slack,
                        holds=min_slack >= -tol,
-                       first_violation=first_violation)
+                       first_violation=first_violation, bounds=tuple(bounds))
 
 
 def diagnostics_maxima(trace: IterationTrace, limit: Point,

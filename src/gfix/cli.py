@@ -79,8 +79,6 @@ def parse_mapping(text: str, dim: int) -> contractions.Mapping:
                   else (0.0,) * dim)
         if len(center) != dim:
             raise ConfigError("center dimension does not match space")
-        if k < 0:
-            raise ConfigError("affine factor must be >= 0")
         return contractions.make_affine_contraction(center, k)
     if kind == "translation":
         if "offset" not in kv:
@@ -290,7 +288,6 @@ def _cmd_iterate(args: argparse.Namespace, settings: Settings) -> int:
 
     trace = mann.run_mann(target, mapping, x0, sched, stop)
 
-    delta = None
     bound_report = None
     if spec is not None:
         verdict = contractions.check_applicability(spec)
@@ -305,17 +302,13 @@ def _cmd_iterate(args: argparse.Namespace, settings: Settings) -> int:
             warnings.append(f"delta={_fmt(verdict.delta)} >= 1: bound is "
                             "vacuous; bound columns omitted")
         else:
-            delta = verdict.delta
-            bound_report = analysis.verify_bound(trace, delta)
+            bound_report = analysis.verify_bound(trace, verdict.delta)
 
     rows = [CSV_HEADER]
-    if bound_report is not None:
-        products = analysis.trace_products(trace, delta)
-        e0 = trace.true_errors[0]
     for n in range(len(trace)):
         err = _fmt(trace.true_errors[n]) if trace.true_errors else ""
         if bound_report is not None:
-            bound = _fmt(products[n] * e0)
+            bound = _fmt(bound_report.bounds[n])
             slack = _fmt(bound_report.slacks[n])
         else:
             bound = slack = ""
@@ -329,9 +322,8 @@ def _cmd_iterate(args: argparse.Namespace, settings: Settings) -> int:
                f"steps: {len(trace) - 1}",
                f"final_residual: {_fmt(trace.residuals[-1])}",
                f"divergent_sum: {sched.divergent_sum}"]
-    if delta is not None:
-        summary.append(f"delta: {_fmt(delta)}")
     if bound_report is not None:
+        summary.append(f"delta: {_fmt(verdict.delta)}")
         summary.append(f"bound_holds: {str(bound_report.holds).lower()}")
         summary.append(f"min_slack: {_fmt(bound_report.min_slack)}")
     for w in warnings:
@@ -348,8 +340,8 @@ def _cmd_bound(args: argparse.Namespace, settings: Settings) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
     rows = ["n,alpha_n,factor,B_n", f"0,,,{_fmt(rb.products[0])}"]
-    for k, (f, b) in enumerate(zip(rb.factors, rb.products[1:])):
-        rows.append(f"{k + 1},{_fmt(sched.alpha_at(k))},{_fmt(f)},{_fmt(b)}")
+    for k, (a, f, b) in enumerate(zip(rb.alphas, rb.factors, rb.products[1:])):
+        rows.append(f"{k + 1},{_fmt(a)},{_fmt(f)},{_fmt(b)}")
     _write_lines(args.out, rows)
     return 0
 

@@ -20,6 +20,7 @@ A delta >= 1 is flagged vacuous: the product bound no longer contracts.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
@@ -58,8 +59,9 @@ class ContractionSpec:
             raise ValueError(
                 f"{self.kind.value} takes coefficients {names}, got {got}")
         for name, value in self.coefficients.items():
-            if not value >= 0:
-                raise ValueError(f"coefficient {name} must be >= 0, got {value}")
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"coefficient {name} must be finite and >= 0, got {value}")
 
     def __getitem__(self, name: str) -> float:
         return self.coefficients[name]
@@ -127,17 +129,15 @@ def rhs_value(spec: ContractionSpec, space: GSpace, T: Mapping,
     """Right-hand side of the condition's inequality at (x, y, z)."""
     g = space.g
     t = T.apply
+    tx, ty, tz = t(x), t(y), t(z)
     kind = spec.kind
+    if kind is ConditionKind.FOUR_TERM_ALT:
+        dx, dy, dz = g(x, x, tx), g(y, y, ty), g(z, z, tz)
+    else:
+        dx, dy, dz = g(x, tx, tx), g(y, ty, ty), g(z, tz, tz)
     if kind in (ConditionKind.FOUR_TERM, ConditionKind.FOUR_TERM_ALT):
-        if kind is ConditionKind.FOUR_TERM:
-            dx, dy, dz = (g(x, t(x), t(x)), g(y, t(y), t(y)), g(z, t(z), t(z)))
-        else:
-            dx, dy, dz = (g(x, x, t(x)), g(y, y, t(y)), g(z, z, t(z)))
         return (spec["a"] * g(x, y, z) + spec["b"] * dx
                 + spec["c"] * dy + spec["d"] * dz)
-    dx = g(x, t(x), t(x))
-    dy = g(y, t(y), t(y))
-    dz = g(z, t(z), t(z))
     if kind is ConditionKind.SUM:
         return spec["a"] * g(x, y, z) + spec["b"] * (dx + dy + dz)
     if kind is ConditionKind.MAX:
@@ -194,9 +194,11 @@ def check_applicability(spec: ContractionSpec) -> ApplicabilityVerdict:
 
 def make_affine_contraction(center: Point, k: float) -> Mapping:
     """T x = center + k*(x - center); fixed point is the center for k < 1."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    if not 0 <= k < math.inf:
+        raise ValueError(f"affine factor k must be finite and >= 0, got {k}")
     center = tuple(float(c) for c in center)
+    if not all(map(math.isfinite, center)):
+        raise ValueError(f"center must be finite, got {center}")
 
     def apply(x: Point) -> Point:
         return tuple(c + k * (a - c) for a, c in zip(x, center))
@@ -208,6 +210,8 @@ def make_affine_contraction(center: Point, k: float) -> Mapping:
 def make_translation(offset: Point) -> Mapping:
     """T x = x + offset; has no fixed point for a nonzero offset."""
     offset = tuple(float(c) for c in offset)
+    if not all(map(math.isfinite, offset)):
+        raise ValueError(f"offset must be finite, got {offset}")
 
     def apply(x: Point) -> Point:
         return tuple(a + d for a, d in zip(x, offset))

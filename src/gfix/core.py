@@ -35,6 +35,7 @@ Box = tuple
 
 STRICT_FLOOR = 1e-12  # strict positivity is witnessed above this level
 _RATIO_FLOOR = 1e-15  # denominator clamp for worst-ratio diagnostics
+_STRUCTURED_LIMIT = 12  # grid points kept by the structured pass
 
 
 class DomainError(ValueError):
@@ -243,7 +244,7 @@ def sample_points(space: GSpace, seed: int, count: int,
             for i in range(count)]
 
 
-def structured_points(space: GSpace, box: Box, limit: int = 12) -> list:
+def structured_points(space: GSpace, box: Box) -> list:
     """Deterministic grid pass: corners, midpoint and quarter points of
     the box, filtered to the domain."""
     los = [lo for lo, _ in box]
@@ -258,7 +259,7 @@ def structured_points(space: GSpace, box: Box, limit: int = 12) -> list:
     pts.append(tuple(lo + 0.25 * (hi - lo) for lo, hi in box))
     pts.append(tuple(lo + 0.75 * (hi - lo) for lo, hi in box))
     good = [tuple(float(c) for c in p) for p in pts if space.contains(p)]
-    return good[:limit]
+    return good[:_STRUCTURED_LIMIT]
 
 
 def structured_quads(pts: Sequence[Point]) -> list:

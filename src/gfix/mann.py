@@ -115,10 +115,10 @@ class StoppingRule:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.residual_tol < 0:
-            raise ValueError("residual_tol must be >= 0")
-        if self.error_tol is not None and self.error_tol < 0:
-            raise ValueError("error_tol must be >= 0")
+        if not 0 <= self.residual_tol < math.inf:
+            raise ValueError("residual_tol must be finite and >= 0")
+        if self.error_tol is not None and not 0 <= self.error_tol < math.inf:
+            raise ValueError("error_tol must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -28,44 +28,42 @@ def _euclid_contains(dim: int):
     return contains
 
 
-def _euclid_draw(dim: int):
-    def draw(stream: Stream, box, min_separation: float) -> Point:
-        return tuple(stream.uniform(lo, hi) for lo, hi in box)
-    return draw
+def _euclid_draw(stream: Stream, box, min_separation: float) -> Point:
+    return tuple(stream.uniform(lo, hi) for lo, hi in box)
 
 
 def _default_box(dim: int):
     return ((-_DEFAULT_HALF_WIDTH, _DEFAULT_HALF_WIDTH),) * dim
 
 
-def make_perimeter_space(dim: int) -> ConvexGSpace:
-    """Sum-of-pairwise-distances G-metric with linear interpolation."""
+def _euclidean_space(name: str, dim: int, g) -> ConvexGSpace:
+    """``name-dim`` on R^dim with the given G and linear interpolation."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
+    space = GSpace(name=f"{name}-{dim}", dim=dim, g=g, draw=_euclid_draw,
+                   contains=_euclid_contains(dim),
+                   default_box=_default_box(dim))
+    return ConvexGSpace(space, linear_interpolation())
+
+
+def make_perimeter_space(dim: int) -> ConvexGSpace:
+    """Sum-of-pairwise-distances G-metric with linear interpolation."""
     dist = math.dist
 
     def g(x: Point, y: Point, z: Point) -> float:
         return dist(x, y) + dist(y, z) + dist(x, z)
 
-    space = GSpace(name=f"perimeter-{dim}", dim=dim, g=g,
-                   draw=_euclid_draw(dim), contains=_euclid_contains(dim),
-                   default_box=_default_box(dim))
-    return ConvexGSpace(space, linear_interpolation())
+    return _euclidean_space("perimeter", dim, g)
 
 
 def make_max_space(dim: int) -> ConvexGSpace:
     """Max-of-pairwise-distances G-metric with linear interpolation."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
     dist = math.dist
 
     def g(x: Point, y: Point, z: Point) -> float:
         return max(dist(x, y), dist(y, z), dist(x, z))
 
-    space = GSpace(name=f"max-{dim}", dim=dim, g=g,
-                   draw=_euclid_draw(dim), contains=_euclid_contains(dim),
-                   default_box=_default_box(dim))
-    return ConvexGSpace(space, linear_interpolation())
+    return _euclidean_space("max", dim, g)
 
 
 def make_sign_example_space() -> GSpace:
@@ -96,8 +94,7 @@ def make_sign_example_space() -> GSpace:
                           f"in {_DRAW_ATTEMPTS} draws")
 
     return GSpace(name="sign-example", dim=1, g=g, draw=draw,
-                  contains=contains,
-                  default_box=((-_DEFAULT_HALF_WIDTH, _DEFAULT_HALF_WIDTH),))
+                  contains=contains, default_box=_default_box(1))
 
 
 class UnknownSpaceError(ValueError):

@@ -107,6 +107,16 @@ def test_product_bound_zero_factor():
     assert rb.products[1:] == (0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("sched", [
+    gfix.constant_schedule(0.3), gfix.harmonic_schedule(),
+    gfix.power_schedule(0.7), gfix.explicit_schedule([1.0, 0.5, 0.2] * 9),
+])
+def test_product_bound_carries_schedule_alphas(sched):
+    rb = gfix.product_bound(0.4, sched, 25)
+    assert rb.alphas == tuple(gfix.schedule_values(sched, 25))
+    assert rb.factors == tuple(1.0 - a * (1.0 - 0.4) for a in rb.alphas)
+
+
 def test_exponential_majorization():
     # 1 - x <= e^{-x}: B_n <= exp(-(1-delta) * sum(alpha))
     delta = 0.4
@@ -174,6 +184,26 @@ def test_trace_products_match_schedule_products():
                                     len(trace) - 1).products
     for a, b in zip(from_trace, from_sched):
         assert a == pytest.approx(b, rel=1e-14)
+
+
+@pytest.mark.parametrize("k, sched, delta", [
+    (0.5, gfix.constant_schedule(0.5), 0.5),
+    (0.6, gfix.harmonic_schedule(), 0.7),
+    (0.0, gfix.constant_schedule(1.0), 0.0),
+])
+def test_verify_bound_columns(k, sched, delta):
+    # the bound and slack columns are B_n*G(x_0,u,u) and bound - error,
+    # bit for bit, with B_n from trace_products
+    T = gfix.make_affine_contraction((1.0,), k)
+    trace = gfix.run_mann(PERIM1, T, (8.0,), sched,
+                          gfix.StoppingRule(max_iters=30, residual_tol=0.0))
+    report = gfix.verify_bound(trace, delta)
+    products = gfix.trace_products(trace, delta)
+    e0 = trace.true_errors[0]
+    assert len(report.bounds) == len(report.slacks) == len(trace)
+    for n, err in enumerate(trace.true_errors):
+        assert report.bounds[n] == products[n] * e0
+        assert report.slacks[n] == report.bounds[n] - err
 
 
 def test_displacement_chain_on_trace_points():

@@ -92,6 +92,27 @@ def iterate_args(out, extra=()):
             "--out", str(out), *extra]
 
 
+@pytest.mark.parametrize("extra", [
+    ["--residual-tol", "nan"],
+    ["--condition", "four-term", "--coeff", "a=0.5,b=0,c=0,d=inf"],
+    ["--mapping", "affine:k=nan"],
+    ["--mapping", "translation:offset=nan"],
+])
+def test_iterate_rejects_non_finite_inputs(extra, tmp_path, capsys):
+    rc = run(["iterate", "--space", "perimeter-1", "--mapping", "affine:k=0.5",
+              "--schedule", "constant", "--alpha", "0.5", "--x0", "1",
+              "--max-iters", "5", *extra, "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_check_condition_rejects_infinite_center(capsys):
+    rc = run(["check-condition", "--space", "perimeter-1",
+              "--mapping", "affine:k=0.5,center=inf", "--condition",
+              "four-term", "--coeff", "a=0.5,b=0,c=0,d=0", "--samples", "10"])
+    assert rc == 2
+
+
 def test_iterate_csv_contract(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     rc = run(iterate_args(out))
@@ -193,6 +214,8 @@ def test_parse_mapping_errors():
         parse_mapping("warp:k=1", 1)
     with pytest.raises(ConfigError):
         parse_mapping("affine:k=0.5,center=1;2", 1)  # wrong dimension
+    with pytest.raises(ValueError):
+        parse_mapping("affine:k=-1", 1)  # rejected by the library
 
 
 def test_parse_schedule_variants():

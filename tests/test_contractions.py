@@ -1,9 +1,11 @@
 """Contractive-condition encodings, sampled checking, and applicability."""
 
+import math
+
 import pytest
 
 import gfix
-from gfix.contractions import ConditionKind, ContractionSpec
+from gfix.contractions import _COEFF_NAMES, ConditionKind, ContractionSpec
 
 PERIM1 = gfix.make_perimeter_space(1)
 SPACE1 = PERIM1.space
@@ -41,6 +43,9 @@ def test_spec_validates_coefficients():
         ContractionSpec(ConditionKind.K_SUM, {"k": -0.1})
     with pytest.raises(ValueError):
         ContractionSpec(ConditionKind.FOUR_TERM, {"a": 0.1, "b": 0.1})
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ContractionSpec(ConditionKind.SUM, {"a": 0.5, "b": bad})
 
 
 def test_check_condition_halving_passes():
@@ -59,6 +64,24 @@ def test_check_condition_doubling_fails():
     assert report.violations
     x, y, z = report.violations[0].witness
     assert report.violations[0].lhs > report.violations[0].rhs
+
+
+@pytest.mark.parametrize("kind", list(ConditionKind))
+def test_check_condition_applies_t_six_times_per_check(kind):
+    # T at x, y and z once for the lhs and once for the rhs displacements
+    inner = gfix.make_affine_contraction((0.0,), 0.5)
+    applied = []
+
+    def apply(p):
+        applied.append(p)
+        return inner.apply(p)
+
+    T = gfix.Mapping("counted", apply, inner.fixed_point)
+    spec = ContractionSpec(kind, dict.fromkeys(_COEFF_NAMES[kind], 0.1))
+    report = gfix.check_condition(spec, SPACE1, T,
+                                  gfix.SamplePlan(seed=5, count=40))
+    assert report.total_checks > 40
+    assert len(applied) == 6 * report.total_checks
 
 
 def test_check_condition_constant_map_passes():
@@ -194,6 +217,17 @@ def test_fixed_point_is_actually_fixed():
     u = T.fixed_point
     space = gfix.make_perimeter_space(2).space
     assert space.g(T.apply(u), u, u) <= 1e-9
+
+
+def test_mapping_constructors_reject_non_finite():
+    for k in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            gfix.make_affine_contraction((0.0,), k)
+    with pytest.raises(ValueError):
+        gfix.make_affine_contraction((math.inf,), 0.5)
+    for offset in ((math.nan,), (0.0, -math.inf)):
+        with pytest.raises(ValueError):
+            gfix.make_translation(offset)
 
 
 def test_translation_has_no_fixed_point():

@@ -91,6 +91,14 @@ def test_error_tol_stopping():
     assert trace.true_errors[-1] <= 1e-3
 
 
+def test_stopping_rule_validation():
+    for tol in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            gfix.StoppingRule(residual_tol=tol)
+        with pytest.raises(ValueError):
+            gfix.StoppingRule(error_tol=tol)
+
+
 def test_run_mann_rejects_point_outside_domain():
     T = gfix.make_affine_contraction((0.0,), 0.5)
     with pytest.raises(gfix.DomainError):
