@@ -4,14 +4,11 @@ from .analysis import (BoundReport, RateBound, convergence_diagnostics,
                        diagnostics_maxima, product_bound, trace_products,
                        verify_bound)
 from .contractions import (ApplicabilityVerdict, ConditionKind,
-                           ContractionFactor, ContractionSpec, Mapping,
-                           check_applicability, check_condition,
-                           delta_four_term, delta_three_term,
-                           make_affine_contraction, make_translation,
-                           rhs_value)
-from .convexity import (ConvexGSpace, ConvexStructure, ModiStructure,
-                        centroid_structure, check_convexity,
-                        check_modi_convexity, combine, linear_interpolation)
+                           ContractionSpec, Mapping, check_applicability,
+                           check_condition, make_affine_contraction,
+                           make_translation, rhs_value)
+from .convexity import (ConvexGSpace, ConvexStructure, check_convexity,
+                        combine, linear_interpolation)
 from .core import (CheckReport, DomainError, GSpace, SamplePlan, Violation,
                    check_axioms, check_derived, distance, eval_g,
                    sample_points)

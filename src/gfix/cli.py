@@ -52,13 +52,20 @@ def _parse_coords(text: str, sep: str = ",") -> tuple:
         raise ConfigError(f"cannot parse coordinates from {text!r}")
 
 
+def _put(values: dict, key: str, value: str, where: str) -> None:
+    """Set a new key; a repeated key is a configuration error."""
+    if key in values:
+        raise ConfigError(f"key {key!r} given more than once{where}")
+    values[key] = value
+
+
 def _parse_kv(text: str) -> dict:
     out = {}
     for part in text.split(","):
         if "=" not in part:
             raise ConfigError(f"expected key=value, got {part!r}")
         key, value = part.split("=", 1)
-        out[key.strip()] = value.strip()
+        _put(out, key.strip(), value.strip(), "")
     return out
 
 
@@ -142,7 +149,7 @@ def load_config(path: str) -> dict:
                 if "=" not in line:
                     raise ConfigError(f"bad config line {line!r} in {path}")
                 key, value = line.split("=", 1)
-                values[key.strip()] = value.strip()
+                _put(values, key.strip(), value.strip(), f" in {path}")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     return values

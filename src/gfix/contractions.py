@@ -3,26 +3,20 @@
 Each condition bounds G(Tx,Ty,Tz) by a weighted combination of G-values
 of the arguments and their self-displacements G(p,Tp,Tp).  The checker
 verifies a condition on sampled triples.  This module is also the one
-home of the rate theory: ``check_applicability`` maps a condition kind
-and its coefficients to the region where a convergence rate for the
-averaged iteration is available and, inside it, to the per-step factor
-delta:
-
-    kind                          region                 delta
-    four-term, four-term-alt      a + 3b < 1, 2b < 1     (a+b)/(1-2b)
-    sum, max                      0 < a + 3b < 1         (a+b)/(1-2b)
-    three-term                    a + b + c < 1, a < 1/2 a/(1-2a)
-    k-sum                         0 < k < 1/3            k/(1-2k)
-
-A delta >= 1 is flagged vacuous: the product bound no longer contracts.
+home of the rate theory: one row per condition kind in ``_ROWS`` gives
+its coefficient names, its right-hand side, the region where a
+convergence rate for the averaged iteration is available and, inside it,
+the per-step factor delta.  A delta >= 1 is flagged vacuous: the product
+bound no longer contracts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from .core import (CheckReport, GSpace, Point, SamplePlan, evaluate, le_tol,
                    sample_quads)
@@ -37,13 +31,57 @@ class ConditionKind(enum.Enum):
     K_SUM = "k-sum"                  # k * sum of displacements
 
 
-_COEFF_NAMES = {
-    ConditionKind.FOUR_TERM: ("a", "b", "c", "d"),
-    ConditionKind.FOUR_TERM_ALT: ("a", "b", "c", "d"),
-    ConditionKind.SUM: ("a", "b"),
-    ConditionKind.MAX: ("a", "b"),
-    ConditionKind.THREE_TERM: ("a", "b", "c"),
-    ConditionKind.K_SUM: ("k",),
+@dataclass(frozen=True)
+class _Row:
+    """One condition kind.  ``w`` maps coefficient names to values;
+    ``rhs(w, g, x, y, z, dx, dy, dz)`` is the right-hand side from G and
+    the displacements; every ``region(w)`` residual must be > 0 for
+    ``delta(w)`` to be the per-step factor."""
+
+    names: Tuple[str, ...]
+    rhs: Callable[..., float]
+    region: Callable[[Dict[str, float]], Dict[str, float]]
+    delta: Callable[[Dict[str, float]], float]
+    note: str = ""
+
+
+_FOUR_TERM = _Row(
+    ("a", "b", "c", "d"),
+    lambda w, g, x, y, z, dx, dy, dz: (w["a"] * g(x, y, z) + w["b"] * dx
+                                       + w["c"] * dy + w["d"] * dz),
+    lambda w: {"1-(a+3b)": 1.0 - (w["a"] + 3.0 * w["b"]),
+               "1-2b": 1.0 - 2.0 * w["b"]},
+    lambda w: (w["a"] + w["b"]) / (1.0 - 2.0 * w["b"]))
+
+_SUM = _Row(
+    ("a", "b"),
+    lambda w, g, x, y, z, dx, dy, dz: (w["a"] * g(x, y, z)
+                                       + w["b"] * (dx + dy + dz)),
+    lambda w: {"a+3b": w["a"] + 3.0 * w["b"],
+               "1-(a+3b)": 1.0 - (w["a"] + 3.0 * w["b"])},
+    lambda w: (w["a"] + w["b"]) / (1.0 - 2.0 * w["b"]))
+
+_ROWS = {
+    ConditionKind.FOUR_TERM: _FOUR_TERM,
+    ConditionKind.FOUR_TERM_ALT: dataclasses.replace(
+        _FOUR_TERM, note="alternate displacement orientation; rate "
+                         "constraint borrowed from the four-term condition"),
+    ConditionKind.SUM: _SUM,
+    ConditionKind.MAX: dataclasses.replace(
+        _SUM, rhs=lambda w, g, x, y, z, dx, dy, dz: (
+            w["a"] * g(x, y, z) + w["b"] * max(dx, dy, dz))),
+    ConditionKind.THREE_TERM: _Row(
+        ("a", "b", "c"),
+        lambda w, g, x, y, z, dx, dy, dz: (w["a"] * dx + w["b"] * dy
+                                           + w["c"] * dz),
+        lambda w: {"1-(a+b+c)": 1.0 - (w["a"] + w["b"] + w["c"]),
+                   "1/2-a": 0.5 - w["a"]},
+        lambda w: w["a"] / (1.0 - 2.0 * w["a"])),
+    ConditionKind.K_SUM: _Row(
+        ("k",),
+        lambda w, g, x, y, z, dx, dy, dz: w["k"] * (dx + dy + dz),
+        lambda w: {"k": w["k"], "1/3-k": 1.0 / 3.0 - w["k"]},
+        lambda w: w["k"] / (1.0 - 2.0 * w["k"])),
 }
 
 
@@ -53,7 +91,7 @@ class ContractionSpec:
     coefficients: Dict[str, float]
 
     def __post_init__(self):
-        names = _COEFF_NAMES[self.kind]
+        names = _ROWS[self.kind].names
         got = tuple(sorted(self.coefficients))
         if got != tuple(sorted(names)):
             raise ValueError(
@@ -90,61 +128,17 @@ class ApplicabilityVerdict:
     vacuous: bool = False
 
 
-@dataclass(frozen=True)
-class ContractionFactor:
-    """A derived per-step factor; ``vacuous`` flags value >= 1, where the
-    product bound no longer contracts."""
-
-    value: float
-    vacuous: bool
-
-
-def delta_four_term(a: float, b: float) -> float:
-    """Factor (a+b)/(1-2b) for the four-coefficient condition; lies in
-    [0, 1) whenever a + 3b < 1."""
-    if a < 0 or b < 0:
-        raise ValueError("coefficients must be >= 0")
-    if not a + 3.0 * b < 1.0:
-        raise ValueError(f"requires a + 3b < 1, got a + 3b = {a + 3.0 * b}")
-    return (a + b) / (1.0 - 2.0 * b)
-
-
-def delta_three_term(a: float) -> ContractionFactor:
-    """Factor a/(1-2a) for the three-displacement condition.
-
-    For a in [1/3, 1/2) the formula returns a value >= 1: the geometric
-    bound is vacuous there, which is reported via the flag rather than
-    silently tightening the admissible range to a < 1/3.
-    """
-    if a < 0:
-        raise ValueError("a must be >= 0")
-    if a >= 0.5:
-        raise ValueError(f"requires a < 1/2, got a = {a}")
-    value = a / (1.0 - 2.0 * a)
-    return ContractionFactor(value=value, vacuous=value >= 1.0)
-
-
 def rhs_value(spec: ContractionSpec, space: GSpace, T: Mapping,
               x: Point, y: Point, z: Point) -> float:
     """Right-hand side of the condition's inequality at (x, y, z)."""
     g = space.g
     t = T.apply
     tx, ty, tz = t(x), t(y), t(z)
-    kind = spec.kind
-    if kind is ConditionKind.FOUR_TERM_ALT:
+    if spec.kind is ConditionKind.FOUR_TERM_ALT:
         dx, dy, dz = g(x, x, tx), g(y, y, ty), g(z, z, tz)
     else:
         dx, dy, dz = g(x, tx, tx), g(y, ty, ty), g(z, tz, tz)
-    if kind in (ConditionKind.FOUR_TERM, ConditionKind.FOUR_TERM_ALT):
-        return (spec["a"] * g(x, y, z) + spec["b"] * dx
-                + spec["c"] * dy + spec["d"] * dz)
-    if kind is ConditionKind.SUM:
-        return spec["a"] * g(x, y, z) + spec["b"] * (dx + dy + dz)
-    if kind is ConditionKind.MAX:
-        return spec["a"] * g(x, y, z) + spec["b"] * max(dx, dy, dz)
-    if kind is ConditionKind.THREE_TERM:
-        return spec["a"] * dx + spec["b"] * dy + spec["c"] * dz
-    return spec["k"] * (dx + dy + dz)
+    return _ROWS[spec.kind].rhs(spec.coefficients, g, x, y, z, dx, dy, dz)
 
 
 def check_condition(spec: ContractionSpec, space: GSpace, T: Mapping,
@@ -164,32 +158,14 @@ def check_condition(spec: ContractionSpec, space: GSpace, T: Mapping,
 def check_applicability(spec: ContractionSpec) -> ApplicabilityVerdict:
     """Map the coefficients to the constraint region of the matching
     convergence result and, inside it, to the factor delta."""
-    kind = spec.kind
-    note = ""
-    if kind is ConditionKind.THREE_TERM:
-        a = spec["a"]
-        residuals = {"1-(a+b+c)": 1.0 - (a + spec["b"] + spec["c"]),
-                     "1/2-a": 0.5 - a}
-    elif kind is ConditionKind.K_SUM:
-        a = spec["k"]  # k takes a's place in a/(1-2a)
-        residuals = {"k": a, "1/3-k": 1.0 / 3.0 - a}
-    else:
-        a, b = spec["a"], spec["b"]
-        if kind in (ConditionKind.SUM, ConditionKind.MAX):
-            residuals = {"a+3b": a + 3.0 * b, "1-(a+3b)": 1.0 - (a + 3.0 * b)}
-        else:
-            residuals = {"1-(a+3b)": 1.0 - (a + 3.0 * b), "1-2b": 1.0 - 2.0 * b}
-        if kind is ConditionKind.FOUR_TERM_ALT:
-            note = ("alternate displacement orientation; rate constraint "
-                    "borrowed from the four-term condition")
+    row = _ROWS[spec.kind]
+    residuals = row.region(spec.coefficients)
     if not all(r > 0 for r in residuals.values()):
-        return ApplicabilityVerdict(kind.value, False, residuals, note)
-    if kind in (ConditionKind.THREE_TERM, ConditionKind.K_SUM):
-        cf = delta_three_term(a)
-    else:
-        cf = ContractionFactor(delta_four_term(a, b), False)
-    return ApplicabilityVerdict(kind.value, True, residuals, note,
-                                cf.value, cf.vacuous)
+        return ApplicabilityVerdict(spec.kind.value, False, residuals,
+                                    row.note)
+    delta = row.delta(spec.coefficients)
+    return ApplicabilityVerdict(spec.kind.value, True, residuals, row.note,
+                                delta, not delta < 1.0)
 
 
 def make_affine_contraction(center: Point, k: float) -> Mapping:

@@ -6,11 +6,6 @@ The two-point structure W(x,y; lam, 1-lam) must satisfy
 
 for all u, v and lam + beta = 1.  Only lam is stored; beta is always
 derived, so the lam + beta = 1 constraint cannot be violated.
-
-A three-point comparison structure W(x,y,z; lam) with the weaker bound
-(lam/3 on each of the three terms) is included as a checker only: as
-lam -> 0 its right-hand side vanishes while the left stays positive for
-u != v, so no total structure can satisfy it at small lam.
 """
 
 from __future__ import annotations
@@ -32,14 +27,6 @@ class ConvexStructure:
 
 
 @dataclass(frozen=True)
-class ModiStructure:
-    """Three-point combinator used by the comparison checker."""
-
-    name: str
-    blend3: Callable[[Point, Point, Point, float], Point]
-
-
-@dataclass(frozen=True)
 class ConvexGSpace:
     space: GSpace
     w: ConvexStructure
@@ -52,13 +39,6 @@ def linear_interpolation() -> ConvexStructure:
         b = 1.0 - lam
         return tuple(lam * a + b * c for a, c in zip(x, y))
     return ConvexStructure("linear", blend)
-
-
-def centroid_structure() -> ModiStructure:
-    """(x+y+z)/3 regardless of lam; a natural three-point candidate."""
-    def blend3(x: Point, y: Point, z: Point, lam: float) -> Point:
-        return tuple((a + b + c) / 3.0 for a, b, c in zip(x, y, z))
-    return ModiStructure("centroid", blend3)
 
 
 def combine(cs: ConvexGSpace, x: Point, y: Point, lam: float) -> Point:
@@ -74,7 +54,6 @@ def combine(cs: ConvexGSpace, x: Point, y: Point, lam: float) -> Point:
 # every sampled tuple is also checked at these weights; endpoint behavior
 # is where candidate structures usually break
 _LAMBDA_ANCHORS = (0.0, 0.5, 1.0)
-_LAMBDA_ANCHORS_OPEN = (0.01, 0.5, 1.0)
 
 
 def check_convexity(cs: ConvexGSpace, plan: SamplePlan,
@@ -99,25 +78,3 @@ def check_convexity(cs: ConvexGSpace, plan: SamplePlan,
                            lambda s: (s.uniform(),) + _LAMBDA_ANCHORS)
     return evaluate(tuples, convexity, tol)
 
-
-def check_modi_convexity(space: GSpace, m: ModiStructure, plan: SamplePlan,
-                         tol: float = 1e-9) -> CheckReport:
-    """Sampled verification of the three-point comparison inequality with
-    lam drawn from (0, 1]."""
-    g = space.g
-
-    def modi_convexity(x, y, z, u, v, lams):
-        total = sum((g(u, v, x), g(u, v, y), g(u, v, z)))
-        for lam in lams:
-            yield (le_tol, "modi-convexity", (x, y, z, u, v, lam),
-                   g(u, v, m.blend3(x, y, z, lam)), (lam / 3.0) * total)
-
-    def structured(pts):
-        return ((x, y, z, pts[0], pts[-1], _LAMBDA_ANCHORS_OPEN)
-                for x, y, z in zip(pts, pts[1:], pts[2:]))
-
-    def weights(s):
-        return (1.0 - s.uniform(),) + _LAMBDA_ANCHORS_OPEN  # lam in (0, 1]
-
-    tuples = sample_tuples(space, plan, 5, structured, weights)
-    return evaluate(tuples, modi_convexity, tol)

@@ -100,7 +100,9 @@ def test_05_bound_dominance():
         cs = (gfix.make_perimeter_space(dim) if trial % 2 == 0
               else gfix.make_max_space(dim))
         T = gfix.make_affine_contraction(center, k)
-        delta = gfix.delta_four_term(k, 0.0)
+        spec = gfix.ContractionSpec(gfix.ConditionKind.FOUR_TERM,
+                                    {"a": k, "b": 0.0, "c": 0.0, "d": 0.0})
+        delta = gfix.check_applicability(spec).delta
         for sched in schedules:
             trace = gfix.run_mann(cs, T, x0, sched,
                                   gfix.StoppingRule(max_iters=200,
@@ -158,10 +160,13 @@ def test_08_convergence_diagnostics():
 
 
 def test_09_vacuous_factor_exposure():
-    cf = gfix.delta_three_term(0.4)
-    assert cf.value == pytest.approx(2.0) and cf.vacuous
-    cf = gfix.delta_three_term(0.25)
-    assert cf.value == pytest.approx(0.5) and not cf.vacuous
+    def three_term(a):
+        return gfix.check_applicability(gfix.ContractionSpec(
+            gfix.ConditionKind.THREE_TERM, {"a": a, "b": 0.0, "c": 0.0}))
+    verdict = three_term(0.4)
+    assert verdict.delta == pytest.approx(2.0) and verdict.vacuous
+    verdict = three_term(0.25)
+    assert verdict.delta == pytest.approx(0.5) and not verdict.vacuous
     report(9, "three-displacement factor: 0.4 -> 2.0 flagged vacuous, "
               "0.25 -> 0.5 clean")
 

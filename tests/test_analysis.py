@@ -1,4 +1,4 @@
-"""Contraction factors, product bounds, and trace verification."""
+"""Product bounds and trace verification."""
 
 import math
 
@@ -7,50 +7,6 @@ import pytest
 import gfix
 
 PERIM1 = gfix.make_perimeter_space(1)
-
-
-# --- derived factors ----------------------------------------------------------
-
-def test_delta_four_term_values():
-    assert gfix.delta_four_term(0.2, 0.1) == pytest.approx(0.375)
-    assert gfix.delta_four_term(0.0, 0.0) == 0.0
-    assert gfix.delta_four_term(0.5, 0.0) == 0.5
-
-
-def test_delta_four_term_stays_below_one_inside_region():
-    for a, b in ((0.0, 0.33), (0.9, 0.03), (0.5, 0.16)):
-        assert a + 3 * b < 1
-        assert 0.0 <= gfix.delta_four_term(a, b) < 1.0
-
-
-def test_delta_four_term_rejects_out_of_region():
-    with pytest.raises(ValueError):
-        gfix.delta_four_term(0.7, 0.1)  # a + 3b = 1
-    with pytest.raises(ValueError):
-        gfix.delta_four_term(-0.1, 0.0)
-
-
-def test_delta_three_term_values():
-    cf = gfix.delta_three_term(0.25)
-    assert cf.value == pytest.approx(0.5)
-    assert not cf.vacuous
-    cf = gfix.delta_three_term(0.0)
-    assert cf.value == 0.0 and not cf.vacuous
-
-
-def test_delta_three_term_vacuous_region():
-    # a in [1/3, 1/2) yields a factor >= 1: the formula as stated does not
-    # contract there, and the flag reports it instead of rejecting
-    cf = gfix.delta_three_term(0.4)
-    assert cf.value == pytest.approx(2.0)
-    assert cf.vacuous
-
-
-def test_delta_three_term_rejects_half_and_beyond():
-    with pytest.raises(ValueError):
-        gfix.delta_three_term(0.5)
-    with pytest.raises(ValueError):
-        gfix.delta_three_term(-0.01)
 
 
 # --- product bound --------------------------------------------------------------
@@ -223,7 +179,9 @@ def test_per_point_contraction_inequality():
     # G(Tx, Tu, Tu) <= delta * G(x,u,u) for affine k with a = k, b = 0
     k = 0.7
     T = gfix.make_affine_contraction((0.5,), k)
-    delta = gfix.delta_four_term(k, 0.0)
+    spec = gfix.ContractionSpec(gfix.ConditionKind.FOUR_TERM,
+                                {"a": k, "b": 0.0, "c": 0.0, "d": 0.0})
+    delta = gfix.check_applicability(spec).delta
     trace = gfix.run_mann(PERIM1, T, (6.0,), gfix.constant_schedule(0.3),
                           gfix.StoppingRule(max_iters=30, residual_tol=0.0))
     g = PERIM1.space.g

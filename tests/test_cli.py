@@ -148,6 +148,38 @@ def test_iterate_inapplicable_coeffs_omit_bounds(tmp_path, capsys):
     assert lines[1].split(",") == ["0", "0.5", "0", "", "", ""]
 
 
+def test_iterate_delta_rounded_to_one_is_vacuous(tmp_path, capsys):
+    # inside the four-term region, yet (a+b)/(1-2b) rounds to exactly 1.0
+    rc = run(["iterate", "--space", "perimeter-1", "--mapping", "affine:k=0.5",
+              "--condition", "four-term", "--coeff",
+              "a=0.236225381023386,b=0.2545915396588713,c=0,d=0",
+              "--max-iters", "3", "--out", str(tmp_path / "t.csv")])
+    assert rc == 0
+    assert ("warning: delta=1 >= 1: bound is vacuous; bound columns omitted"
+            in capsys.readouterr().out.splitlines())
+
+
+@pytest.mark.parametrize("extra, key", [
+    (["--condition", "k-sum", "--coeff", "k=0.3,k=0.2"], "k"),
+    (["--mapping", "affine:k=1,k=0.5"], "k"),
+])
+def test_iterate_rejects_repeated_keys(extra, key, tmp_path, capsys):
+    rc = run(["iterate", "--space", "perimeter-1", "--mapping", "affine:k=0.5",
+              "--max-iters", "3", *extra, "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert f"key {key!r} given more than once" in capsys.readouterr().err
+
+
+def test_config_file_rejects_repeated_key(tmp_path, capsys):
+    cfg = tmp_path / "rep.cfg"
+    cfg.write_text("space=perimeter-1\nmapping=affine:k=0.5\nmax-iters=5\n"
+                   "max-iters=3\n")
+    rc = run(["iterate", "--config", str(cfg),
+              "--out", str(tmp_path / "c.csv")])
+    assert rc == 2
+    assert "key 'max-iters' given more than once" in capsys.readouterr().err
+
+
 def test_iterate_divergence_exit_one(tmp_path, capsys):
     out = tmp_path / "d.csv"
     rc = run(["iterate", "--space", "perimeter-1", "--mapping", "affine:k=2",

@@ -1,11 +1,12 @@
 """Contractive-condition encodings, sampled checking, and applicability."""
 
+import dataclasses
 import math
 
 import pytest
 
 import gfix
-from gfix.contractions import _COEFF_NAMES, ConditionKind, ContractionSpec
+from gfix.contractions import _ROWS, ConditionKind, ContractionSpec
 
 PERIM1 = gfix.make_perimeter_space(1)
 SPACE1 = PERIM1.space
@@ -43,6 +44,11 @@ def test_spec_validates_coefficients():
         ContractionSpec(ConditionKind.K_SUM, {"k": -0.1})
     with pytest.raises(ValueError):
         ContractionSpec(ConditionKind.FOUR_TERM, {"a": 0.1, "b": 0.1})
+    with pytest.raises(ValueError):
+        four_term(-0.1, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        ContractionSpec(ConditionKind.THREE_TERM,
+                        {"a": -0.01, "b": 0.0, "c": 0.0})
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
             ContractionSpec(ConditionKind.SUM, {"a": 0.5, "b": bad})
@@ -66,22 +72,34 @@ def test_check_condition_doubling_fails():
     assert report.violations[0].lhs > report.violations[0].rhs
 
 
+# G(Tx,Ty,Tz), three displacements and, unless the rhs uses displacements
+# only, G(x,y,z)
+_G_PER_CHECK = {ConditionKind.THREE_TERM: 4, ConditionKind.K_SUM: 4}
+
+
 @pytest.mark.parametrize("kind", list(ConditionKind))
 def test_check_condition_applies_t_six_times_per_check(kind):
     # T at x, y and z once for the lhs and once for the rhs displacements
     inner = gfix.make_affine_contraction((0.0,), 0.5)
     applied = []
+    evaluated = []
 
     def apply(p):
         applied.append(p)
         return inner.apply(p)
 
+    def g(x, y, z):
+        evaluated.append(x)
+        return SPACE1.g(x, y, z)
+
     T = gfix.Mapping("counted", apply, inner.fixed_point)
-    spec = ContractionSpec(kind, dict.fromkeys(_COEFF_NAMES[kind], 0.1))
-    report = gfix.check_condition(spec, SPACE1, T,
+    space = dataclasses.replace(SPACE1, g=g)
+    spec = ContractionSpec(kind, dict.fromkeys(_ROWS[kind].names, 0.1))
+    report = gfix.check_condition(spec, space, T,
                                   gfix.SamplePlan(seed=5, count=40))
     assert report.total_checks > 40
     assert len(applied) == 6 * report.total_checks
+    assert len(evaluated) == _G_PER_CHECK.get(kind, 5) * report.total_checks
 
 
 def test_check_condition_constant_map_passes():
@@ -167,21 +185,36 @@ def test_applicability_alt_kind_carries_note():
     assert verdict.note
 
 
+# inside the region (a+b)/(1-2b) can round to exactly 1.0
+EDGE = dict(a=0.236225381023386, b=0.2545915396588713)
+
+
+# (a+b)/(1-2b) for the first four kinds, a/(1-2a) for three-term and
+# k/(1-2k) for k-sum, each as the float the formula evaluates to
 @pytest.mark.parametrize("kind, coeffs, delta, vacuous", [
     (ConditionKind.FOUR_TERM, dict(a=0.2, b=0.1, c=0.3, d=0.3),
-     gfix.delta_four_term(0.2, 0.1), False),
+     0.37500000000000006, False),
     (ConditionKind.FOUR_TERM_ALT, dict(a=0.4, b=0.1, c=0.0, d=0.0),
-     gfix.delta_four_term(0.4, 0.1), False),
-    (ConditionKind.SUM, dict(a=0.2, b=0.1), gfix.delta_four_term(0.2, 0.1),
-     False),
-    (ConditionKind.MAX, dict(a=0.5, b=0.15), gfix.delta_four_term(0.5, 0.15),
-     False),
-    (ConditionKind.THREE_TERM, dict(a=0.25, b=0.2, c=0.2),
-     gfix.delta_three_term(0.25).value, False),
+     0.625, False),
+    (ConditionKind.SUM, dict(a=0.2, b=0.1), 0.37500000000000006, False),
+    (ConditionKind.MAX, dict(a=0.5, b=0.15), 0.9285714285714287, False),
+    (ConditionKind.THREE_TERM, dict(a=0.25, b=0.2, c=0.2), 0.5, False),
+    # a in [1/3, 1/2) yields a factor >= 1: the formula as stated does not
+    # contract there, and the flag reports it instead of rejecting
     (ConditionKind.THREE_TERM, dict(a=0.4, b=0.1, c=0.1),
-     gfix.delta_three_term(0.4).value, True),
-    (ConditionKind.K_SUM, dict(k=0.3), gfix.delta_three_term(0.3).value,
-     False),
+     2.0000000000000004, True),
+    (ConditionKind.K_SUM, dict(k=0.3), 0.7499999999999999, False),
+    (ConditionKind.FOUR_TERM, dict(a=0.0, b=0.0, c=0.0, d=0.0), 0.0, False),
+    (ConditionKind.FOUR_TERM, dict(a=0.5, b=0.0, c=0.0, d=0.0), 0.5, False),
+    # close to the edge a + 3b = 1, delta stays below one
+    (ConditionKind.FOUR_TERM, dict(a=0.0, b=0.33, c=0.0, d=0.0),
+     0.9705882352941178, False),
+    (ConditionKind.FOUR_TERM, dict(a=0.9, b=0.03, c=0.0, d=0.0),
+     0.9893617021276597, False),
+    (ConditionKind.FOUR_TERM, dict(a=0.5, b=0.16, c=0.0, d=0.0),
+     0.9705882352941178, False),
+    (ConditionKind.THREE_TERM, dict(a=0.0, b=0.0, c=0.0), 0.0, False),
+    (ConditionKind.FOUR_TERM, dict(EDGE, c=0.0, d=0.0), 1.0, True),
 ])
 def test_applicability_delta_table(kind, coeffs, delta, vacuous):
     verdict = gfix.check_applicability(ContractionSpec(kind, coeffs))
@@ -191,9 +224,38 @@ def test_applicability_delta_table(kind, coeffs, delta, vacuous):
 
 
 def test_applicability_outside_region_has_no_delta():
-    verdict = gfix.check_applicability(four_term(0.5, 0.2, 0.0, 0.0))
-    assert not verdict.satisfied
-    assert verdict.delta is None
+    for spec in (four_term(0.5, 0.2, 0.0, 0.0),
+                 four_term(0.7, 0.1, 0.0, 0.0),  # a + 3b = 1
+                 ContractionSpec(ConditionKind.THREE_TERM,
+                                 {"a": 0.5, "b": 0.0, "c": 0.0})):
+        verdict = gfix.check_applicability(spec)
+        assert not verdict.satisfied
+        assert verdict.delta is None
+
+
+def _region_grid(kind):
+    names = _ROWS[kind].names
+    steps = [i / 40 for i in range(41)]
+    if kind is ConditionKind.K_SUM:
+        yield from ({"k": v} for v in steps)
+        return
+    for a in steps:
+        for b in steps:
+            coeffs = dict.fromkeys(names, 0.0)
+            coeffs.update(a=a, b=b)
+            yield coeffs
+    yield {**dict.fromkeys(names, 0.0), **EDGE}
+
+
+@pytest.mark.parametrize("kind", list(ConditionKind))
+def test_applicability_vacuous_iff_delta_reaches_one(kind):
+    inside = 0
+    for coeffs in _region_grid(kind):
+        verdict = gfix.check_applicability(ContractionSpec(kind, coeffs))
+        if verdict.satisfied:
+            inside += 1
+            assert verdict.vacuous is (verdict.delta >= 1), coeffs
+    assert inside > 0
 
 
 # --- mapping constructors -------------------------------------------------------

@@ -99,27 +99,3 @@ def test_combine_is_deterministic():
     a = gfix.combine(MAX2, (1.0, 2.0), (3.0, -4.0), 0.3)
     b = gfix.combine(MAX2, (1.0, 2.0), (3.0, -4.0), 0.3)
     assert a == b
-
-
-# --- three-point comparison structure ----------------------------------------
-
-def test_modi_centroid_report_is_computed():
-    report = gfix.check_modi_convexity(PERIM2.space, gfix.centroid_structure(),
-                                       gfix.SamplePlan(seed=5, count=500))
-    assert report.total_checks > 0  # pass/fail is data, not asserted
-
-
-def test_modi_small_lambda_forces_violations():
-    # rhs -> 0 as lam -> 0 while lhs stays positive for u != v, so any
-    # total structure must produce witnesses at lam = 0.01
-    report = gfix.check_modi_convexity(PERIM2.space, gfix.centroid_structure(),
-                                       gfix.SamplePlan(seed=5, count=500))
-    assert not report.passed
-    assert any(v.witness[-1] == 0.01 for v in report.violations)
-
-
-def test_modi_degenerate_tuple_holds():
-    g = PERIM2.space.g
-    p = (1.0, 1.0)
-    w = gfix.centroid_structure().blend3(p, p, p, 0.5)
-    assert g(p, p, w) == 0.0
