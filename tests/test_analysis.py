@@ -1,4 +1,4 @@
-"""Product bounds and trace verification."""
+"""Derived factors, product bounds, and trace verification."""
 
 import math
 
@@ -7,6 +7,39 @@ import pytest
 import gfix
 
 PERIM1 = gfix.make_perimeter_space(1)
+
+
+# --- derived factors ----------------------------------------------------------
+
+def _verdict(kind, **coeffs):
+    return gfix.check_applicability(gfix.ContractionSpec(kind, coeffs))
+
+
+def test_delta_four_term_rejects_out_of_region():
+    verdict = _verdict(gfix.ConditionKind.FOUR_TERM,
+                       a=0.7, b=0.1, c=0.0, d=0.0)  # a + 3b = 1
+    assert not verdict.satisfied
+    assert verdict.delta is None
+    with pytest.raises(ValueError):
+        _verdict(gfix.ConditionKind.FOUR_TERM, a=-0.1, b=0.0, c=0.0, d=0.0)
+
+
+def test_delta_three_term_vacuous_region():
+    # a in [1/3, 1/2) yields a factor >= 1: the formula as stated does not
+    # contract there, and the flag reports it instead of rejecting
+    verdict = _verdict(gfix.ConditionKind.THREE_TERM, a=0.4, b=0.0, c=0.0)
+    assert verdict.satisfied
+    assert verdict.delta == pytest.approx(2.0)
+    assert verdict.vacuous
+
+
+def test_delta_three_term_rejects_half_and_beyond():
+    for a in (0.5, 0.6):
+        verdict = _verdict(gfix.ConditionKind.THREE_TERM, a=a, b=0.0, c=0.0)
+        assert not verdict.satisfied
+        assert verdict.delta is None
+    with pytest.raises(ValueError):
+        _verdict(gfix.ConditionKind.THREE_TERM, a=-0.01, b=0.0, c=0.0)
 
 
 # --- product bound --------------------------------------------------------------
