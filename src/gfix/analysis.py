@@ -26,7 +26,6 @@ class RateBound:
     """Step sizes alpha_0 .. alpha_{n-1}, per-step factors
     1 - alpha_k*(1-delta) and cumulative products B_0 .. B_n."""
 
-    delta: float
     factors: tuple
     products: tuple
     alphas: tuple = ()
@@ -56,8 +55,8 @@ def _rate_chain(delta: float, step_sizes: Callable[[], Sequence[float]],
         for f in factors:
             log_b = log_b + math.log(f) if f else -math.inf
             products.append(math.exp(log_b))
-    return RateBound(delta=delta, factors=tuple(factors),
-                     products=tuple(products), alphas=alphas)
+    return RateBound(factors=tuple(factors), products=tuple(products),
+                     alphas=alphas)
 
 
 def product_bound(delta: float, sched: StepSchedule, n: int,
@@ -67,11 +66,7 @@ def product_bound(delta: float, sched: StepSchedule, n: int,
     ``log_space`` forces or forbids log accumulation; the default picks
     automatically when some factor drops below 1e-8.
     """
-    def step_sizes():
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        return schedule_values(sched, n) if n >= 1 else ()
-    return _rate_chain(delta, step_sizes, log_space)
+    return _rate_chain(delta, lambda: schedule_values(sched, n), log_space)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,14 @@
 
 Each condition bounds G(Tx,Ty,Tz) by a weighted combination of G-values
 of the arguments and their self-displacements G(p,Tp,Tp).  The checker
-verifies a condition on sampled triples.  This module is also the one
-home of the rate theory: one row per condition kind in ``_ROWS`` gives
-its coefficient names, its right-hand side, the region where a
-convergence rate for the averaged iteration is available and, inside it,
-the per-step factor delta.  A delta >= 1 is flagged vacuous: the product
-bound no longer contracts.
+verifies a condition on sampled triples.  It applies T once per point
+and builds both sides from those images; since the conditions are
+stated for a self-map, an image outside the domain is a DomainError.
+This module is also the one home of the rate theory: one row per
+condition kind in ``_ROWS`` gives its coefficient names, its right-hand
+side, the region where a convergence rate for the averaged iteration is
+available and, inside it, the per-step factor delta.  A delta >= 1 is
+flagged vacuous: the product bound no longer contracts.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from .core import (CheckReport, GSpace, Point, SamplePlan, evaluate, le_tol,
-                   sample_quads)
+from .core import (CheckReport, DomainError, GSpace, Point, SamplePlan,
+                   evaluate, le_tol, sample_quads)
 
 
 class ConditionKind(enum.Enum):
@@ -101,9 +103,6 @@ class ContractionSpec:
                 raise ValueError(
                     f"coefficient {name} must be finite and >= 0, got {value}")
 
-    def __getitem__(self, name: str) -> float:
-        return self.coefficients[name]
-
 
 @dataclass(frozen=True)
 class Mapping:
@@ -120,7 +119,6 @@ class ApplicabilityVerdict:
     be strictly positive.  When satisfied, ``delta`` is the per-step
     factor and ``vacuous`` flags delta >= 1; otherwise delta is None."""
 
-    rule: str
     satisfied: bool
     residuals: Dict[str, float]
     note: str = ""
@@ -128,29 +126,45 @@ class ApplicabilityVerdict:
     vacuous: bool = False
 
 
-def rhs_value(spec: ContractionSpec, space: GSpace, T: Mapping,
-              x: Point, y: Point, z: Point) -> float:
-    """Right-hand side of the condition's inequality at (x, y, z)."""
+def _sides(spec: ContractionSpec, space: GSpace, T: Mapping,
+           x: Point, y: Point, z: Point) -> Tuple[float, float]:
+    """G(Tx,Ty,Tz) and the right-hand side at (x, y, z), both from one
+    image per point; an image outside the domain raises DomainError."""
     g = space.g
     t = T.apply
     tx, ty, tz = t(x), t(y), t(z)
+    contains = space.contains
+    if not (contains(tx) and contains(ty) and contains(tz)):
+        for p, tp in ((x, tx), (y, ty), (z, tz)):
+            if not contains(tp):
+                raise DomainError(f"{T.name} maps {p!r} to {tp!r}, which is "
+                                  f"not in the domain of {space.name}")
+    lhs = g(tx, ty, tz)
     if spec.kind is ConditionKind.FOUR_TERM_ALT:
         dx, dy, dz = g(x, x, tx), g(y, y, ty), g(z, z, tz)
     else:
         dx, dy, dz = g(x, tx, tx), g(y, ty, ty), g(z, tz, tz)
-    return _ROWS[spec.kind].rhs(spec.coefficients, g, x, y, z, dx, dy, dz)
+    return lhs, _ROWS[spec.kind].rhs(spec.coefficients, g, x, y, z,
+                                     dx, dy, dz)
+
+
+def rhs_value(spec: ContractionSpec, space: GSpace, T: Mapping,
+              x: Point, y: Point, z: Point) -> float:
+    """Right-hand side of the condition's inequality at (x, y, z);
+    raises DomainError when T sends one of them outside the domain."""
+    return _sides(spec, space, T, x, y, z)[1]
 
 
 def check_condition(spec: ContractionSpec, space: GSpace, T: Mapping,
                     plan: SamplePlan, tol: float = 1e-9) -> CheckReport:
     """Verify G(Tx,Ty,Tz) <= rhs on sampled triples; the report carries
-    the worst lhs/rhs ratio seen."""
-    g = space.g
-    t = T.apply
+    the worst lhs/rhs ratio seen.  Raises DomainError when T sends a
+    sampled point outside the domain."""
+    check_id = spec.kind.value
 
     def condition(x, y, z, _):
-        return ((le_tol, spec.kind.value, (x, y, z), g(t(x), t(y), t(z)),
-                 rhs_value(spec, space, T, x, y, z)),)
+        lhs, rhs = _sides(spec, space, T, x, y, z)
+        return ((le_tol, check_id, (x, y, z), lhs, rhs),)
 
     return evaluate(sample_quads(space, plan), condition, tol, ratio=True)
 
@@ -161,11 +175,10 @@ def check_applicability(spec: ContractionSpec) -> ApplicabilityVerdict:
     row = _ROWS[spec.kind]
     residuals = row.region(spec.coefficients)
     if not all(r > 0 for r in residuals.values()):
-        return ApplicabilityVerdict(spec.kind.value, False, residuals,
-                                    row.note)
+        return ApplicabilityVerdict(False, residuals, row.note)
     delta = row.delta(spec.coefficients)
-    return ApplicabilityVerdict(spec.kind.value, True, residuals, row.note,
-                                delta, not delta < 1.0)
+    return ApplicabilityVerdict(True, residuals, row.note, delta,
+                                not delta < 1.0)
 
 
 def make_affine_contraction(center: Point, k: float) -> Mapping:

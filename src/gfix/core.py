@@ -273,12 +273,12 @@ def structured_quads(pts: Sequence[Point]) -> list:
     return quads
 
 
-def sample_tuples(space: GSpace, plan: SamplePlan, arity: int,
+def sample_tuples(space: GSpace, plan: SamplePlan,
                   structured: Callable[[list], Iterable[tuple]],
                   weights: Optional[Callable[[Stream], object]] = None):
     """Witness tuples: ``plan.count`` random ones, then the structured pass.
 
-    Random tuple i holds ``arity`` points drawn from Stream(seed, i),
+    Random tuple i holds four points drawn from Stream(seed, i),
     followed by ``weights(stream)`` when given, so weights come from the
     same stream after the points.  ``structured`` maps the box's
     structured points to further tuples of the same shape.
@@ -287,14 +287,14 @@ def sample_tuples(space: GSpace, plan: SamplePlan, arity: int,
     draw, sep = space.draw, plan.min_separation
     for i in range(plan.count):
         s = Stream(plan.seed, i)
-        t = tuple(draw(s, box, sep) for _ in range(arity))
+        t = tuple(draw(s, box, sep) for _ in range(4))
         yield t + (weights(s),) if weights else t
     yield from structured(structured_points(space, box))
 
 
 def sample_quads(space: GSpace, plan: SamplePlan) -> list:
     """Random quadruples per the plan plus the structured pass."""
-    return list(sample_tuples(space, plan, 4, structured_quads))
+    return list(sample_tuples(space, plan, structured_quads))
 
 
 _PERMS = tuple(itertools.permutations((0, 1, 2)))

@@ -9,7 +9,7 @@ alpha = 1 is a pure T-step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .contractions import Mapping
@@ -98,8 +98,8 @@ def explicit_schedule(values: Sequence[float]) -> StepSchedule:
 
 def schedule_values(sched: StepSchedule, n: int) -> List[float]:
     """The first n step sizes alpha_0 .. alpha_{n-1}."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     lim = sched.limit()
     if lim is not None and n > lim:
         raise ValueError(f"explicit schedule has only {lim} values")
@@ -128,8 +128,6 @@ class IterationTrace:
     G(x_n, u, u).  The lists are parallel; entry n describes x_n."""
 
     space: GSpace
-    mapping_name: str
-    fixed_point: Optional[Point]
     points: tuple
     alphas: tuple
     residuals: tuple
@@ -171,7 +169,6 @@ def run_mann(cs: ConvexGSpace, T: Mapping, x0: Point, sched: StepSchedule,
     points, alphas, residuals = [], [], []
     errors = [] if u is not None else None
     x = tuple(float(c) for c in x0)
-    status = STATUS_MAX_ITERS
     for n in range(max_iters + 1):
         tx = T.apply(x)
         residual = g(x, tx, tx)
@@ -198,8 +195,6 @@ def run_mann(cs: ConvexGSpace, T: Mapping, x0: Point, sched: StepSchedule,
 
     return IterationTrace(
         space=space,
-        mapping_name=T.name,
-        fixed_point=u,
         points=tuple(points),
         alphas=tuple(alphas),
         residuals=tuple(residuals),

@@ -80,6 +80,44 @@ def test_nan_min_separation_exits_two_promptly():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("args, line", [
+    ("bound --delta 1.5 --schedule explicit:1 --max-iters 5",
+     "error: delta must be in [0, 1), got 1.5"),
+    ("bound --delta 0.5 --schedule explicit:1 --max-iters 5",
+     "error: explicit schedule has only 1 values"),
+    ("bound --delta 0.5 --schedule power:0",
+     "error: power schedule needs a finite p > 0"),
+    ("bound --delta 0.5 --max-iters -1", "error: n must be >= 0"),
+    ("check-condition --space perimeter-1 --mapping affine:k=0.5 "
+     "--condition sum --coeff a=x,b=0",
+     "error: could not convert string to float: 'x'"),
+    ("check-axioms --space nope-3", "error: unknown space key 'nope-3'"),
+    ("iterate --space perimeter-1 --mapping affine:k=0.5 --x0 nan",
+     "error: (nan,) is not in the domain of perimeter-1"),
+])
+def test_error_exit_message(args, line, tmp_path, capsys):
+    assert run(args.split() + ["--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == line + "\n"
+    assert captured.out == ""
+
+
+def test_check_condition_rejects_image_outside_domain(capsys):
+    # T x = 0 for every x, and 0 is the point the sign example excludes
+    rc = run(["check-condition", "--space", "sign-example",
+              "--mapping", "affine:k=0", "--condition", "k-sum",
+              "--coeff", "k=0.3", "--samples", "10"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "affine(k=0.0)" in err and "(0.0,)" in err
+    assert "sign-example" in err
+
+
+def test_bound_rejects_harmonic_parameter(capsys):
+    assert run(["bound", "--delta", "0.5", "--schedule", "harmonic:7"]) == 2
+    assert "'7'" in capsys.readouterr().err
+
+
 def test_bound_rejects_nan_power(capsys):
     assert run(["bound", "--delta", "0.5", "--schedule", "power:nan"]) == 2
 
