@@ -78,7 +78,7 @@ _G_PER_CHECK = {ConditionKind.THREE_TERM: 4, ConditionKind.K_SUM: 4}
 
 
 @pytest.mark.parametrize("kind", list(ConditionKind))
-def test_check_condition_applies_t_three_times_per_check(kind):
+def test_check_condition_applies_t_once_per_point(kind):
     # T at x, y and z once; the lhs and the rhs displacements share them
     inner = gfix.make_affine_contraction((0.0,), 0.5)
     applied = []
