@@ -12,6 +12,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from typing import Optional
@@ -34,66 +35,64 @@ def _fmt_point(p) -> str:
     return "(" + ";".join(_fmt(c) for c in p) + ")"
 
 
-def _default_seed() -> int:
-    env = os.environ.get("GFIX_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"GFIX_SEED must be an integer, got {env!r}")
-    return 0
-
-
-def _parse_coords(text: str, sep: str = ",") -> tuple:
+def _number(text, what: str, kind=float):
+    """``text`` as a ``kind``; an error names ``what``, its flag or key."""
     try:
-        return tuple(float(v) for v in text.split(sep))
+        return kind(text)
     except ValueError:
-        raise ConfigError(f"cannot parse coordinates from {text!r}")
+        raise ConfigError(f"{what}: expected {kind.__name__}, got {text!r}")
 
 
-def _put(values: dict, key: str, value: str, where: str) -> None:
-    """Set a new key; a repeated key is a configuration error."""
-    if key in values:
-        raise ConfigError(f"key {key!r} given more than once{where}")
-    values[key] = value
+def _coords(text: str, what: str, dim: int, sep: str = ";") -> tuple:
+    """A point of the space: ``dim`` reals separated by ``sep``."""
+    point = tuple(_number(v, what) for v in text.split(sep))
+    if len(point) != dim:
+        raise ConfigError(f"{what} dimension does not match space")
+    return point
 
 
-def _parse_kv(text: str) -> dict:
-    out = {}
-    for part in text.split(","):
-        if "=" not in part:
-            raise ConfigError(f"expected key=value, got {part!r}")
-        key, value = part.split("=", 1)
-        _put(out, key.strip(), value.strip(), "")
-    return out
+def _pairs(items, where: str, keys=None) -> dict:
+    """``key=value`` items as a dict; a malformed item, a repeated key or
+    a key outside ``keys`` (when given) is an error naming ``where``."""
+    values = {}
+    for item in items:
+        key, eq, value = item.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ConfigError(f"expected key=value, got {item!r}{where}")
+        if key in values:
+            raise ConfigError(f"key {key!r} given more than once{where}")
+        if keys is not None and key not in keys:
+            raise ConfigError(f"unknown key {key!r}{where}")
+        values[key] = value.strip()
+    return values
+
+
+def _default_seed() -> int:
+    return _number(os.environ.get("GFIX_SEED", "0"), "GFIX_SEED", int)
+
+
+_MAPPING_KEYS = {"affine": ("k", "center"), "translation": ("offset",)}
 
 
 def parse_mapping(text: str, dim: int) -> contractions.Mapping:
-    """``affine:k=0.5,center=1;2`` or ``translation:offset=1;0``.
-    Center/offset coordinates are semicolon-separated; both default to
-    the origin-sized vector when omitted."""
+    """``affine:k=0.5[,center=1;2]`` or ``translation:offset=1;0``; a
+    kind's first key in ``_MAPPING_KEYS`` is required.  Coordinates are
+    semicolon-separated; the center defaults to the origin."""
     kind, _, params = text.partition(":")
-    kv = _parse_kv(params) if params else {}
+    keys = _MAPPING_KEYS.get(kind)
+    if keys is None:
+        raise ConfigError(f"unknown mapping kind {kind!r}")
+    kv = _pairs(params.split(",") if params else (), " in --mapping", keys)
+    if keys[0] not in kv:
+        raise ConfigError(f"{kind} mapping needs {keys[0]}=<value>")
     if kind == "affine":
-        if "k" not in kv:
-            raise ConfigError("affine mapping needs k=<factor>")
-        try:
-            k = float(kv["k"])
-        except ValueError:
-            raise ConfigError(f"bad affine factor {kv['k']!r}")
-        center = (_parse_coords(kv["center"], ";") if "center" in kv
-                  else (0.0,) * dim)
-        if len(center) != dim:
-            raise ConfigError("center dimension does not match space")
+        k = _number(kv["k"], "--mapping k")
+        center = (_coords(kv["center"], "--mapping center", dim)
+                  if "center" in kv else (0.0,) * dim)
         return contractions.make_affine_contraction(center, k)
-    if kind == "translation":
-        if "offset" not in kv:
-            raise ConfigError("translation mapping needs offset=<coords>")
-        offset = _parse_coords(kv["offset"], ";")
-        if len(offset) != dim:
-            raise ConfigError("offset dimension does not match space")
-        return contractions.make_translation(offset)
-    raise ConfigError(f"unknown mapping kind {kind!r}")
+    return contractions.make_translation(
+        _coords(kv["offset"], "--mapping offset", dim))
 
 
 _CONDITIONS = {k.value: k for k in contractions.ConditionKind}
@@ -105,7 +104,8 @@ def parse_condition(name: str, coeff: Optional[str]) -> contractions.Contraction
                           f"(choose from {sorted(_CONDITIONS)})")
     if not coeff:
         raise ConfigError("--coeff is required with --condition")
-    coeffs = {k: float(v) for k, v in _parse_kv(coeff).items()}
+    coeffs = {k: _number(v, f"--coeff {k}")
+              for k, v in _pairs(coeff.split(","), " in --coeff").items()}
     return contractions.ContractionSpec(_CONDITIONS[name], coeffs)
 
 
@@ -113,38 +113,20 @@ def parse_schedule(text: str, alpha: Optional[float]) -> mann.StepSchedule:
     """``constant`` (uses --alpha), ``constant:0.5``, ``harmonic``,
     ``power:2`` or ``explicit:1;0.5;0.25``."""
     kind, _, param = text.partition(":")
+    what = f"--schedule {kind}"
     if kind == "constant":
-        return mann.constant_schedule(float(param) if param else alpha)
+        return mann.constant_schedule(_number(param, what) if param else alpha)
     if kind == "harmonic":
         if param:
             raise ConfigError("harmonic schedule takes no parameter, "
                               f"got {param!r}")
         return mann.harmonic_schedule()
     if kind == "power":
-        if not param:
-            raise ConfigError("power schedule needs an exponent, e.g. power:2")
-        return mann.power_schedule(float(param))
+        return mann.power_schedule(_number(param, what))
     if kind == "explicit":
-        return mann.explicit_schedule(_parse_coords(param, ";"))
+        return mann.explicit_schedule(
+            [_number(v, what) for v in param.split(";")])
     raise ConfigError(f"unknown schedule {text!r}")
-
-
-def load_config(path: str) -> dict:
-    """Flat key=value file mirroring the flags; '#' starts a comment."""
-    values = {}
-    try:
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"bad config line {line!r} in {path}")
-                key, value = line.split("=", 1)
-                _put(values, key.strip(), value.strip(), f" in {path}")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
-    return values
 
 
 _CHECKS = ("check-axioms", "check-derived", "check-convexity",
@@ -179,16 +161,26 @@ _TYPES = {name: kind for name, kind, _ in _OPTIONS}
 class Settings:
     """One command's option values: explicit flags win over the config
     file, which wins over the command's defaults.  Values keep the form
-    they were given in, so the config line echoes file values verbatim."""
+    they were given in, so the config line echoes file values verbatim.
+    The config file is flat ``key=value`` lines of the command's own
+    option names; '#' starts a comment."""
 
     def __init__(self, args: argparse.Namespace):
         flags = vars(args)
-        file = load_config(args.config) if args.config else {}
+        own = {name: defaults[args.command]
+               for name, _, defaults in _OPTIONS if args.command in defaults}
+        file = {}
+        if args.config:
+            try:
+                with open(args.config) as fh:
+                    lines = [line.strip() for line in fh]
+            except OSError as exc:
+                raise ConfigError(f"cannot read config {args.config}: {exc}")
+            file = _pairs([line for line in lines
+                           if line and not line.startswith("#")],
+                          f" in {args.config}", own)
         self.values = {}
-        for name, _, defaults in _OPTIONS:
-            if args.command not in defaults:
-                continue
-            default = defaults[args.command]
+        for name, default in own.items():
             if callable(default):
                 default = default()
             value = flags[name.replace("-", "_")]
@@ -201,11 +193,16 @@ class Settings:
     def get(self, name: str):
         """The value converted to the option's type; None when unset."""
         value = self.values[name]
-        return None if value is None else _TYPES[name](value)
+        return None if value is None else _number(value, name, _TYPES[name])
 
     def config_line(self) -> str:
         return "# config: " + " ".join(
             f"{k}={v}" for k, v in sorted(self.values.items()) if v is not None)
+
+
+def _rows(header: str, *columns) -> list:
+    """``header``, then the columns' formatted cells joined row by row."""
+    return [header, *map(",".join, zip(*columns))]
 
 
 def _write_lines(path: Optional[str], lines) -> None:
@@ -273,17 +270,15 @@ def _cmd_iterate(args: argparse.Namespace, settings: Settings) -> int:
     space = target.space
     mapping = parse_mapping(settings.get("mapping"), space.dim)
     sched = parse_schedule(settings.get("schedule"), settings.get("alpha"))
-    x0 = _parse_coords(settings.get("x0"))
-    if len(x0) != space.dim:
-        raise ConfigError("x0 dimension does not match space")
+    x0 = _coords(settings.get("x0"), "--x0", space.dim, ",")
     stop = mann.StoppingRule(max_iters=settings.get("max-iters"),
                              residual_tol=settings.get("residual-tol"))
 
     warnings = []
-    spec = None
-    if settings.get("condition"):
-        spec = parse_condition(settings.get("condition"),
-                               settings.get("coeff"))
+    condition, coeff = settings.get("condition"), settings.get("coeff")
+    if coeff and not condition:
+        raise ConfigError("--coeff needs --condition")
+    spec = parse_condition(condition, coeff) if condition else None
 
     trace = mann.run_mann(target, mapping, x0, sched, stop)
 
@@ -303,17 +298,15 @@ def _cmd_iterate(args: argparse.Namespace, settings: Settings) -> int:
         else:
             bound_report = analysis.verify_bound(trace, verdict.delta)
 
-    rows = [CSV_HEADER]
-    for n in range(len(trace)):
-        err = _fmt(trace.true_errors[n]) if trace.true_errors else ""
-        if bound_report is not None:
-            bound = _fmt(bound_report.bounds[n])
-            slack = _fmt(bound_report.slacks[n])
-        else:
-            bound = slack = ""
-        rows.append(f"{n},{_fmt(trace.alphas[n])},{_fmt(trace.residuals[n])},"
-                    f"{err},{bound},{slack}")
-    _write_lines(args.out, rows)
+    blank = itertools.repeat("")
+    errors = map(_fmt, trace.true_errors) if trace.true_errors else blank
+    bounds = slacks = blank
+    if bound_report is not None:
+        bounds = map(_fmt, bound_report.bounds)
+        slacks = map(_fmt, bound_report.slacks)
+    _write_lines(args.out, _rows(
+        CSV_HEADER, map(str, range(len(trace))), map(_fmt, trace.alphas),
+        map(_fmt, trace.residuals), errors, bounds, slacks))
 
     summary = ["# gfix iterate",
                settings.config_line(),
@@ -325,9 +318,8 @@ def _cmd_iterate(args: argparse.Namespace, settings: Settings) -> int:
         summary.append(f"delta: {_fmt(verdict.delta)}")
         summary.append(f"bound_holds: {str(bound_report.holds).lower()}")
         summary.append(f"min_slack: {_fmt(bound_report.min_slack)}")
-    for w in warnings:
-        summary.append(f"warning: {w}")
-    print("\n".join(summary))
+    summary += [f"warning: {w}" for w in warnings]
+    _write_lines(None, summary)
     return 1 if trace.status == mann.STATUS_DIVERGED else 0
 
 
@@ -335,10 +327,11 @@ def _cmd_bound(args: argparse.Namespace, settings: Settings) -> int:
     delta = settings.get("delta")
     sched = parse_schedule(settings.get("schedule"), settings.get("alpha"))
     rb = analysis.product_bound(delta, sched, settings.get("max-iters"))
-    rows = ["n,alpha_n,factor,B_n", f"0,,,{_fmt(rb.products[0])}"]
-    for k, (a, f, b) in enumerate(zip(rb.alphas, rb.factors, rb.products[1:])):
-        rows.append(f"{k + 1},{_fmt(a)},{_fmt(f)},{_fmt(b)}")
-    _write_lines(args.out, rows)
+    _write_lines(args.out, _rows(
+        "n,alpha_n,factor,B_n", map(str, range(len(rb.products))),
+        itertools.chain([""], map(_fmt, rb.alphas)),
+        itertools.chain([""], map(_fmt, rb.factors)),
+        map(_fmt, rb.products)))
     return 0
 
 

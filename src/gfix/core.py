@@ -142,8 +142,8 @@ class Collector:
 
     A check fails when its margin is > 0 or not finite.  Non-finite
     margins are recorded under ``<check_id>:non-finite`` and rank as the
-    worst violations, in the order seen; once a NaN margin is seen,
-    ``worst_margin`` is NaN.
+    worst violations, in the order seen; they make ``worst_margin`` +inf,
+    or NaN for good once a NaN margin is seen.
     """
 
     def __init__(self):
@@ -168,9 +168,12 @@ class Collector:
                 # stable, so equal margins keep the order they were seen in
                 self.worst.sort(key=_BY_MARGIN, reverse=True)
                 del self.worst[_KEEP_WORST:]
-        elif len(self.non_finite) < _KEEP_WORST:
-            self.non_finite.append(Violation(f"{check_id}:non-finite",
-                                             witness, lhs, rhs, margin))
+        else:
+            if self.worst_margin == self.worst_margin:  # NaN stays NaN
+                self.worst_margin = math.inf
+            if len(self.non_finite) < _KEEP_WORST:
+                self.non_finite.append(Violation(f"{check_id}:non-finite",
+                                                 witness, lhs, rhs, margin))
 
     def note_ratio(self, ratio: float) -> None:
         if self.worst_ratio is None or ratio > self.worst_ratio:

@@ -71,7 +71,10 @@ class StepSchedule:
         if self.kind == "harmonic":
             return 1.0 / (n + 1)
         if self.kind == "power":
-            return 1.0 / (n + 1) ** self.p
+            try:
+                return 1.0 / (n + 1) ** self.p
+            except OverflowError:  # the true alpha underflows
+                return (n + 1) ** -self.p
         # clamped so the trace row for the final iterate stays well defined
         return self.values[min(n, len(self.values) - 1)]
 

@@ -90,16 +90,85 @@ def test_nan_min_separation_exits_two_promptly():
     ("bound --delta 0.5 --max-iters -1", "error: n must be >= 0"),
     ("check-condition --space perimeter-1 --mapping affine:k=0.5 "
      "--condition sum --coeff a=x,b=0",
-     "error: could not convert string to float: 'x'"),
+     "error: --coeff a: expected float, got 'x'"),
     ("check-axioms --space nope-3", "error: unknown space key 'nope-3'"),
     ("iterate --space perimeter-1 --mapping affine:k=0.5 --x0 nan",
      "error: (nan,) is not in the domain of perimeter-1"),
+    ("bound --delta 0.5 --schedule power:x",
+     "error: --schedule power: expected float, got 'x'"),
+    ("iterate --space perimeter-1 --mapping affine:k=x",
+     "error: --mapping k: expected float, got 'x'"),
+    ("iterate --space perimeter-2 --mapping affine:k=0.5 --x0 1,x",
+     "error: --x0: expected float, got 'x'"),
+    ("check-axioms --space perimeter-1 --config cfg:samples=1e3",
+     "error: samples: expected int, got '1e3'"),
 ])
 def test_error_exit_message(args, line, tmp_path, capsys):
-    assert run(args.split() + ["--out", str(tmp_path / "o")]) == 2
+    argv = []
+    for a in args.split():
+        if a.startswith("cfg:"):  # a config file holding the rest as its line
+            (tmp_path / "c.cfg").write_text(a[4:] + "\n")
+            a = str(tmp_path / "c.cfg")
+        argv.append(a)
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 2
     captured = capsys.readouterr()
     assert captured.err == line + "\n"
     assert captured.out == ""
+
+
+def test_env_seed_must_be_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("GFIX_SEED", "x")
+    assert run(["check-axioms", "--space", "max-2", "--samples", "10"]) == 2
+    assert capsys.readouterr().err == (
+        "error: GFIX_SEED: expected int, got 'x'\n")
+
+
+@pytest.mark.parametrize("args", [
+    "check-condition --space perimeter-1 --mapping translation:offset=1e308 "
+    "--condition k-sum --coeff k=0.1 --samples 5",
+    "check-convexity --space max-1 --samples 5 --tol=inf",
+])
+def test_fail_report_with_infinite_margin(args, capsys):
+    assert run(args.split()) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "result: FAIL" in out and "worst_margin: inf" in out
+
+
+@pytest.mark.parametrize("args", [
+    "bound --delta 0.5 --schedule power:400",
+    "bound --delta 0.5 --schedule power:1e308",
+    "iterate --space perimeter-1 --mapping affine:k=0.5 --schedule power:400",
+    "iterate --space perimeter-1 --mapping affine:k=0.5 "
+    "--schedule power:1e308",
+])
+def test_power_schedule_past_overflow_runs(args):
+    assert run(args.split() + ["--max-iters", "12"]) == 0
+
+
+@pytest.mark.parametrize("args, error", [
+    ("--mapping affine:k=0.5,kk=3", "unknown key 'kk' in --mapping"),
+    ("--mapping translation:offset=1,k=2", "unknown key 'k' in --mapping"),
+    ("--coeff a=1", "--coeff needs --condition"),
+])
+def test_iterate_rejects_unread_input(args, error, capsys):
+    rc = run(["iterate", "--space", "perimeter-1", "--mapping", "affine:k=0.5",
+              "--x0", "1", "--max-iters", "1", *args.split()])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+
+
+@pytest.mark.parametrize("line", ["max_iters=5", "out=t.csv", "config=c.cfg"])
+def test_config_file_rejects_foreign_key(line, tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"space=perimeter-1\nmapping=affine:k=0.5\n{line}\n")
+    assert run(["iterate", "--config", str(cfg)]) == 2
+    key = line.split("=")[0]
+    assert f"error: unknown key {key!r} in {cfg}" in capsys.readouterr().err
+
+
+def test_negative_value_in_equals_form(capsys):
+    assert run(["iterate", "--space", "perimeter-2", "--mapping",
+                "affine:k=0.5", "--x0=-1,2", "--max-iters", "3"]) == 0
 
 
 def test_check_condition_rejects_image_outside_domain(capsys):

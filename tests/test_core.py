@@ -223,6 +223,22 @@ def test_collector_ranks_non_finite_margins_worst():
     assert math.isnan(report.worst_margin)
 
 
+@pytest.mark.parametrize("margins, worst", [
+    ([-math.inf], math.inf),
+    ([math.inf], math.inf),
+    ([1.0, -math.inf, -1.0], math.inf),
+    ([math.nan, -math.inf], math.nan),
+    ([-math.inf, math.nan, math.inf], math.nan),
+])
+def test_collector_infinite_margin_is_worst(margins, worst):
+    col = Collector()
+    for i, margin in enumerate(margins):
+        col.record("x", (i,), 0.0, 0.0, margin)
+    report = col.report()
+    assert not report.passed
+    assert repr(report.worst_margin) == repr(worst)
+
+
 def test_nan_evaluator_fails_axioms():
     nan_space = gfix.GSpace(
         name="nan", dim=2, g=lambda x, y, z: math.nan,

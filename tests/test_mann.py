@@ -122,6 +122,16 @@ def test_schedule_values_power():
     assert sched.divergent_sum is False
 
 
+def test_power_schedule_past_overflow():
+    # (n + 1) ** 400 overflows from n = 5 on; alpha is then the subnormal
+    # or zero (n + 1) ** -400 instead of an OverflowError
+    values = gfix.schedule_values(gfix.power_schedule(400.0), 13)
+    assert values[4] == 1.0 / 5 ** 400.0
+    assert 0.0 < values[5] == 6 ** -400.0 < 1e-300
+    assert values[6:] == [0.0] * 7
+    assert gfix.power_schedule(1e308).alpha_at(1) == 0.0
+
+
 def test_divergent_sum_flags():
     assert gfix.constant_schedule(0.5).divergent_sum is True
     assert gfix.constant_schedule(0.0).divergent_sum is False

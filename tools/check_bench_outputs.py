@@ -1,0 +1,62 @@
+"""Check that every benchmark command still gives its recorded output.
+
+    python3 tools/check_bench_outputs.py
+
+Expands each command template of bench/run.py's WORKLOADS over all POOL
+entries at the full SIZES, runs each command in this process through
+``gfix.cli.main`` (GFIX_SEED unset, OUT a temporary file), and compares
+its exit code with the workload's and sha256(stdout + out) with
+bench/expected.json.  Prints each mismatch and exits 1 if there is any.
+It only reads bench/.  The whole check takes a few minutes.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import run as bench  # noqa: E402
+from gfix import cli  # noqa: E402
+
+
+def outcome(key: str, out_path: Path):
+    """(exit code, sha256 of stdout + the --out file) of one command."""
+    out_path.unlink(missing_ok=True)
+    argv = [str(out_path) if a == "OUT" else a for a in key.split()]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    out = out_path.read_bytes() if out_path.exists() else b""
+    return code, hashlib.sha256(stdout.getvalue().encode() + out).hexdigest()
+
+
+def main() -> int:
+    expected = json.loads(bench.EXPECTED.read_text())
+    os.environ.pop("GFIX_SEED", None)  # as bench/run.py runs its children
+    checked = mismatches = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        out_path = Path(tmp) / "out.csv"
+        for workload, (want, templates) in bench.WORKLOADS.items():
+            for template in templates:
+                for k in range(bench.POOL):
+                    key = bench.command_key(template, k, bench.SIZES)
+                    code, digest = outcome(key, out_path)
+                    checked += 1
+                    if code != want or digest != expected.get(key):
+                        mismatches += 1
+                        print(f"mismatch: {workload}: {key}: exit {code} "
+                              f"(want {want}), digest {digest} "
+                              f"(want {expected.get(key)})")
+    print(f"{checked} commands, {mismatches} mismatches")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
