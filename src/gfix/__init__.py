@@ -8,13 +8,12 @@ from .contractions import (ApplicabilityVerdict, ConditionKind,
                            check_condition, make_affine_contraction,
                            make_translation, rhs_value)
 from .convexity import (ConvexGSpace, ConvexStructure, check_convexity,
-                        combine, linear_interpolation)
+                        linear_interpolation)
 from .core import (CheckReport, DomainError, GSpace, SamplePlan, Violation,
-                   check_axioms, check_derived, distance, eval_g,
-                   sample_points)
+                   check_axioms, check_derived)
 from .mann import (IterationTrace, StepSchedule, StoppingRule,
                    constant_schedule, explicit_schedule, harmonic_schedule,
-                   mann_step, power_schedule, run_mann, schedule_values)
+                   power_schedule, run_mann, schedule_values)
 from .spaces import (UnknownSpaceError, get_space, make_max_space,
                      make_perimeter_space, make_sign_example_space)
 

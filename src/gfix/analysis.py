@@ -76,7 +76,6 @@ class BoundReport:
     slacks: tuple
     min_slack: float
     holds: bool
-    first_violation: Optional[int]
     bounds: tuple = ()
 
 
@@ -100,7 +99,6 @@ def verify_bound(trace: IterationTrace, delta: float,
     products = trace_products(trace, delta)
     bounds, slacks = [], []
     min_slack = math.inf
-    first_violation = None
     for n, err in enumerate(errors):
         bound = products[n] * e0
         slack = bound - err
@@ -108,11 +106,8 @@ def verify_bound(trace: IterationTrace, delta: float,
         slacks.append(slack)
         if slack < min_slack:
             min_slack = slack
-        if slack < -tol and first_violation is None:
-            first_violation = n
     return BoundReport(slacks=tuple(slacks), min_slack=min_slack,
-                       holds=min_slack >= -tol,
-                       first_violation=first_violation, bounds=tuple(bounds))
+                       holds=min_slack >= -tol, bounds=tuple(bounds))
 
 
 def diagnostics_maxima(trace: IterationTrace, limit: Point,

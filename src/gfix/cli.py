@@ -138,7 +138,7 @@ _REQUIRED = object()
 # One row per option: (name, type, {command: default}).  The table builds
 # every subparser, in this order and followed by --out and --config, and
 # names the keys a command echoes in its config line.  A callable default
-# is called when the command starts.
+# is called only when neither a flag nor the config file gives the value.
 _OPTIONS = (
     ("space", str, dict.fromkeys(_CHECKS + ("iterate",), _REQUIRED)),
     ("mapping", str, dict.fromkeys(_MAPPED, _REQUIRED)),
@@ -181,11 +181,11 @@ class Settings:
                           f" in {args.config}", own)
         self.values = {}
         for name, default in own.items():
-            if callable(default):
-                default = default()
             value = flags[name.replace("-", "_")]
             if value is None:
                 value = file.get(name, default)
+            if callable(value):
+                value = value()
             if default is _REQUIRED and value in (_REQUIRED, ""):
                 raise ConfigError(f"--{name} is required")
             self.values[name] = value

@@ -44,7 +44,6 @@ class _Row:
     rhs: Callable[..., float]
     region: Callable[[Dict[str, float]], Dict[str, float]]
     delta: Callable[[Dict[str, float]], float]
-    note: str = ""
 
 
 _FOUR_TERM = _Row(
@@ -65,9 +64,10 @@ _SUM = _Row(
 
 _ROWS = {
     ConditionKind.FOUR_TERM: _FOUR_TERM,
+    # at the fixed point u, G(x,x,Tx) <= G(Tx,u,u) + G(u,x,x) (rectangle)
+    # and G(u,x,x) <= 2 G(x,u,u); the same region gives delta < 1
     ConditionKind.FOUR_TERM_ALT: dataclasses.replace(
-        _FOUR_TERM, note="alternate displacement orientation; rate "
-                         "constraint borrowed from the four-term condition"),
+        _FOUR_TERM, delta=lambda w: (w["a"] + 2.0 * w["b"]) / (1.0 - w["b"])),
     ConditionKind.SUM: _SUM,
     ConditionKind.MAX: dataclasses.replace(
         _SUM, rhs=lambda w, g, x, y, z, dx, dy, dz: (
@@ -121,7 +121,6 @@ class ApplicabilityVerdict:
 
     satisfied: bool
     residuals: Dict[str, float]
-    note: str = ""
     delta: Optional[float] = None
     vacuous: bool = False
 
@@ -175,10 +174,9 @@ def check_applicability(spec: ContractionSpec) -> ApplicabilityVerdict:
     row = _ROWS[spec.kind]
     residuals = row.region(spec.coefficients)
     if not all(r > 0 for r in residuals.values()):
-        return ApplicabilityVerdict(False, residuals, row.note)
+        return ApplicabilityVerdict(False, residuals)
     delta = row.delta(spec.coefficients)
-    return ApplicabilityVerdict(True, residuals, row.note, delta,
-                                not delta < 1.0)
+    return ApplicabilityVerdict(True, residuals, delta, not delta < 1.0)
 
 
 def make_affine_contraction(center: Point, k: float) -> Mapping:

@@ -14,8 +14,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import (CheckReport, DomainError, GSpace, Point, SamplePlan,
-                   evaluate, le_tol, sample_tuples)
+from .core import (CheckReport, GSpace, Point, SamplePlan, evaluate, le_tol,
+                   sample_tuples)
 
 
 @dataclass(frozen=True)
@@ -39,16 +39,6 @@ def linear_interpolation() -> ConvexStructure:
         b = 1.0 - lam
         return tuple(lam * a + b * c for a, c in zip(x, y))
     return ConvexStructure("linear", blend)
-
-
-def combine(cs: ConvexGSpace, x: Point, y: Point, lam: float) -> Point:
-    """W(x, y; lam, 1-lam) with input validation."""
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"lambda must be in [0, 1], got {lam}")
-    for p in (x, y):
-        if not cs.space.contains(p):
-            raise DomainError(f"{p!r} is not in the domain of {cs.space.name}")
-    return cs.w.blend(x, y, lam)
 
 
 # every sampled tuple is also checked at these weights; endpoint behavior

@@ -42,15 +42,6 @@ class DomainError(ValueError):
     """A point lies outside the space's domain."""
 
 
-def distance(x: Point, y: Point) -> float:
-    """Euclidean distance; also used as the separation measure."""
-    return math.dist(x, y)
-
-
-def _finite(p: Point) -> bool:
-    return all(isinstance(c, (int, float)) and math.isfinite(c) for c in p)
-
-
 @dataclass(frozen=True)
 class GSpace:
     """A G-metric evaluator plus a domain sampler.
@@ -69,22 +60,14 @@ class GSpace:
     default_box: Box
 
 
-def eval_g(space: GSpace, x: Point, y: Point, z: Point) -> float:
-    """Evaluate G(x,y,z) with domain validation."""
-    for p in (x, y, z):
-        if len(p) != space.dim or not _finite(p) or not space.contains(p):
-            raise DomainError(f"{p!r} is not in the domain of {space.name}")
-    return space.g(x, y, z)
-
-
 @dataclass(frozen=True)
 class SamplePlan:
-    """How to sample a space: seed, sample count, bounding box, and the
-    separation below which strict-inequality axioms are not checked."""
+    """How to sample a space: seed, sample count, and the separation
+    below which strict-inequality axioms are not checked.  Points are
+    drawn from the space's ``default_box``."""
 
     seed: int
     count: int
-    box: Optional[Box] = None
     min_separation: float = 1e-3
 
     def __post_init__(self):
@@ -94,16 +77,6 @@ class SamplePlan:
         if not math.isfinite(sep) or not 0.0 <= sep:
             raise ValueError(
                 f"min_separation must be finite and >= 0, got {sep}")
-        if self.box is not None:
-            for lo, hi in self.box:
-                if not lo < hi:
-                    raise ValueError(f"invalid box interval ({lo}, {hi})")
-
-    def resolve_box(self, space: GSpace) -> Box:
-        box = self.box if self.box is not None else space.default_box
-        if len(box) != space.dim:
-            raise ValueError("box dimension does not match space dimension")
-        return box
 
 
 @dataclass(frozen=True)
@@ -143,7 +116,8 @@ class Collector:
     A check fails when its margin is > 0 or not finite.  Non-finite
     margins are recorded under ``<check_id>:non-finite`` and rank as the
     worst violations, in the order seen; they make ``worst_margin`` +inf,
-    or NaN for good once a NaN margin is seen.
+    or NaN for good once a NaN margin is seen, and the report's
+    ``worst_ratio``, when ratios are noted, takes the same value.
     """
 
     def __init__(self):
@@ -181,6 +155,9 @@ class Collector:
 
     def report(self) -> CheckReport:
         self.worst.sort(key=_BY_MARGIN, reverse=True)
+        if self.worst_ratio is not None and not self.worst_margin < math.inf:
+            # an inf or NaN margin has no finite lhs/rhs ratio to show
+            self.worst_ratio = self.worst_margin
         return CheckReport(
             total_checks=self.total,
             violation_count=self.count,
@@ -238,15 +215,6 @@ def evaluate(tuples: Iterable[tuple], inequalities: Callable,
     return col.report()
 
 
-def sample_points(space: GSpace, seed: int, count: int,
-                  box: Optional[Box] = None,
-                  min_separation: float = 1e-3) -> list:
-    """Draw ``count`` domain points, one independent stream per index."""
-    box = box if box is not None else space.default_box
-    return [space.draw(Stream(seed, i), box, min_separation)
-            for i in range(count)]
-
-
 def structured_points(space: GSpace, box: Box) -> list:
     """Deterministic grid pass: corners, midpoint and quarter points of
     the box, filtered to the domain."""
@@ -286,7 +254,7 @@ def sample_tuples(space: GSpace, plan: SamplePlan,
     same stream after the points.  ``structured`` maps the box's
     structured points to further tuples of the same shape.
     """
-    box = plan.resolve_box(space)
+    box = space.default_box
     draw, sep = space.draw, plan.min_separation
     for i in range(plan.count):
         s = Stream(plan.seed, i)
@@ -310,17 +278,17 @@ def check_axioms(space: GSpace, plan: SamplePlan, tol: float = 1e-9) -> CheckRep
     samples separated by at least ``plan.min_separation``: floating point
     cannot witness strict inequalities at arbitrarily close points.
     """
-    g = space.g
+    g, dist = space.g, math.dist
     sep = plan.min_separation
 
     def axioms(x, y, z, a):
         # (i) vanishing on the diagonal
         yield abs_tol, "axiom-i", (x,), g(x, x, x), 0.0
         # (ii) strict positivity for separated points
-        if distance(x, y) >= sep:
+        if dist(x, y) >= sep:
             yield ge, "axiom-ii", (x, y), g(x, x, y), STRICT_FLOOR
         # (iii) G(x,x,y) <= G(x,y,z) when z is separated from y
-        if distance(z, y) >= sep:
+        if dist(z, y) >= sep:
             yield le_tol, "axiom-iii", (x, y, z), g(x, x, y), g(x, y, z)
         # (iv) symmetry in all three arguments
         args = (x, y, z)
@@ -340,15 +308,15 @@ def check_derived(space: GSpace, plan: SamplePlan, tol: float = 1e-9) -> CheckRe
     sampling, so it is checked constructively: diagonal triples must give
     exactly 0 and no separated triple may fall below tol.
     """
-    g = space.g
+    g, dist = space.g, math.dist
     sep = plan.min_separation
 
     def derived(x, y, z, a):
         gxyz = g(x, y, z)
         # (i) constructive: diagonal gives 0, separated triples stay positive
         yield abs_tol, "derived-i", (x,), g(x, x, x), 0.0
-        if (distance(x, y) >= sep and distance(y, z) >= sep
-                and distance(x, z) >= sep):
+        if (dist(x, y) >= sep and dist(y, z) >= sep
+                and dist(x, z) >= sep):
             yield ge, "derived-i", (x, y, z), gxyz, tol
         # (ii) G(x,y,z) <= G(x,x,y) + G(x,x,z)
         yield le_tol, "derived-ii", (x, y, z), gxyz, g(x, x, y) + g(x, x, z)

@@ -1,8 +1,8 @@
 """The averaged (Mann) iteration x_{n+1} = W(x_n, Tx_n; 1-alpha_n, alpha_n).
 
-Weight convention: ``combine`` weights its FIRST argument by lambda, and
+Weight convention: ``blend`` weights its FIRST argument by lambda, and
 the iteration keeps weight 1-alpha_n on the current iterate, so a step is
-combine(x, Tx, 1 - alpha).  alpha = 0 leaves the iterate unchanged;
+blend(x, Tx, 1 - alpha).  alpha = 0 leaves the iterate unchanged;
 alpha = 1 is a pure T-step.
 """
 
@@ -13,13 +13,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .contractions import Mapping
-from .convexity import ConvexGSpace, combine
+from .convexity import ConvexGSpace
 from .core import DomainError, GSpace, Point
 
 OVERFLOW_GUARD = 1e150
 
 STATUS_RESIDUAL = "residual-tol"
-STATUS_ERROR = "error-tol"
 STATUS_MAX_ITERS = "max-iters"
 STATUS_DIVERGED = "diverged"
 
@@ -113,15 +112,12 @@ def schedule_values(sched: StepSchedule, n: int) -> List[float]:
 class StoppingRule:
     max_iters: int = 10000
     residual_tol: float = 1e-10
-    error_tol: Optional[float] = None
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not 0 <= self.residual_tol < math.inf:
             raise ValueError("residual_tol must be finite and >= 0")
-        if self.error_tol is not None and not 0 <= self.error_tol < math.inf:
-            raise ValueError("error_tol must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -139,13 +135,6 @@ class IterationTrace:
 
     def __len__(self) -> int:
         return len(self.points)
-
-
-def mann_step(cs: ConvexGSpace, T: Mapping, x: Point, alpha: float) -> Point:
-    """One averaged step W(x, Tx; 1-alpha, alpha)."""
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must be in [0, 1], got {alpha}")
-    return combine(cs, x, T.apply(x), 1.0 - alpha)
 
 
 def _overflowed(p: Point) -> bool:
@@ -182,10 +171,6 @@ def run_mann(cs: ConvexGSpace, T: Mapping, x0: Point, sched: StepSchedule,
             errors.append(g(x, u, u))
         if residual <= stop.residual_tol:
             status = STATUS_RESIDUAL
-            break
-        if (stop.error_tol is not None and errors is not None
-                and errors[-1] <= stop.error_tol):
-            status = STATUS_ERROR
             break
         if n == max_iters:
             status = STATUS_MAX_ITERS

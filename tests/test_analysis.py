@@ -125,11 +125,16 @@ def halving_trace(n=30):
                          gfix.StoppingRule(max_iters=n, residual_tol=0.0))
 
 
+def first_violation(report, tol):
+    """The first n whose slack falls below -tol, or None."""
+    return next((n for n, s in enumerate(report.slacks) if s < -tol), None)
+
+
 def test_verify_bound_exact_linear_case():
     trace = halving_trace()
     report = gfix.verify_bound(trace, 0.5, tol=1e-12)
     assert report.holds
-    assert report.first_violation is None
+    assert first_violation(report, tol=1e-12) is None
     assert abs(report.min_slack) <= 1e-12
 
 
@@ -150,7 +155,7 @@ def test_verify_bound_detects_fabricated_delta():
                           gfix.StoppingRule(max_iters=20, residual_tol=0.0))
     report = gfix.verify_bound(trace, 0.5)
     assert not report.holds
-    assert report.first_violation == 1
+    assert first_violation(report, tol=1e-9) == 1
 
 
 def test_verify_bound_requires_true_errors():

@@ -132,6 +132,22 @@ def test_fail_report_with_infinite_margin(args, capsys):
     assert run(args.split()) == 1
     out = capsys.readouterr().out.splitlines()
     assert "result: FAIL" in out and "worst_margin: inf" in out
+    # check-condition reports a ratio, and it follows the margin
+    ratios = [line for line in out if line.startswith("worst_ratio:")]
+    assert ratios == (["worst_ratio: inf"] if "check-condition" in args
+                      else [])
+
+
+def test_env_seed_unread_when_seed_given(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GFIX_SEED", "x")
+    assert run(["check-axioms", "--space", "perimeter-1", "--seed", "3",
+                "--samples", "5"]) == 0
+    assert "seed=3" in capsys.readouterr().out
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("seed=4\n")
+    assert run(["check-axioms", "--space", "perimeter-1", "--samples", "5",
+                "--config", str(cfg)]) == 0
+    assert "seed=4" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("args", [

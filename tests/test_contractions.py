@@ -7,6 +7,7 @@ import pytest
 
 import gfix
 from gfix.contractions import _ROWS, ConditionKind, ContractionSpec
+from gfix.core import sample_quads
 
 PERIM1 = gfix.make_perimeter_space(1)
 SPACE1 = PERIM1.space
@@ -137,8 +138,8 @@ def test_sum_dominates_max_pointwise():
     T = gfix.make_affine_contraction((0.0,), 0.6)
     sm = ContractionSpec(ConditionKind.SUM, {"a": 0.2, "b": 0.1})
     mx = ContractionSpec(ConditionKind.MAX, {"a": 0.2, "b": 0.1})
-    pts = gfix.sample_points(SPACE1, seed=4, count=30)
-    for x, y, z in zip(pts, pts[10:], pts[20:]):
+    quads = sample_quads(SPACE1, gfix.SamplePlan(seed=4, count=30))[:30]
+    for x, y, z, _ in quads:
         assert (gfix.rhs_value(sm, SPACE1, T, x, y, z)
                 >= gfix.rhs_value(mx, SPACE1, T, x, y, z) - 1e-12)
 
@@ -177,25 +178,34 @@ def test_applicability_k_sum_boundary_is_strict():
     assert gfix.check_applicability(spec).satisfied
 
 
-def test_applicability_alt_kind_carries_note():
-    spec = ContractionSpec(ConditionKind.FOUR_TERM_ALT,
-                           {"a": 0.2, "b": 0.1, "c": 0.0, "d": 0.0})
-    verdict = gfix.check_applicability(spec)
-    assert verdict.satisfied
-    assert verdict.note
+def test_applicability_alt_kind_has_own_delta():
+    # G(x,x,Tx) <= G(Tx,u,u) + 2 G(x,u,u) gives (a+2b)/(1-b), above the
+    # four-term (a+b)/(1-2b) for b > 0, in the same region
+    coeffs = {"a": 0.2, "b": 0.1, "c": 0.0, "d": 0.0}
+    alt = gfix.check_applicability(
+        ContractionSpec(ConditionKind.FOUR_TERM_ALT, coeffs))
+    four = gfix.check_applicability(
+        ContractionSpec(ConditionKind.FOUR_TERM, coeffs))
+    assert alt.satisfied and four.satisfied
+    assert alt.residuals == four.residuals
+    assert alt.delta == (0.2 + 0.2) / 0.9
+    assert four.delta == (0.2 + 0.1) / 0.8
+    assert alt.delta > four.delta
+    assert not alt.vacuous
 
 
 # inside the region (a+b)/(1-2b) can round to exactly 1.0
 EDGE = dict(a=0.236225381023386, b=0.2545915396588713)
 
 
-# (a+b)/(1-2b) for the first four kinds, a/(1-2a) for three-term and
-# k/(1-2k) for k-sum, each as the float the formula evaluates to
+# (a+b)/(1-2b) for four-term, sum and max, (a+2b)/(1-b) for four-term-alt,
+# a/(1-2a) for three-term and k/(1-2k) for k-sum, each as the float the
+# formula evaluates to
 @pytest.mark.parametrize("kind, coeffs, delta, vacuous", [
     (ConditionKind.FOUR_TERM, dict(a=0.2, b=0.1, c=0.3, d=0.3),
      0.37500000000000006, False),
     (ConditionKind.FOUR_TERM_ALT, dict(a=0.4, b=0.1, c=0.0, d=0.0),
-     0.625, False),
+     (0.4 + 0.2) / 0.9, False),
     (ConditionKind.SUM, dict(a=0.2, b=0.1), 0.37500000000000006, False),
     (ConditionKind.MAX, dict(a=0.5, b=0.15), 0.9285714285714287, False),
     (ConditionKind.THREE_TERM, dict(a=0.25, b=0.2, c=0.2), 0.5, False),

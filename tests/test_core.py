@@ -1,6 +1,7 @@
 """Axiom and derived-inequality checks, validated against an independent
 brute-force grid sweep before trusting the sampled checkers."""
 
+import dataclasses
 import itertools
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import gfix
 from gfix.core import Collector, sample_quads, structured_points
+from gfix.rng import Stream
 
 PERIM1 = gfix.make_perimeter_space(1).space
 PERIM2 = gfix.make_perimeter_space(2).space
@@ -64,36 +66,36 @@ def test_grid_oracle_sign_example():
     brute_force_axioms(SIGN, pts)
 
 
-# --- eval_g ---------------------------------------------------------------
+# --- evaluating G: space.g on the domain that space.contains admits ------
 
 def test_eval_g_sign_example_same_sign():
-    assert gfix.eval_g(SIGN, (1.0,), (2.0,), (3.0,)) == 4.0
+    assert SIGN.g((1.0,), (2.0,), (3.0,)) == 4.0
 
 
 def test_eval_g_sign_example_mixed_sign():
-    assert gfix.eval_g(SIGN, (1.0,), (-1.0,), (2.0,)) == 7.0
+    assert SIGN.g((1.0,), (-1.0,), (2.0,)) == 7.0
 
 
 def test_eval_g_diagonal_is_zero():
     for space in (PERIM1, PERIM2, MAX3):
         p = (1.5,) * space.dim
-        assert gfix.eval_g(space, p, p, p) == 0.0
-    assert gfix.eval_g(SIGN, (1.5,), (1.5,), (1.5,)) == 0.0
+        assert space.g(p, p, p) == 0.0
+    assert SIGN.g((1.5,), (1.5,), (1.5,)) == 0.0
 
 
 def test_eval_g_rejects_zero_in_sign_example():
-    with pytest.raises(gfix.DomainError):
-        gfix.eval_g(SIGN, (0.0,), (1.0,), (2.0,))
+    assert not SIGN.contains((0.0,))
+    assert SIGN.contains((1.0,)) and SIGN.contains((2.0,))
 
 
 def test_eval_g_rejects_wrong_dimension():
-    with pytest.raises(gfix.DomainError):
-        gfix.eval_g(PERIM2, (1.0,), (0.0, 0.0), (0.0, 0.0))
+    assert not PERIM2.contains((1.0,))
+    assert PERIM2.contains((0.0, 0.0))
 
 
 def test_eval_g_rejects_nonfinite():
-    with pytest.raises(gfix.DomainError):
-        gfix.eval_g(PERIM1, (math.inf,), (0.0,), (0.0,))
+    assert not PERIM1.contains((math.inf,))
+    assert PERIM1.contains((0.0,))
 
 
 # --- check_axioms ---------------------------------------------------------
@@ -163,17 +165,18 @@ def test_derived_degenerate_triple():
 # --- sampling machinery -----------------------------------------------------
 
 def test_sample_points_deterministic_and_in_domain():
-    pts1 = gfix.sample_points(SIGN, seed=5, count=200)
-    pts2 = gfix.sample_points(SIGN, seed=5, count=200)
-    assert pts1 == pts2
-    assert all(SIGN.contains(p) and abs(p[0]) >= 1e-3 for p in pts1)
+    quads1 = sample_quads(SIGN, gfix.SamplePlan(seed=5, count=200))
+    quads2 = sample_quads(SIGN, gfix.SamplePlan(seed=5, count=200))
+    assert quads1 == quads2
+    assert all(SIGN.contains(p) and abs(p[0]) >= 1e-3
+               for quad in quads1[:200] for p in quad)
 
 
 def test_sample_points_independent_of_count_prefix():
-    # per-index streams: the first k points do not depend on count
-    long = gfix.sample_points(PERIM2, seed=9, count=100)
-    short = gfix.sample_points(PERIM2, seed=9, count=10)
-    assert long[:10] == short
+    # per-index streams: the first k random quads do not depend on count
+    long = sample_quads(PERIM2, gfix.SamplePlan(seed=9, count=100))
+    short = sample_quads(PERIM2, gfix.SamplePlan(seed=9, count=10))
+    assert long[:10] == short[:10]
 
 
 def test_structured_points_cover_corners_and_midpoint():
@@ -193,8 +196,6 @@ def test_sample_plan_validation():
     for sep in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             gfix.SamplePlan(seed=0, count=1, min_separation=sep)
-    with pytest.raises(ValueError):
-        gfix.SamplePlan(seed=0, count=1, box=((1.0, 1.0),))
 
 
 def test_collector_keeps_ten_worst():
@@ -251,14 +252,15 @@ def test_nan_evaluator_fails_axioms():
 
 
 def test_unbounded_box_fails_axioms():
-    plan = gfix.SamplePlan(seed=0, count=50, box=((-math.inf, math.inf),))
-    assert not gfix.check_axioms(PERIM1, plan).passed
+    unbounded = dataclasses.replace(PERIM1,
+                                    default_box=((-math.inf, math.inf),))
+    plan = gfix.SamplePlan(seed=0, count=50)
+    assert not gfix.check_axioms(unbounded, plan).passed
 
 
 def test_sign_example_sampler_gives_up_on_empty_box():
     with pytest.raises(gfix.DomainError):
-        gfix.sample_points(SIGN, seed=0, count=1, box=((-0.5, 0.5),),
-                           min_separation=1.0)
+        SIGN.draw(Stream(0, 0), ((-0.5, 0.5),), 1.0)
 
 
 # --- properties --------------------------------------------------------------

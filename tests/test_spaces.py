@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfix
+from gfix.rng import Stream
 
 
 def test_perimeter_dim1_values():
@@ -45,7 +46,7 @@ def test_dim_zero_rejected():
 def test_pair_distance_identities():
     # G(x,y,y) = 2 d(x,y) for perimeter, d(x,y) for max
     x, y = (1.0, 2.0, 3.0), (4.0, 6.0, 3.0)
-    d = gfix.distance(x, y)
+    d = math.dist(x, y)
     assert gfix.make_perimeter_space(3).space.g(x, y, y) == pytest.approx(2 * d)
     assert gfix.make_max_space(3).space.g(x, y, y) == pytest.approx(d)
 
@@ -92,6 +93,6 @@ def test_get_space_rejects_bad_keys(key):
 
 
 def test_sign_example_sampler_avoids_origin():
-    pts = gfix.sample_points(gfix.make_sign_example_space(), seed=1, count=500,
-                             min_separation=0.05)
+    sign = gfix.make_sign_example_space()
+    pts = [sign.draw(Stream(1, i), sign.default_box, 0.05) for i in range(500)]
     assert all(abs(p[0]) >= 0.05 for p in pts)
