@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .core import CheckReport, Point, evaluate, le
 from .mann import IterationTrace, StepSchedule, schedule_values
@@ -31,8 +31,8 @@ class RateBound:
     alphas: tuple = ()
 
 
-def _rate_chain(delta: float, step_sizes: Callable[[], Sequence[float]],
-                log_space: Optional[bool] = None) -> RateBound:
+def _rate_chain(delta: float,
+                step_sizes: Callable[[], Sequence[float]]) -> RateBound:
     """The chain from delta and the alphas ``step_sizes()`` to factors
     and products.  ``step_sizes`` is called only once delta has passed,
     so a bad delta is reported ahead of any schedule error."""
@@ -40,16 +40,14 @@ def _rate_chain(delta: float, step_sizes: Callable[[], Sequence[float]],
         raise ValueError(f"delta must be in [0, 1), got {delta}")
     alphas = tuple(step_sizes())
     factors = [1.0 - a * (1.0 - delta) for a in alphas]
-    if log_space is None:
-        log_space = any(f < _LOGSPACE_TRIGGER for f in factors)
     products = [1.0]
-    if not log_space:
+    if not any(f < _LOGSPACE_TRIGGER for f in factors):
         b = 1.0
         for f in factors:
             b *= f
             products.append(b)
     else:
-        # log accumulation survives underflow over very long schedules;
+        # log accumulation survives the underflow such factors cause;
         # a zero factor sends log B to -inf, so every later B_n is 0
         log_b = 0.0
         for f in factors:
@@ -59,14 +57,10 @@ def _rate_chain(delta: float, step_sizes: Callable[[], Sequence[float]],
                      alphas=alphas)
 
 
-def product_bound(delta: float, sched: StepSchedule, n: int,
-                  log_space: Optional[bool] = None) -> RateBound:
-    """B_0 .. B_n for the given factor and schedule.
-
-    ``log_space`` forces or forbids log accumulation; the default picks
-    automatically when some factor drops below 1e-8.
-    """
-    return _rate_chain(delta, lambda: schedule_values(sched, n), log_space)
+def product_bound(delta: float, sched: StepSchedule, n: int) -> RateBound:
+    """B_0 .. B_n for the given factor and schedule, accumulated in log
+    space when some factor drops below 1e-8."""
+    return _rate_chain(delta, lambda: schedule_values(sched, n))
 
 
 @dataclass(frozen=True)

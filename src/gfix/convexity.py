@@ -22,7 +22,6 @@ from .core import (CheckReport, GSpace, Point, SamplePlan, evaluate, le_tol,
 class ConvexStructure:
     """Two-point combinator; ``blend(x, y, lam)`` weights x by lam."""
 
-    name: str
     blend: Callable[[Point, Point, float], Point]
 
 
@@ -38,7 +37,7 @@ def linear_interpolation() -> ConvexStructure:
     def blend(x: Point, y: Point, lam: float) -> Point:
         b = 1.0 - lam
         return tuple(lam * a + b * c for a, c in zip(x, y))
-    return ConvexStructure("linear", blend)
+    return ConvexStructure(blend)
 
 
 # every sampled tuple is also checked at these weights; endpoint behavior

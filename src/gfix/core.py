@@ -203,8 +203,11 @@ def evaluate(tuples: Iterable[tuple], inequalities: Callable,
 
     ``inequalities(*t)`` returns or yields ``(form, check_id, witness,
     lhs, rhs)`` rows; a row's margin is ``form(lhs, rhs, tol)``.  With
-    ``ratio`` the report also carries the worst lhs/rhs ratio.
+    ``ratio`` the report also carries the worst lhs/rhs ratio.  ``tol``
+    lies in [0, 1): below, equalities fail; above, slack exceeds values.
     """
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"tol must be in [0, 1), got {tol}")
     col = Collector()
     record = col.record
     for t in tuples:
@@ -215,9 +218,10 @@ def evaluate(tuples: Iterable[tuple], inequalities: Callable,
     return col.report()
 
 
-def structured_points(space: GSpace, box: Box) -> list:
+def structured_points(space: GSpace) -> list:
     """Deterministic grid pass: corners, midpoint and quarter points of
-    the box, filtered to the domain."""
+    the space's default box, filtered to the domain."""
+    box = space.default_box
     los = [lo for lo, _ in box]
     his = [hi for _, hi in box]
     pts = []
@@ -260,7 +264,7 @@ def sample_tuples(space: GSpace, plan: SamplePlan,
         s = Stream(plan.seed, i)
         t = tuple(draw(s, box, sep) for _ in range(4))
         yield t + (weights(s),) if weights else t
-    yield from structured(structured_points(space, box))
+    yield from structured(structured_points(space))
 
 
 def sample_quads(space: GSpace, plan: SamplePlan) -> list:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from .contractions import Mapping
 from .convexity import ConvexGSpace
@@ -25,86 +25,61 @@ STATUS_DIVERGED = "diverged"
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Step sizes alpha_n in [0,1].
+    """Step sizes alpha_n in [0,1]; build one with a ``*_schedule`` factory.
 
-    kinds: ``constant`` (alpha), ``harmonic`` (1/(n+1)), ``power``
-    (1/(n+1)**p), ``explicit`` (a finite list).  ``divergent_sum`` is set
-    analytically per kind; for explicit lists it is unknown (None).
+    ``alpha_of(n)`` is alpha_n.  ``divergent_sum`` is set analytically per
+    kind; for explicit lists it is unknown (None).  ``limit`` is the number
+    of steps an explicit schedule can drive; None if unbounded.
     """
 
     kind: str
-    alpha: Optional[float] = None
-    p: Optional[float] = None
-    values: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.kind == "constant":
-            if self.alpha is None or not 0.0 <= self.alpha <= 1.0:
-                raise ValueError("constant schedule needs alpha in [0, 1]")
-        elif self.kind == "harmonic":
-            pass
-        elif self.kind == "power":
-            if self.p is None or not math.isfinite(self.p) or not 0 < self.p:
-                raise ValueError("power schedule needs a finite p > 0")
-        elif self.kind == "explicit":
-            if not self.values:
-                raise ValueError("explicit schedule needs at least one value")
-            if any(not 0.0 <= a <= 1.0 for a in self.values):
-                raise ValueError("explicit alphas must lie in [0, 1]")
-        else:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-
-    @property
-    def divergent_sum(self) -> Optional[bool]:
-        if self.kind == "constant":
-            return self.alpha > 0
-        if self.kind == "harmonic":
-            return True
-        if self.kind == "power":
-            return self.p <= 1
-        return None
+    alpha_of: Callable[[int], float]
+    divergent_sum: Optional[bool]
+    limit: Optional[int] = None
 
     def alpha_at(self, n: int) -> float:
-        if self.kind == "constant":
-            return self.alpha
-        if self.kind == "harmonic":
-            return 1.0 / (n + 1)
-        if self.kind == "power":
-            try:
-                return 1.0 / (n + 1) ** self.p
-            except OverflowError:  # the true alpha underflows
-                return (n + 1) ** -self.p
-        # clamped so the trace row for the final iterate stays well defined
-        return self.values[min(n, len(self.values) - 1)]
-
-    def limit(self) -> Optional[int]:
-        """Number of steps an explicit schedule can drive; None if unbounded."""
-        return len(self.values) if self.kind == "explicit" else None
+        return self.alpha_of(n)
 
 
 def constant_schedule(alpha: float) -> StepSchedule:
-    return StepSchedule(kind="constant", alpha=alpha)
+    if alpha is None or not 0.0 <= alpha <= 1.0:
+        raise ValueError("constant schedule needs alpha in [0, 1]")
+    return StepSchedule("constant", lambda n: alpha, alpha > 0)
 
 
 def harmonic_schedule() -> StepSchedule:
-    return StepSchedule(kind="harmonic")
+    return StepSchedule("harmonic", lambda n: 1.0 / (n + 1), True)
 
 
 def power_schedule(p: float) -> StepSchedule:
-    return StepSchedule(kind="power", p=p)
+    if p is None or not math.isfinite(p) or not 0 < p:
+        raise ValueError("power schedule needs a finite p > 0")
+
+    def alpha_of(n: int) -> float:
+        try:
+            return 1.0 / (n + 1) ** p
+        except OverflowError:  # the true alpha underflows
+            return (n + 1) ** -p
+    return StepSchedule("power", alpha_of, p <= 1)
 
 
 def explicit_schedule(values: Sequence[float]) -> StepSchedule:
-    return StepSchedule(kind="explicit", values=tuple(float(v) for v in values))
+    values = tuple(float(v) for v in values)
+    if not values:
+        raise ValueError("explicit schedule needs at least one value")
+    if any(not 0.0 <= a <= 1.0 for a in values):
+        raise ValueError("explicit alphas must lie in [0, 1]")
+    # clamped so the trace row for the final iterate stays well defined
+    return StepSchedule("explicit", lambda n: values[min(n, len(values) - 1)],
+                        None, len(values))
 
 
 def schedule_values(sched: StepSchedule, n: int) -> List[float]:
     """The first n step sizes alpha_0 .. alpha_{n-1}."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    lim = sched.limit()
-    if lim is not None and n > lim:
-        raise ValueError(f"explicit schedule has only {lim} values")
+    if sched.limit is not None and n > sched.limit:
+        raise ValueError(f"explicit schedule has only {sched.limit} values")
     return [sched.alpha_at(k) for k in range(n)]
 
 
@@ -154,9 +129,8 @@ def run_mann(cs: ConvexGSpace, T: Mapping, x0: Point, sched: StepSchedule,
     g = space.g
     u = T.fixed_point
     max_iters = stop.max_iters
-    lim = sched.limit()
-    if lim is not None:
-        max_iters = min(max_iters, lim)
+    if sched.limit is not None:
+        max_iters = min(max_iters, sched.limit)
 
     points, alphas, residuals = [], [], []
     errors = [] if u is not None else None

@@ -48,8 +48,8 @@ def test_03_convexity_suite(tmp_path):
         assert rc == 0, key
     bad = gfix.ConvexGSpace(
         gfix.make_perimeter_space(2).space,
-        gfix.ConvexStructure("adversarial",
-                             lambda x, y, lam: tuple(a + b for a, b in zip(x, y))))
+        gfix.ConvexStructure(
+            lambda x, y, lam: tuple(a + b for a, b in zip(x, y))))
     rep = gfix.check_convexity(bad, gfix.SamplePlan(seed=3, count=1000))
     assert not rep.passed and rep.violations
     report(3, "bundled structures pass at 10000 tuples; adversarial x+y "
@@ -117,12 +117,12 @@ def test_05_bound_dominance():
 def test_06_divergent_sum_necessity():
     n = 10 ** 5
     # convergent step sum: bound stalls at a positive level
-    rb = gfix.product_bound(0.5, gfix.power_schedule(2.0), n, log_space=True)
+    rb = gfix.product_bound(0.5, gfix.power_schedule(2.0), n)
     assert rb.products[-1] >= 0.2
     plateau = halving_trace(20000, x0=0.01, sched=gfix.power_schedule(2.0))
     assert plateau.residuals[-1] > 1e-6
     # divergent step sum: bound and error keep falling
-    rb_h = gfix.product_bound(0.5, gfix.harmonic_schedule(), n, log_space=True)
+    rb_h = gfix.product_bound(0.5, gfix.harmonic_schedule(), n)
     assert rb_h.products[-1] < 1e-2
     trace = halving_trace(n, x0=0.01, sched=gfix.harmonic_schedule())
     assert trace.true_errors[-1] < 1e-4

@@ -76,18 +76,22 @@ def test_product_bound_rejects_bad_delta():
 
 
 def test_product_bound_log_space_agrees_with_direct():
-    sched = gfix.harmonic_schedule()
-    direct = gfix.product_bound(0.5, sched, 500, log_space=False)
-    logged = gfix.product_bound(0.5, sched, 500, log_space=True)
-    for a, b in zip(direct.products, logged.products):
+    # the first factor is 1e-9 < 1e-8, so the products go through log space
+    logged = gfix.product_bound(1e-9, gfix.harmonic_schedule(), 500)
+    assert logged.factors[0] < 1e-8
+    direct = [1.0]
+    for f in logged.factors:
+        direct.append(direct[-1] * f)
+    assert len(logged.products) == len(direct) == 501
+    for a, b in zip(direct, logged.products):
         assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_product_bound_log_space_survives_underflow():
-    # 0.5^2000 underflows a direct product; log space keeps B at 0-ish
-    rb = gfix.product_bound(0.0, gfix.constant_schedule(0.5), 2000,
-                            log_space=True)
-    assert rb.products[-1] == 0.0 or rb.products[-1] < 1e-300
+    # factors of 1e-9 underflow a direct product; log space ends B at 0.0
+    rb = gfix.product_bound(1e-9, gfix.constant_schedule(1.0), 2000)
+    assert rb.factors[0] < 1e-8
+    assert rb.products[-1] == 0.0
 
 
 def test_product_bound_zero_factor():

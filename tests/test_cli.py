@@ -60,14 +60,26 @@ def test_check_condition_pass_and_fail(tmp_path, capsys):
     assert "witness=" in text
 
 
-def test_check_condition_nan_tol_fails(tmp_path):
+def test_check_condition_nan_tol_fails(tmp_path, capsys):
     out = tmp_path / "nan.txt"
     rc = run(["check-condition", "--space", "perimeter-1",
               "--mapping", "affine:k=2", "--condition", "four-term",
               "--coeff", "a=0.5,b=0,c=0,d=0", "--samples", "100",
               "--tol", "nan", "--out", str(out)])
-    assert rc == 1
-    assert "result: FAIL" in out.read_text()
+    assert rc == 2
+    assert capsys.readouterr().err == "error: tol must be in [0, 1), got nan\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["1e308", "1", "inf", "-inf", "-1e-9"])
+def test_tol_outside_unit_interval_exits_two(tol, capsys):
+    # at 1e308, tol * max(1, |rhs|) would overflow and fail checks that hold
+    rc = run(["check-axioms", "--space", "perimeter-2", "--samples", "5",
+              f"--tol={tol}"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: tol must be in [0, 1), got {float(tol)}\n"
+    assert captured.out == ""
 
 
 def test_nan_min_separation_exits_two_promptly():
@@ -126,7 +138,6 @@ def test_env_seed_must_be_an_integer(monkeypatch, capsys):
 @pytest.mark.parametrize("args", [
     "check-condition --space perimeter-1 --mapping translation:offset=1e308 "
     "--condition k-sum --coeff k=0.1 --samples 5",
-    "check-convexity --space max-1 --samples 5 --tol=inf",
 ])
 def test_fail_report_with_infinite_margin(args, capsys):
     assert run(args.split()) == 1
@@ -134,8 +145,7 @@ def test_fail_report_with_infinite_margin(args, capsys):
     assert "result: FAIL" in out and "worst_margin: inf" in out
     # check-condition reports a ratio, and it follows the margin
     ratios = [line for line in out if line.startswith("worst_ratio:")]
-    assert ratios == (["worst_ratio: inf"] if "check-condition" in args
-                      else [])
+    assert ratios == ["worst_ratio: inf"]
 
 
 def test_env_seed_unread_when_seed_given(tmp_path, monkeypatch, capsys):
@@ -374,10 +384,13 @@ def test_parse_mapping_errors():
 
 
 def test_parse_schedule_variants():
-    assert parse_schedule("constant:0.25", None).alpha == 0.25
-    assert parse_schedule("harmonic", None).kind == "harmonic"
-    assert parse_schedule("power:2", None).p == 2.0
-    assert parse_schedule("explicit:1;0.5", None).values == (1.0, 0.5)
+    def read(text):
+        sched = parse_schedule(text, None)
+        return sched.kind, sched.alpha_at(0), sched.alpha_at(1), sched.limit
+    assert read("constant:0.25") == ("constant", 0.25, 0.25, None)
+    assert read("harmonic") == ("harmonic", 1.0, 0.5, None)
+    assert read("power:2") == ("power", 1.0, 0.25, None)
+    assert read("explicit:1;0.5") == ("explicit", 1.0, 0.5, 2)
 
 
 def test_missing_required_flags_exit_two(capsys):

@@ -56,8 +56,8 @@ def test_check_convexity_grid_oracle_dim1():
 def test_adversarial_structure_fails_with_witness():
     bad = gfix.ConvexGSpace(
         PERIM2.space,
-        gfix.ConvexStructure("adversarial",
-                             lambda x, y, lam: tuple(a + b for a, b in zip(x, y))))
+        gfix.ConvexStructure(
+            lambda x, y, lam: tuple(a + b for a, b in zip(x, y))))
     report = gfix.check_convexity(bad, gfix.SamplePlan(seed=3, count=500))
     assert not report.passed
     assert report.violations

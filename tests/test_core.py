@@ -180,13 +180,13 @@ def test_sample_points_independent_of_count_prefix():
 
 
 def test_structured_points_cover_corners_and_midpoint():
-    pts = structured_points(PERIM2, PERIM2.default_box)
+    pts = structured_points(PERIM2)
     assert (-10.0, -10.0) in pts and (10.0, 10.0) in pts
     assert (0.0, 0.0) in pts
 
 
 def test_structured_points_respect_sign_domain():
-    pts = structured_points(SIGN, SIGN.default_box)
+    pts = structured_points(SIGN)
     assert all(p[0] != 0 for p in pts)
 
 
@@ -238,6 +238,8 @@ def test_collector_infinite_margin_is_worst(margins, worst):
     report = col.report()
     assert not report.passed
     assert repr(report.worst_margin) == repr(worst)
+    # no ratio was noted, so the report shows none (no worst_ratio line)
+    assert report.worst_ratio is None
 
 
 def test_nan_evaluator_fails_axioms():

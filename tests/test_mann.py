@@ -122,6 +122,22 @@ def test_power_schedule_past_overflow():
     assert gfix.power_schedule(1e308).alpha_at(1) == 0.0
 
 
+EXPLICIT_1000 = [1.0 / (k + 2) for k in range(1000)]
+
+
+@pytest.mark.parametrize("sched, closed_form, divergent", [
+    (gfix.constant_schedule(0.3), lambda n: 0.3, True),
+    (gfix.harmonic_schedule(), lambda n: 1.0 / (n + 1), True),
+    (gfix.power_schedule(0.7), lambda n: 1.0 / (n + 1) ** 0.7, True),
+    (gfix.explicit_schedule(EXPLICIT_1000), EXPLICIT_1000.__getitem__, None),
+], ids=["constant", "harmonic", "power", "explicit"])
+def test_schedule_alphas_match_closed_forms(sched, closed_form, divergent):
+    # list equality compares the floats bit for bit (none is NaN or -0)
+    assert gfix.schedule_values(sched, 1000) == [closed_form(n)
+                                                 for n in range(1000)]
+    assert sched.divergent_sum is divergent
+
+
 def test_divergent_sum_flags():
     assert gfix.constant_schedule(0.5).divergent_sum is True
     assert gfix.constant_schedule(0.0).divergent_sum is False
@@ -137,6 +153,9 @@ def test_explicit_schedule_bounds_iteration():
     trace = gfix.run_mann(PERIM1, T, (1.0,), sched,
                           gfix.StoppingRule(max_iters=100, residual_tol=0.0))
     assert len(trace) <= 4
+    # three steps, then the final iterate's row repeats the last alpha
+    assert trace.alphas == (1.0, 0.5, 0.25, 0.25)
+    assert trace.status == "max-iters"
 
 
 def test_schedule_validation():
