@@ -127,4 +127,4 @@ def convergence_diagnostics(trace: IterationTrace, limit: Point, tail: int,
         yield le, f"conv-{family}", (limit,), value, tol
 
     maxima = diagnostics_maxima(trace, limit, tail)
-    return evaluate(maxima.items(), criterion, tol)
+    return evaluate(maxima.items, criterion, tol)

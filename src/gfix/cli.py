@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import os
 import sys
 from typing import Optional
 
@@ -68,10 +67,6 @@ def _pairs(items, where: str, keys=None) -> dict:
     return values
 
 
-def _default_seed() -> int:
-    return _number(os.environ.get("GFIX_SEED", "0"), "GFIX_SEED", int)
-
-
 _MAPPING_KEYS = {"affine": ("k", "center"), "translation": ("offset",)}
 
 
@@ -110,17 +105,16 @@ def parse_condition(name: str, coeff: Optional[str]) -> contractions.Contraction
 
 
 def parse_schedule(text: str, alpha: Optional[float]) -> mann.StepSchedule:
-    """``constant`` (uses --alpha), ``constant:0.5``, ``harmonic``,
-    ``power:2`` or ``explicit:1;0.5;0.25``."""
+    """``constant`` (at step ``alpha``), ``harmonic``, ``power:2`` or
+    ``explicit:1;0.5;0.25``."""
     kind, _, param = text.partition(":")
     what = f"--schedule {kind}"
-    if kind == "constant":
-        return mann.constant_schedule(_number(param, what) if param else alpha)
-    if kind == "harmonic":
+    if kind in ("constant", "harmonic"):
         if param:
-            raise ConfigError("harmonic schedule takes no parameter, "
+            raise ConfigError(f"{kind} schedule takes no parameter, "
                               f"got {param!r}")
-        return mann.harmonic_schedule()
+        return (mann.constant_schedule(alpha) if kind == "constant"
+                else mann.harmonic_schedule())
     if kind == "power":
         return mann.power_schedule(_number(param, what))
     if kind == "explicit":
@@ -137,8 +131,7 @@ _REQUIRED = object()
 
 # One row per option: (name, type, {command: default}).  The table builds
 # every subparser, in this order and followed by --out and --config, and
-# names the keys a command echoes in its config line.  A callable default
-# is called only when neither a flag nor the config file gives the value.
+# names the keys a command echoes in its config line.
 _OPTIONS = (
     ("space", str, dict.fromkeys(_CHECKS + ("iterate",), _REQUIRED)),
     ("mapping", str, dict.fromkeys(_MAPPED, _REQUIRED)),
@@ -150,7 +143,7 @@ _OPTIONS = (
     ("x0", str, {"iterate": "1"}),
     ("max-iters", int, {"iterate": 10000, "bound": 100}),
     ("residual-tol", float, {"iterate": 1e-10}),
-    ("seed", int, dict.fromkeys(_CHECKS + ("iterate",), _default_seed)),
+    ("seed", int, dict.fromkeys(_CHECKS + ("iterate",), 0)),
     ("samples", int, dict.fromkeys(_CHECKS, 1000)),
     ("min-separation", float, dict.fromkeys(_CHECKS, 1e-3)),
     ("tol", float, dict.fromkeys(_CHECKS, 1e-9)),
@@ -163,7 +156,8 @@ class Settings:
     file, which wins over the command's defaults.  Values keep the form
     they were given in, so the config line echoes file values verbatim.
     The config file is flat ``key=value`` lines of the command's own
-    option names; '#' starts a comment."""
+    option names; '#' starts a comment.  ``given`` holds the names that a
+    flag or the file set."""
 
     def __init__(self, args: argparse.Namespace):
         flags = vars(args)
@@ -173,19 +167,18 @@ class Settings:
         if args.config:
             try:
                 with open(args.config) as fh:
-                    lines = [line.strip() for line in fh]
+                    lines = [line for line in map(str.strip, fh)
+                             if line and not line.startswith("#")]
             except OSError as exc:
                 raise ConfigError(f"cannot read config {args.config}: {exc}")
-            file = _pairs([line for line in lines
-                           if line and not line.startswith("#")],
-                          f" in {args.config}", own)
-        self.values = {}
+            file = _pairs(lines, f" in {args.config}", own)
+        self.values, self.given = {}, set(file)
         for name, default in own.items():
             value = flags[name.replace("-", "_")]
             if value is None:
                 value = file.get(name, default)
-            if callable(value):
-                value = value()
+            else:
+                self.given.add(name)
             if default is _REQUIRED and value in (_REQUIRED, ""):
                 raise ConfigError(f"--{name} is required")
             self.values[name] = value
@@ -243,6 +236,14 @@ def _space(settings: Settings, convex: bool):
     return target
 
 
+def _schedule(settings: Settings) -> mann.StepSchedule:
+    """The configured step schedule; only ``constant`` reads --alpha."""
+    text = settings.get("schedule")
+    if "alpha" in settings.given and text.partition(":")[0] != "constant":
+        raise ConfigError(f"--alpha needs --schedule constant, got {text!r}")
+    return parse_schedule(text, settings.get("alpha"))
+
+
 def _cmd_check(args: argparse.Namespace, settings: Settings) -> int:
     cmd = args.command
     space = _space(settings, convex=cmd == "check-convexity")
@@ -269,7 +270,7 @@ def _cmd_iterate(args: argparse.Namespace, settings: Settings) -> int:
     target = _space(settings, convex=True)
     space = target.space
     mapping = parse_mapping(settings.get("mapping"), space.dim)
-    sched = parse_schedule(settings.get("schedule"), settings.get("alpha"))
+    sched = _schedule(settings)
     x0 = _coords(settings.get("x0"), "--x0", space.dim, ",")
     stop = mann.StoppingRule(max_iters=settings.get("max-iters"),
                              residual_tol=settings.get("residual-tol"))
@@ -286,9 +287,10 @@ def _cmd_iterate(args: argparse.Namespace, settings: Settings) -> int:
     if spec is not None:
         verdict = contractions.check_applicability(spec)
         if not verdict.satisfied:
-            warnings.append(
-                "coefficients outside the applicable region "
-                f"({verdict.residuals}); bound columns omitted")
+            failing = ", ".join(f"{k} <= 0" for k, r in
+                                verdict.residuals.items() if not r > 0)
+            warnings.append("coefficients outside the applicable region "
+                            f"({failing}); bound columns omitted")
         elif mapping.fixed_point is None:
             warnings.append("mapping has no known fixed point; "
                             "bound columns omitted")
@@ -325,7 +327,7 @@ def _cmd_iterate(args: argparse.Namespace, settings: Settings) -> int:
 
 def _cmd_bound(args: argparse.Namespace, settings: Settings) -> int:
     delta = settings.get("delta")
-    sched = parse_schedule(settings.get("schedule"), settings.get("alpha"))
+    sched = _schedule(settings)
     rb = analysis.product_bound(delta, sched, settings.get("max-iters"))
     _write_lines(args.out, _rows(
         "n,alpha_n,factor,B_n", map(str, range(len(rb.products))),

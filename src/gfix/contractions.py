@@ -165,7 +165,8 @@ def check_condition(spec: ContractionSpec, space: GSpace, T: Mapping,
         lhs, rhs = _sides(spec, space, T, x, y, z)
         return ((le_tol, check_id, (x, y, z), lhs, rhs),)
 
-    return evaluate(sample_quads(space, plan), condition, tol, ratio=True)
+    return evaluate(lambda: sample_quads(space, plan), condition, tol,
+                    ratio=True)
 
 
 def check_applicability(spec: ContractionSpec) -> ApplicabilityVerdict:

@@ -197,20 +197,21 @@ def ge(lhs: float, rhs: float, tol: float) -> float:
     return rhs - lhs
 
 
-def evaluate(tuples: Iterable[tuple], inequalities: Callable,
+def evaluate(tuples: Callable[[], Iterable[tuple]], inequalities: Callable,
              tol: float, ratio: bool = False) -> CheckReport:
-    """Record every inequality at every witness tuple.
+    """Record every inequality at every witness tuple ``t`` of ``tuples()``.
 
     ``inequalities(*t)`` returns or yields ``(form, check_id, witness,
     lhs, rhs)`` rows; a row's margin is ``form(lhs, rhs, tol)``.  With
     ``ratio`` the report also carries the worst lhs/rhs ratio.  ``tol``
     lies in [0, 1): below, equalities fail; above, slack exceeds values.
+    It is checked before ``tuples`` is called, so a bad one draws nothing.
     """
     if not 0.0 <= tol < 1.0:
         raise ValueError(f"tol must be in [0, 1), got {tol}")
     col = Collector()
     record = col.record
-    for t in tuples:
+    for t in tuples():
         for form, check_id, witness, lhs, rhs in inequalities(*t):
             record(check_id, witness, lhs, rhs, form(lhs, rhs, tol))
             if ratio:
@@ -222,14 +223,10 @@ def structured_points(space: GSpace) -> list:
     """Deterministic grid pass: corners, midpoint and quarter points of
     the space's default box, filtered to the domain."""
     box = space.default_box
-    los = [lo for lo, _ in box]
-    his = [hi for _, hi in box]
-    pts = []
     if space.dim <= 4:
-        pts.extend(itertools.product(*[(lo, hi) for lo, hi in box]))
+        pts = list(itertools.product(*box))
     else:
-        pts.append(tuple(los))
-        pts.append(tuple(his))
+        pts = [tuple(lo for lo, _ in box), tuple(hi for _, hi in box)]
     pts.append(tuple((lo + hi) / 2 for lo, hi in box))
     pts.append(tuple(lo + 0.25 * (hi - lo) for lo, hi in box))
     pts.append(tuple(lo + 0.75 * (hi - lo) for lo, hi in box))
@@ -302,7 +299,7 @@ def check_axioms(space: GSpace, plan: SamplePlan, tol: float = 1e-9) -> CheckRep
         yield (le_tol, "axiom-v", (x, y, z, a), g(x, y, z),
                g(x, a, a) + g(a, y, z))
 
-    return evaluate(sample_quads(space, plan), axioms, tol)
+    return evaluate(lambda: sample_quads(space, plan), axioms, tol)
 
 
 def check_derived(space: GSpace, plan: SamplePlan, tol: float = 1e-9) -> CheckReport:
@@ -336,4 +333,4 @@ def check_derived(space: GSpace, plan: SamplePlan, tol: float = 1e-9) -> CheckRe
         yield (le_tol, "derived-vi", (x, y, z, a), gxyz,
                g(x, a, a) + g(y, a, a) + g(z, a, a))
 
-    return evaluate(sample_quads(space, plan), derived, tol)
+    return evaluate(lambda: sample_quads(space, plan), derived, tol)

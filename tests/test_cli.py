@@ -114,6 +114,18 @@ def test_nan_min_separation_exits_two_promptly():
      "error: --x0: expected float, got 'x'"),
     ("check-axioms --space perimeter-1 --config cfg:samples=1e3",
      "error: samples: expected int, got '1e3'"),
+    # --alpha is the one source of a constant step, read by constant only
+    ("iterate --space perimeter-1 --mapping affine:k=0.5 "
+     "--schedule constant:0.3 --alpha 0.9",
+     "error: constant schedule takes no parameter, got '0.3'"),
+    ("bound --delta 0.5 --schedule harmonic --alpha 0.9",
+     "error: --alpha needs --schedule constant, got 'harmonic'"),
+    ("iterate --space perimeter-1 --mapping affine:k=0.5 "
+     "--schedule power:2 --alpha=0.5",
+     "error: --alpha needs --schedule constant, got 'power:2'"),
+    ("bound --delta 0.5 --schedule explicit:1;0.5 --max-iters 2 "
+     "--config cfg:alpha=0.9",
+     "error: --alpha needs --schedule constant, got 'explicit:1;0.5'"),
 ])
 def test_error_exit_message(args, line, tmp_path, capsys):
     argv = []
@@ -126,13 +138,7 @@ def test_error_exit_message(args, line, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == line + "\n"
     assert captured.out == ""
-
-
-def test_env_seed_must_be_an_integer(monkeypatch, capsys):
-    monkeypatch.setenv("GFIX_SEED", "x")
-    assert run(["check-axioms", "--space", "max-2", "--samples", "10"]) == 2
-    assert capsys.readouterr().err == (
-        "error: GFIX_SEED: expected int, got 'x'\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -148,8 +154,7 @@ def test_fail_report_with_infinite_margin(args, capsys):
     assert ratios == ["worst_ratio: inf"]
 
 
-def test_env_seed_unread_when_seed_given(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("GFIX_SEED", "x")
+def test_seed_from_flag_or_config_file(tmp_path, capsys):
     assert run(["check-axioms", "--space", "perimeter-1", "--seed", "3",
                 "--samples", "5"]) == 0
     assert "seed=3" in capsys.readouterr().out
@@ -281,6 +286,18 @@ def test_iterate_inapplicable_coeffs_omit_bounds(tmp_path, capsys):
     assert lines[1].split(",") == ["0", "0.5", "0", "", "", ""]
 
 
+def test_iterate_region_warning_names_failing_residuals(tmp_path, capsys):
+    rc = run(["iterate", "--space", "perimeter-1", "--mapping", "affine:k=0.5",
+              "--condition", "four-term", "--coeff", "a=0,b=1e308,c=0,d=0",
+              "--max-iters", "2", "--out", str(tmp_path / "t.csv")])
+    assert rc == 0
+    summary = capsys.readouterr().out
+    assert ("warning: coefficients outside the applicable region "
+            "(1-(a+3b) <= 0, 1-2b <= 0); bound columns omitted"
+            in summary.splitlines())
+    assert "inf" not in summary and "nan" not in summary
+
+
 def test_iterate_delta_rounded_to_one_is_vacuous(tmp_path, capsys):
     # inside the four-term region, yet (a+b)/(1-2b) rounds to exactly 1.0
     rc = run(["iterate", "--space", "perimeter-1", "--mapping", "affine:k=0.5",
@@ -362,13 +379,17 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_env_seed_default(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("GFIX_SEED", "99")
-    out = tmp_path / "s.txt"
-    rc = run(["check-axioms", "--space", "max-2", "--samples", "100",
-              "--out", str(out)])
-    assert rc == 0
-    assert "seed=99" in out.read_text()
+def test_seed_environment_variable_has_no_effect(monkeypatch, capsys):
+    # the seed comes from --seed or the config file only; default 0
+    argv = ["check-axioms", "--space", "max-2", "--samples", "100"]
+    monkeypatch.delenv("GFIX_SEED", raising=False)
+    assert run(argv) == 0
+    unset = capsys.readouterr()
+    assert "seed=0" in unset.out.split()
+    for value in ("x", "99"):
+        monkeypatch.setenv("GFIX_SEED", value)
+        assert run(argv) == 0
+        assert capsys.readouterr() == unset
 
 
 def test_parse_mapping_errors():
@@ -384,10 +405,14 @@ def test_parse_mapping_errors():
 
 
 def test_parse_schedule_variants():
-    def read(text):
-        sched = parse_schedule(text, None)
+    from gfix.cli import ConfigError
+
+    def read(text, alpha=None):
+        sched = parse_schedule(text, alpha)
         return sched.kind, sched.alpha_at(0), sched.alpha_at(1), sched.limit
-    assert read("constant:0.25") == ("constant", 0.25, 0.25, None)
+    assert read("constant", 0.25) == ("constant", 0.25, 0.25, None)
+    with pytest.raises(ConfigError):
+        parse_schedule("constant:0.25", None)
     assert read("harmonic") == ("harmonic", 1.0, 0.5, None)
     assert read("power:2") == ("power", 1.0, 0.25, None)
     assert read("explicit:1;0.5") == ("explicit", 1.0, 0.5, 2)

@@ -260,6 +260,31 @@ def test_unbounded_box_fails_axioms():
     assert not gfix.check_axioms(unbounded, plan).passed
 
 
+@pytest.mark.parametrize("check", [
+    gfix.check_axioms,
+    gfix.check_derived,
+    lambda space, plan, tol: gfix.check_convexity(
+        gfix.ConvexGSpace(space, gfix.linear_interpolation()), plan, tol),
+    lambda space, plan, tol: gfix.check_condition(
+        gfix.ContractionSpec(gfix.ConditionKind.K_SUM, {"k": 0.3}), space,
+        gfix.make_affine_contraction((0.0, 0.0), 0.5), plan, tol),
+], ids=["axioms", "derived", "convexity", "condition"])
+def test_bad_tol_is_rejected_before_any_draw(check):
+    draws = []
+
+    def draw(stream, box, min_separation):
+        draws.append(1)
+        return PERIM2.draw(stream, box, min_separation)
+
+    counted = dataclasses.replace(PERIM2, draw=draw)
+    plan = gfix.SamplePlan(seed=0, count=200)
+    with pytest.raises(ValueError, match="tol must be in"):
+        check(counted, plan, math.nan)
+    assert draws == []
+    check(counted, plan, 1e-9)  # the same space draws when tol is good
+    assert len(draws) == 4 * 200
+
+
 def test_sign_example_sampler_gives_up_on_empty_box():
     with pytest.raises(gfix.DomainError):
         SIGN.draw(Stream(0, 0), ((-0.5, 0.5),), 1.0)

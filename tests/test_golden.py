@@ -8,7 +8,6 @@ in CHANGES.md.
 
 import contextlib
 import io
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -84,8 +83,7 @@ def run_case(name, tmp):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("GFIX_SEED", raising=False)
+def test_golden_output(name, tmp_path):
     code, stdout, out = run_case(name, tmp_path)
     assert code == CASES[name][0]
     assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
@@ -94,7 +92,6 @@ def test_golden_output(name, tmp_path, monkeypatch):
 
 
 def record() -> None:
-    os.environ.pop("GFIX_SEED", None)
     for name, (want, _) in CASES.items():
         with tempfile.TemporaryDirectory() as tmp:
             code, stdout, out = run_case(name, tmp)

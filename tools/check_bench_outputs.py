@@ -4,7 +4,7 @@
 
 Expands each command template of bench/run.py's WORKLOADS over all POOL
 entries at the full SIZES, runs each command in this process through
-``gfix.cli.main`` (GFIX_SEED unset, OUT a temporary file), and compares
+``gfix.cli.main`` (OUT a temporary file), and compares
 its exit code with the workload's and sha256(stdout + out) with
 bench/expected.json.  Prints each mismatch and exits 1 if there is any.
 It only reads bench/.  The whole check takes a few minutes.
@@ -14,7 +14,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -39,7 +38,6 @@ def outcome(key: str, out_path: Path):
 
 def main() -> int:
     expected = json.loads(bench.EXPECTED.read_text())
-    os.environ.pop("GFIX_SEED", None)  # as bench/run.py runs its children
     checked = mismatches = 0
     with tempfile.TemporaryDirectory() as tmp:
         out_path = Path(tmp) / "out.csv"
