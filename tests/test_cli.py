@@ -379,8 +379,9 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_seed_environment_variable_has_no_effect(monkeypatch, capsys):
-    # the seed comes from --seed or the config file only; default 0
+def test_env_seed_default(monkeypatch, capsys):
+    # the seed comes from --seed or the config file only; GFIX_SEED has no
+    # effect and the default is 0
     argv = ["check-axioms", "--space", "max-2", "--samples", "100"]
     monkeypatch.delenv("GFIX_SEED", raising=False)
     assert run(argv) == 0
@@ -390,6 +391,21 @@ def test_seed_environment_variable_has_no_effect(monkeypatch, capsys):
         monkeypatch.setenv("GFIX_SEED", value)
         assert run(argv) == 0
         assert capsys.readouterr() == unset
+
+
+def test_env_seed_must_be_an_integer(tmp_path, monkeypatch, capsys):
+    # a non-integer GFIX_SEED is not read; the integer check is made on the
+    # seed's two sources, the flag and the config file
+    monkeypatch.setenv("GFIX_SEED", "x")
+    argv = ["check-axioms", "--space", "max-2", "--samples", "10"]
+    assert run(argv) == 0
+    assert "seed=0" in capsys.readouterr().out.split()
+    assert run(argv + ["--seed", "x"]) == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("seed=x\n")
+    assert run(argv + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: seed: expected int, got 'x'\n"
 
 
 def test_parse_mapping_errors():
