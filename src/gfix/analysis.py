@@ -12,7 +12,10 @@ pairs with iterate x_n and
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .core import CheckReport, Point, evaluate, le
@@ -24,11 +27,12 @@ _LOGSPACE_TRIGGER = 1e-8  # switch to log accumulation below this factor
 @dataclass(frozen=True)
 class RateBound:
     """Step sizes alpha_0 .. alpha_{n-1}, per-step factors
-    1 - alpha_k*(1-delta) and cumulative products B_0 .. B_n."""
+    1 - alpha_k*(1-delta) and cumulative products B_0 .. B_n, each an
+    ``array("d")``."""
 
-    factors: tuple
-    products: tuple
-    alphas: tuple = ()
+    factors: array
+    products: array
+    alphas: array
 
 
 def _rate_chain(delta: float,
@@ -38,23 +42,19 @@ def _rate_chain(delta: float,
     so a bad delta is reported ahead of any schedule error."""
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must be in [0, 1), got {delta}")
-    alphas = tuple(step_sizes())
-    factors = [1.0 - a * (1.0 - delta) for a in alphas]
-    products = [1.0]
-    if not any(f < _LOGSPACE_TRIGGER for f in factors):
-        b = 1.0
-        for f in factors:
-            b *= f
-            products.append(b)
-    else:
+    alphas = array("d", step_sizes())
+    factors = array("d", (1.0 - a * (1.0 - delta) for a in alphas))
+    if min(factors, default=1.0) < _LOGSPACE_TRIGGER:
         # log accumulation survives the underflow such factors cause;
         # a zero factor sends log B to -inf, so every later B_n is 0
+        products = array("d", [1.0])
         log_b = 0.0
         for f in factors:
             log_b = log_b + math.log(f) if f else -math.inf
             products.append(math.exp(log_b))
-    return RateBound(factors=tuple(factors), products=tuple(products),
-                     alphas=alphas)
+    else:
+        products = array("d", accumulate(factors, operator.mul, initial=1.0))
+    return RateBound(factors=factors, products=products, alphas=alphas)
 
 
 def product_bound(delta: float, sched: StepSchedule, n: int) -> RateBound:
@@ -65,15 +65,16 @@ def product_bound(delta: float, sched: StepSchedule, n: int) -> RateBound:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-step bound B_n*G(x_0,u,u) and slack bound - G(x_n,u,u)."""
+    """Per-step bound B_n*G(x_0,u,u) and slack bound - G(x_n,u,u), each
+    an ``array("d")``; a NaN slack makes ``min_slack`` NaN."""
 
-    slacks: tuple
+    slacks: array
     min_slack: float
     holds: bool
-    bounds: tuple = ()
+    bounds: array
 
 
-def trace_products(trace: IterationTrace, delta: float) -> tuple:
+def trace_products(trace: IterationTrace, delta: float) -> array:
     """B_0 .. B_{len(trace)-1} recomputed from the trace's own recorded
     step sizes, so B_n pairs with the recorded x_n."""
     return _rate_chain(delta, lambda: trace.alphas[:len(trace) - 1]).products
@@ -90,18 +91,12 @@ def verify_bound(trace: IterationTrace, delta: float,
         raise ValueError("trace has no true errors (fixed point unknown)")
     errors = trace.true_errors
     e0 = errors[0]
-    products = trace_products(trace, delta)
-    bounds, slacks = [], []
-    min_slack = math.inf
-    for n, err in enumerate(errors):
-        bound = products[n] * e0
-        slack = bound - err
-        bounds.append(bound)
-        slacks.append(slack)
-        if slack < min_slack:
-            min_slack = slack
-    return BoundReport(slacks=tuple(slacks), min_slack=min_slack,
-                       holds=min_slack >= -tol, bounds=tuple(bounds))
+    bounds = array("d", (b * e0 for b in trace_products(trace, delta)))
+    slacks = array("d", map(operator.sub, bounds, errors))
+    # min() passes over a NaN slack; a NaN must fail the bound instead
+    min_slack = math.nan if any(map(math.isnan, slacks)) else min(slacks)
+    return BoundReport(slacks=slacks, min_slack=min_slack,
+                       holds=min_slack >= -tol, bounds=bounds)
 
 
 def diagnostics_maxima(trace: IterationTrace, limit: Point,

@@ -12,7 +12,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
-import itertools
+import contextlib
 import sys
 from typing import Optional
 
@@ -193,18 +193,30 @@ class Settings:
             f"{k}={v}" for k, v in sorted(self.values.items()) if v is not None)
 
 
-def _rows(header: str, *columns) -> list:
-    """``header``, then the columns' formatted cells joined row by row."""
-    return [header, *map(",".join, zip(*columns))]
+class _Csv:
+    """CSV lines: the preformatted ``head`` lines, then ``template % row``
+    for each row of the zipped ``columns``.  Rows are formatted as they
+    are read, so the whole text is never held at once."""
+
+    def __init__(self, head: list, template: str, *columns):
+        self.head, self.template, self.columns = head, template, columns
+
+    def __len__(self) -> int:
+        return len(self.head) + min(map(len, self.columns))
+
+    def __iter__(self):
+        yield from self.head
+        template = self.template
+        for row in zip(*self.columns):
+            yield template % row
 
 
 def _write_lines(path: Optional[str], lines) -> None:
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write ``lines`` one at a time, each ended by a newline, to the
+    file ``path`` or, without one, to stdout."""
+    with (open(path, "w", newline="") if path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _report_lines(cmd: str, settings: Settings, report: CheckReport) -> list:
@@ -300,15 +312,15 @@ def _cmd_iterate(args: argparse.Namespace, settings: Settings) -> int:
         else:
             bound_report = analysis.verify_bound(trace, verdict.delta)
 
-    blank = itertools.repeat("")
-    errors = map(_fmt, trace.true_errors) if trace.true_errors else blank
-    bounds = slacks = blank
+    # "%.17g" writes a double as _fmt does; absent columns stay blank
+    columns = [trace.alphas, trace.residuals]
+    if trace.true_errors is not None:
+        columns.append(trace.true_errors)
     if bound_report is not None:
-        bounds = map(_fmt, bound_report.bounds)
-        slacks = map(_fmt, bound_report.slacks)
-    _write_lines(args.out, _rows(
-        CSV_HEADER, map(str, range(len(trace))), map(_fmt, trace.alphas),
-        map(_fmt, trace.residuals), errors, bounds, slacks))
+        columns += [bound_report.bounds, bound_report.slacks]
+    template = "%d" + ",%.17g" * len(columns) + "," * (5 - len(columns))
+    _write_lines(args.out, _Csv([CSV_HEADER], template,
+                                range(len(trace)), *columns))
 
     summary = ["# gfix iterate",
                settings.config_line(),
@@ -329,11 +341,10 @@ def _cmd_bound(args: argparse.Namespace, settings: Settings) -> int:
     delta = settings.get("delta")
     sched = _schedule(settings)
     rb = analysis.product_bound(delta, sched, settings.get("max-iters"))
-    _write_lines(args.out, _rows(
-        "n,alpha_n,factor,B_n", map(str, range(len(rb.products))),
-        itertools.chain([""], map(_fmt, rb.alphas)),
-        itertools.chain([""], map(_fmt, rb.factors)),
-        map(_fmt, rb.products)))
+    _write_lines(args.out, _Csv(
+        ["n,alpha_n,factor,B_n", "0,,,%.17g" % rb.products[0]],
+        "%d,%.17g,%.17g,%.17g", range(1, len(rb.products)), rb.alphas,
+        rb.factors, rb.products[1:]))
     return 0
 
 

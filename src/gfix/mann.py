@@ -9,6 +9,7 @@ alpha = 1 is a pure T-step.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -99,13 +100,14 @@ class StoppingRule:
 class IterationTrace:
     """Full record of one run: points, step sizes, residuals
     G(x_n, Tx_n, Tx_n) and, when the fixed point is known, true errors
-    G(x_n, u, u).  The lists are parallel; entry n describes x_n."""
+    G(x_n, u, u).  The columns are parallel; entry n describes x_n.
+    ``points`` is a tuple of tuples, the other columns ``array("d")``."""
 
     space: GSpace
     points: tuple
-    alphas: tuple
-    residuals: tuple
-    true_errors: Optional[tuple]
+    alphas: array
+    residuals: array
+    true_errors: Optional[array]
     status: str
 
     def __len__(self) -> int:
@@ -120,8 +122,9 @@ def run_mann(cs: ConvexGSpace, T: Mapping, x0: Point, sched: StepSchedule,
              stop: StoppingRule) -> IterationTrace:
     """Iterate until a stopping criterion fires; fully deterministic.
 
-    A diverging iterate (any coordinate beyond the overflow guard) ends
-    the run with a divergence status instead of raising.
+    A diverging iterate (any coordinate beyond the overflow guard) or a
+    non-finite residual or true error ends the run with a divergence
+    status instead of raising; that row is still recorded.
     """
     space = cs.space
     if not space.contains(x0):
@@ -132,17 +135,21 @@ def run_mann(cs: ConvexGSpace, T: Mapping, x0: Point, sched: StepSchedule,
     if sched.limit is not None:
         max_iters = min(max_iters, sched.limit)
 
-    points, alphas, residuals = [], [], []
-    errors = [] if u is not None else None
+    points, alphas, residuals = [], array("d"), array("d")
+    errors = array("d") if u is not None else None
     x = tuple(float(c) for c in x0)
     for n in range(max_iters + 1):
         tx = T.apply(x)
         residual = g(x, tx, tx)
+        error = g(x, u, u) if errors is not None else 0.0
         points.append(x)
         alphas.append(sched.alpha_at(n))
         residuals.append(residual)
         if errors is not None:
-            errors.append(g(x, u, u))
+            errors.append(error)
+        if not (math.isfinite(residual) and math.isfinite(error)):
+            status = STATUS_DIVERGED
+            break
         if residual <= stop.residual_tol:
             status = STATUS_RESIDUAL
             break
@@ -155,11 +162,6 @@ def run_mann(cs: ConvexGSpace, T: Mapping, x0: Point, sched: StepSchedule,
             break
         x = x_next
 
-    return IterationTrace(
-        space=space,
-        points=tuple(points),
-        alphas=tuple(alphas),
-        residuals=tuple(residuals),
-        true_errors=tuple(errors) if errors is not None else None,
-        status=status,
-    )
+    return IterationTrace(space=space, points=tuple(points), alphas=alphas,
+                          residuals=residuals, true_errors=errors,
+                          status=status)

@@ -53,7 +53,7 @@ def test_product_bound_constant():
 
 def test_product_bound_empty():
     rb = gfix.product_bound(0.3, gfix.harmonic_schedule(), 0)
-    assert rb.products == (1.0,)
+    assert tuple(rb.products) == (1.0,)
 
 
 def test_product_bound_harmonic_hand_value():
@@ -97,7 +97,7 @@ def test_product_bound_log_space_survives_underflow():
 def test_product_bound_zero_factor():
     # delta = 0 with a full step kills the product exactly
     rb = gfix.product_bound(0.0, gfix.constant_schedule(1.0), 3)
-    assert rb.products[1:] == (0.0, 0.0, 0.0)
+    assert tuple(rb.products[1:]) == (0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("sched", [
@@ -106,8 +106,8 @@ def test_product_bound_zero_factor():
 ])
 def test_product_bound_carries_schedule_alphas(sched):
     rb = gfix.product_bound(0.4, sched, 25)
-    assert rb.alphas == tuple(gfix.schedule_values(sched, 25))
-    assert rb.factors == tuple(1.0 - a * (1.0 - 0.4) for a in rb.alphas)
+    assert tuple(rb.alphas) == tuple(gfix.schedule_values(sched, 25))
+    assert tuple(rb.factors) == tuple(1.0 - a * (1.0 - 0.4) for a in rb.alphas)
 
 
 def test_exponential_majorization():
@@ -168,6 +168,16 @@ def test_verify_bound_requires_true_errors():
                           gfix.StoppingRule(max_iters=5, residual_tol=0.0))
     with pytest.raises(ValueError):
         gfix.verify_bound(trace, 0.5)
+
+
+@pytest.mark.parametrize("true_errors", [(1.0, math.nan), (math.nan, 1.0)])
+def test_verify_bound_fails_closed_on_nan_slack(true_errors):
+    trace = gfix.IterationTrace(space=PERIM1, points=((1.0,), (0.5,)),
+                                alphas=(0.5, 0.5), residuals=(1.0, 0.5),
+                                true_errors=true_errors, status="max-iters")
+    report = gfix.verify_bound(trace, 0.5)
+    assert not report.holds
+    assert math.isnan(report.min_slack)
 
 
 def test_verify_bound_refuses_vacuous_delta():

@@ -1,13 +1,18 @@
 """CLI behavior: exit codes, CSV contract, config handling."""
 
+import math
 import os
+import random
+import struct
 import subprocess
 import sys
+from array import array
 
 import pytest
 
 import gfix
-from gfix.cli import CSV_HEADER, main, parse_mapping, parse_schedule
+from gfix.cli import (CSV_HEADER, _Csv, _fmt, main, parse_mapping,
+                      parse_schedule)
 
 
 def run(args):
@@ -338,6 +343,55 @@ def test_iterate_divergence_exit_one(tmp_path, capsys):
               "--out", str(out)])
     assert rc == 1
     assert "status: diverged" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("extra", [
+    ["--mapping=affine:k=1e308", "--schedule=explicit:0;0", "--x0=1"],
+    ["--mapping=affine:k=1e-320", "--alpha=1", "--x0=1e308"],
+])
+def test_iterate_non_finite_g_diverges(extra, tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    rc = run(["iterate", "--space", "perimeter-1", *extra,
+              "--max-iters", "5", "--out", str(out)])
+    assert rc == 1
+    summary = capsys.readouterr().out
+    assert "status: diverged" in summary and "steps: 0" in summary
+    assert len(out.read_text().splitlines()) == 2  # the row that overflowed
+
+
+def test_iterate_nan_slack_fails_bound(tmp_path, capsys):
+    rc = run(["iterate", "--space", "perimeter-1", "--mapping=affine:k=1e-320",
+              "--schedule=constant", "--alpha=0.5", "--x0=1e308",
+              "--max-iters", "3", "--condition", "four-term",
+              "--coeff", "a=0.5,b=0,c=0,d=0",
+              "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    summary = capsys.readouterr().out.splitlines()
+    assert "bound_holds: false" in summary
+    assert "min_slack: nan" in summary
+    assert (tmp_path / "t.csv").read_text().splitlines()[1].endswith(",nan")
+
+
+EDGE_DOUBLES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                2.2250738585072014e-308, 1e16, 1e308, -1e308, 0.1, 1 / 3,
+                1.7976931348623157e308, 9007199254740993.0]
+
+
+def test_row_template_matches_fmt():
+    rng = random.Random(0)
+    n = 20000
+    packed = struct.pack(f"<{n}Q", *(rng.getrandbits(64) for _ in range(n)))
+    for x in EDGE_DOUBLES + list(struct.unpack(f"<{n}d", packed)):
+        assert "%.17g" % x == format(x, ".17g") == _fmt(x)
+
+
+def test_csv_rows_formatted_as_read():
+    csv = _Csv(["n,a,b", "0,,"], "%d,%.17g,%.17g", range(1, 4),
+               array("d", [0.5, -0.0, math.inf]),
+               array("d", [1e-320, 2.0, 3.0, 4.0]))
+    assert len(csv) == 5
+    assert list(csv) == ["n,a,b", "0,,", "1,0.5,9.9998886718268301e-321",
+                         "2,-0,2", "3,inf,3"]
 
 
 def test_iterate_power_schedule_summary(tmp_path, capsys):

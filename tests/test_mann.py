@@ -57,6 +57,23 @@ def test_expansive_map_diverges():
     assert 490 <= len(trace) <= 510  # 2^n crosses 1e150 near n = 498
 
 
+@pytest.mark.parametrize("T, x0, alpha", [
+    # residual G(x, Tx, Tx) overflows: Tx = 1e308 * x; alpha = 0 keeps x
+    (gfix.make_affine_contraction((0.0,), 1e308), (1.0,), 0.0),
+    # residual 1.5 * 2**1023 is finite, true error 2 * 2**1023 is not;
+    # Tx = 0 exactly, so the next iterate would be finite
+    (gfix.make_affine_contraction((-2.0 ** 1021,), 0.25), (3 * 2.0 ** 1021,),
+     1.0),
+    # both overflow at x_0, then Tx = 1e-12 would converge
+    (gfix.make_affine_contraction((0.0,), 1e-320), (1e308,), 1.0),
+])
+def test_non_finite_residual_or_error_diverges(T, x0, alpha):
+    trace = gfix.run_mann(PERIM1, T, x0, gfix.explicit_schedule([alpha] * 5),
+                          gfix.StoppingRule(max_iters=5, residual_tol=0.0))
+    assert trace.status == "diverged"
+    assert len(trace) == 1
+
+
 def test_alpha_zero_stalls():
     T = gfix.make_affine_contraction((0.0,), 0.5)
     trace = gfix.run_mann(PERIM1, T, (1.0,), gfix.constant_schedule(0.0),
@@ -154,7 +171,7 @@ def test_explicit_schedule_bounds_iteration():
                           gfix.StoppingRule(max_iters=100, residual_tol=0.0))
     assert len(trace) <= 4
     # three steps, then the final iterate's row repeats the last alpha
-    assert trace.alphas == (1.0, 0.5, 0.25, 0.25)
+    assert tuple(trace.alphas) == (1.0, 0.5, 0.25, 0.25)
     assert trace.status == "max-iters"
 
 
