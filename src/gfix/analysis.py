@@ -19,7 +19,7 @@ from itertools import accumulate
 from typing import Callable, Sequence
 
 from .core import CheckReport, Point, evaluate, le
-from .mann import IterationTrace, StepSchedule, schedule_values
+from .mann import IterationTrace, StepSchedule, step_range
 
 _LOGSPACE_TRIGGER = 1e-8  # switch to log accumulation below this factor
 
@@ -60,7 +60,8 @@ def _rate_chain(delta: float,
 def product_bound(delta: float, sched: StepSchedule, n: int) -> RateBound:
     """B_0 .. B_n for the given factor and schedule, accumulated in log
     space when some factor drops below 1e-8."""
-    return _rate_chain(delta, lambda: schedule_values(sched, n))
+    return _rate_chain(delta, lambda: map(sched.alpha_at,
+                                          step_range(sched, n)))
 
 
 @dataclass(frozen=True)

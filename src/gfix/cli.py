@@ -334,7 +334,8 @@ def _cmd_iterate(args: argparse.Namespace, settings: Settings) -> int:
         summary.append(f"min_slack: {_fmt(bound_report.min_slack)}")
     summary += [f"warning: {w}" for w in warnings]
     _write_lines(None, summary)
-    return 1 if trace.status == mann.STATUS_DIVERGED else 0
+    failed = bound_report is not None and not bound_report.holds
+    return 1 if failed or trace.status == mann.STATUS_DIVERGED else 0
 
 
 def _cmd_bound(args: argparse.Namespace, settings: Settings) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import (CheckReport, GSpace, Point, SamplePlan, evaluate, le_tol,
-                   sample_tuples)
+                   pointwise, sample_tuples)
 
 
 @dataclass(frozen=True)
@@ -31,13 +31,11 @@ class ConvexGSpace:
     w: ConvexStructure
 
 
-def linear_interpolation() -> ConvexStructure:
-    """Coordinatewise lam*x + (1-lam)*y; the canonical structure for the
-    Euclidean-derived spaces."""
-    def blend(x: Point, y: Point, lam: float) -> Point:
-        b = 1.0 - lam
-        return tuple(lam * a + b * c for a, c in zip(x, y))
-    return ConvexStructure(blend)
+def linear_interpolation(dim: int) -> ConvexStructure:
+    """Coordinatewise lam*x + (1-lam)*y on points of ``dim`` coordinates;
+    the canonical structure for the Euclidean-derived spaces."""
+    return ConvexStructure(pointwise(
+        "x, y, lam", "lam * x[{i}] + (1.0 - lam) * y[{i}]", dim, {}))
 
 
 # every sampled tuple is also checked at these weights; endpoint behavior

@@ -75,13 +75,18 @@ def explicit_schedule(values: Sequence[float]) -> StepSchedule:
                         None, len(values))
 
 
-def schedule_values(sched: StepSchedule, n: int) -> List[float]:
-    """The first n step sizes alpha_0 .. alpha_{n-1}."""
+def step_range(sched: StepSchedule, n: int) -> range:
+    """range(n), once n is a step count that ``sched`` can drive."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if sched.limit is not None and n > sched.limit:
         raise ValueError(f"explicit schedule has only {sched.limit} values")
-    return [sched.alpha_at(k) for k in range(n)]
+    return range(n)
+
+
+def schedule_values(sched: StepSchedule, n: int) -> List[float]:
+    """The first n step sizes alpha_0 .. alpha_{n-1}."""
+    return [sched.alpha_at(k) for k in step_range(sched, n)]
 
 
 @dataclass(frozen=True)
@@ -98,24 +103,32 @@ class StoppingRule:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """Full record of one run: points, step sizes, residuals
+    """Full record of one run: iterates, step sizes, residuals
     G(x_n, Tx_n, Tx_n) and, when the fixed point is known, true errors
     G(x_n, u, u).  The columns are parallel; entry n describes x_n.
-    ``points`` is a tuple of tuples, the other columns ``array("d")``."""
+    Every column is an ``array("d")``; ``coords`` holds the coordinates
+    of x_0, x_1, ... back to back."""
 
     space: GSpace
-    points: tuple
+    coords: array
     alphas: array
     residuals: array
     true_errors: Optional[array]
     status: str
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.alphas)
+
+    @property
+    def points(self) -> tuple:
+        """x_0, x_1, ... as point tuples, rebuilt from ``coords``."""
+        coords = iter(self.coords)
+        return tuple(zip(*[coords] * self.space.dim))
 
 
 def _overflowed(p: Point) -> bool:
-    return any(not math.isfinite(c) or abs(c) > OVERFLOW_GUARD for c in p)
+    """Some coordinate is NaN, infinite or beyond the overflow guard."""
+    return not all(map(OVERFLOW_GUARD.__ge__, map(abs, p)))
 
 
 def run_mann(cs: ConvexGSpace, T: Mapping, x0: Point, sched: StepSchedule,
@@ -135,14 +148,15 @@ def run_mann(cs: ConvexGSpace, T: Mapping, x0: Point, sched: StepSchedule,
     if sched.limit is not None:
         max_iters = min(max_iters, sched.limit)
 
-    points, alphas, residuals = [], array("d"), array("d")
+    apply, blend = T.apply, cs.w.blend
+    coords, alphas, residuals = array("d"), array("d"), array("d")
     errors = array("d") if u is not None else None
     x = tuple(float(c) for c in x0)
     for n in range(max_iters + 1):
-        tx = T.apply(x)
+        tx = apply(x)
         residual = g(x, tx, tx)
         error = g(x, u, u) if errors is not None else 0.0
-        points.append(x)
+        coords.extend(x)
         alphas.append(sched.alpha_at(n))
         residuals.append(residual)
         if errors is not None:
@@ -156,12 +170,12 @@ def run_mann(cs: ConvexGSpace, T: Mapping, x0: Point, sched: StepSchedule,
         if n == max_iters:
             status = STATUS_MAX_ITERS
             break
-        x_next = cs.w.blend(x, tx, 1.0 - alphas[-1])
+        x_next = blend(x, tx, 1.0 - alphas[-1])
         if _overflowed(x_next):
             status = STATUS_DIVERGED
             break
         x = x_next
 
-    return IterationTrace(space=space, points=tuple(points), alphas=alphas,
+    return IterationTrace(space=space, coords=coords, alphas=alphas,
                           residuals=residuals, true_errors=errors,
                           status=status)

@@ -1,6 +1,7 @@
 """Derived factors, product bounds, and trace verification."""
 
 import math
+from array import array
 
 import pytest
 
@@ -172,7 +173,7 @@ def test_verify_bound_requires_true_errors():
 
 @pytest.mark.parametrize("true_errors", [(1.0, math.nan), (math.nan, 1.0)])
 def test_verify_bound_fails_closed_on_nan_slack(true_errors):
-    trace = gfix.IterationTrace(space=PERIM1, points=((1.0,), (0.5,)),
+    trace = gfix.IterationTrace(space=PERIM1, coords=array("d", (1.0, 0.5)),
                                 alphas=(0.5, 0.5), residuals=(1.0, 0.5),
                                 true_errors=true_errors, status="max-iters")
     report = gfix.verify_bound(trace, 0.5)

@@ -372,6 +372,25 @@ def test_iterate_nan_slack_fails_bound(tmp_path, capsys):
     assert (tmp_path / "t.csv").read_text().splitlines()[1].endswith(",nan")
 
 
+@pytest.mark.parametrize("extra, status, min_slack", [
+    # the map breaks the condition whose delta the bound uses
+    (["--mapping", "affine:k=0.9", "--coeff", "a=0.1,b=0,c=0,d=0",
+      "--max-iters", "20"], "max-iters", "-1.4469049999999999"),
+    (["--mapping=affine:k=1e-320", "--schedule=constant", "--x0=1e308",
+      "--coeff", "a=0.5,b=0,c=0,d=0", "--max-iters", "3"], "diverged",
+     "nan"),
+])
+def test_iterate_failed_bound_exits_one(extra, status, min_slack, tmp_path,
+                                        capsys):
+    rc = run(["iterate", "--space", "perimeter-1", "--condition", "four-term",
+              *extra, "--out", str(tmp_path / "t.csv")])
+    summary = capsys.readouterr().out.splitlines()
+    assert f"status: {status}" in summary
+    assert "bound_holds: false" in summary
+    assert f"min_slack: {min_slack}" in summary
+    assert rc == 1
+
+
 EDGE_DOUBLES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
                 2.2250738585072014e-308, 1e16, 1e308, -1e308, 0.1, 1 / 3,
                 1.7976931348623157e308, 9007199254740993.0]

@@ -88,6 +88,60 @@ def test_trace_reproducible():
     assert gfix.run_mann(*args) == gfix.run_mann(*args)
 
 
+# --- packed trace -------------------------------------------------------------
+
+PERIM2 = gfix.make_perimeter_space(2)
+CENTER2 = (1.0, -2.0)
+
+
+def packed_run(max_iters=6):
+    return gfix.run_mann(PERIM2, gfix.make_affine_contraction(CENTER2, 0.5),
+                         (3.0, 4.0), gfix.constant_schedule(0.5),
+                         gfix.StoppingRule(max_iters=max_iters,
+                                           residual_tol=0.0))
+
+
+def reference_points(n):
+    """x_0 .. x_n by the plain per-coordinate formulas."""
+    pts = [(3.0, 4.0)]
+    for _ in range(n):
+        x = pts[-1]
+        tx = tuple(c + 0.5 * (a - c) for a, c in zip(x, CENTER2))
+        pts.append(tuple(0.5 * a + 0.5 * t for a, t in zip(x, tx)))
+    return tuple(pts)
+
+
+def test_packed_trace_points():
+    trace = packed_run()
+    want = reference_points(6)
+    assert len(trace) == len(trace.points) == 7
+    assert len(trace.coords) == 14
+    assert trace.points == want
+    assert trace.points[0] == (3.0, 4.0) and trace.points[2] == want[2]
+    assert trace.points[-1] == want[-1] and trace.points[-3] == want[4]
+    assert trace.points[-3:] == want[4:]
+    assert all(type(c) is float for p in trace.points for c in p)
+
+
+def test_packed_traces_of_identical_runs_are_equal():
+    assert packed_run() == packed_run()
+    assert packed_run() != packed_run(5)
+
+
+def test_diagnostics_on_packed_trace():
+    trace = packed_run(60)
+    g = PERIM2.space.g
+    tail = reference_points(60)[-4:]
+    maxima = gfix.diagnostics_maxima(trace, CENTER2, 4)
+    assert maxima == {
+        "self-pair": max(g(p, p, CENTER2) for p in tail),
+        "limit-pair": max(g(p, CENTER2, CENTER2) for p in tail),
+        "cross": max(g(p, q, CENTER2) for p in tail for q in tail)}
+    assert gfix.convergence_diagnostics(trace, CENTER2, 4, 1e-6).passed
+    assert not gfix.convergence_diagnostics(packed_run(), CENTER2, 4,
+                                            1e-6).passed
+
+
 def test_per_step_error_factor():
     # linear structure + affine factor k: error contracts by 1 - alpha(1-k)
     k, alpha = 0.4, 0.5

@@ -2,8 +2,9 @@
 
 tracemalloc counts the Python allocations of one in-process run, so the
 peak is the same on every machine and run, unlike the resident set.
-Each column is packed doubles and the CSV is written row by row, so
-the peak grows with the iterates kept, not with the text written.
+Each column, the iterates' coordinates included, is packed doubles and
+the CSV is written row by row, so the peak grows with the rows kept, not
+with the text written.
 """
 
 import tracemalloc
@@ -26,18 +27,20 @@ def peak_mb(args):
 
 @pytest.mark.parametrize("delta", ["0.39", "1e-10"])  # 1e-10: log space
 def test_bound_peak_memory(delta, tmp_path):
-    # about 4 MB; holding every row as a tuple of floats and the text as
-    # one string took 37 MB
+    # about 3.4 MB; a boxed list of the alphas took it to 4.4 MB, and
+    # holding every row as a tuple of floats and the text as one string
+    # to 37 MB
     assert peak_mb(["bound", "--delta", delta, "--schedule", "harmonic",
                     "--max-iters", "100000",
-                    "--out", str(tmp_path / "b.csv")]) < 10
+                    "--out", str(tmp_path / "b.csv")]) < 4
 
 
 def test_iterate_peak_memory(tmp_path, capsys):
-    # about 4 MB, most of it the 2e4 points kept as tuples; boxed float
-    # columns and the joined text took 14 MB
+    # about 1.6 MB with the iterates' coordinates packed; keeping the 2e4
+    # points as tuples took 4.2 MB, and boxed float columns and the
+    # joined text 14 MB
     assert peak_mb(["iterate", "--space", "perimeter-3",
                     "--mapping", "affine:k=0.5", "--condition", "four-term",
                     "--coeff", "a=0.5,b=0,c=0,d=0", "--schedule", "harmonic",
                     "--x0", "1,2,3", "--max-iters", "20000",
-                    "--out", str(tmp_path / "t.csv")]) < 6
+                    "--out", str(tmp_path / "t.csv")]) < 2.5
