@@ -13,7 +13,7 @@ from .core import (CheckReport, DomainError, GSpace, SamplePlan, Violation,
                    check_axioms, check_derived)
 from .mann import (IterationTrace, StepSchedule, StoppingRule,
                    constant_schedule, explicit_schedule, harmonic_schedule,
-                   power_schedule, run_mann, schedule_values)
+                   power_schedule, run_mann)
 from .spaces import (UnknownSpaceError, get_space, make_max_space,
                      make_perimeter_space, make_sign_example_space)
 

@@ -107,7 +107,7 @@ def diagnostics_maxima(trace: IterationTrace, limit: Point,
     if tail < 1 or tail > len(trace):
         raise ValueError("tail must be in 1..len(trace)")
     g = trace.space.g
-    pts = trace.points[-tail:]
+    pts = trace.last_points(tail)
     return {
         "self-pair": max(g(p, p, limit) for p in pts),
         "limit-pair": max(g(p, limit, limit) for p in pts),

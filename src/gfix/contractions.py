@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from .core import (CheckReport, DomainError, GSpace, Point, SamplePlan,
-                   evaluate, le_tol, pointwise, sample_quads)
+                   evaluate, le_tol, sample_quads)
 
 
 class ConditionKind(enum.Enum):
@@ -188,8 +188,9 @@ def make_affine_contraction(center: Point, k: float) -> Mapping:
     if not all(map(math.isfinite, center)):
         raise ValueError(f"center must be finite, got {center}")
 
-    apply = pointwise("x", "c[{i}] + k * (x[{i}] - c[{i}])", len(center),
-                      {"c": center, "k": k})
+    def apply(x: Point) -> Point:
+        return tuple(c + k * (a - c) for a, c in zip(x, center))
+
     fixed = center if k < 1 else None
     return Mapping(name=f"affine(k={k})", apply=apply, fixed_point=fixed)
 
@@ -200,5 +201,7 @@ def make_translation(offset: Point) -> Mapping:
     if not all(map(math.isfinite, offset)):
         raise ValueError(f"offset must be finite, got {offset}")
 
-    apply = pointwise("x", "x[{i}] + d[{i}]", len(offset), {"d": offset})
+    def apply(x: Point) -> Point:
+        return tuple(a + d for a, d in zip(x, offset))
+
     return Mapping(name="translation", apply=apply, fixed_point=None)

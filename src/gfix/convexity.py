@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import (CheckReport, GSpace, Point, SamplePlan, evaluate, le_tol,
-                   pointwise, sample_tuples)
+                   sample_tuples)
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,13 @@ class ConvexGSpace:
     w: ConvexStructure
 
 
-def linear_interpolation(dim: int) -> ConvexStructure:
-    """Coordinatewise lam*x + (1-lam)*y on points of ``dim`` coordinates;
-    the canonical structure for the Euclidean-derived spaces."""
-    return ConvexStructure(pointwise(
-        "x, y, lam", "lam * x[{i}] + (1.0 - lam) * y[{i}]", dim, {}))
+def linear_interpolation() -> ConvexStructure:
+    """Coordinatewise lam*x + (1-lam)*y; the canonical structure for the
+    Euclidean-derived spaces."""
+    def blend(x: Point, y: Point, lam: float) -> Point:
+        b = 1.0 - lam
+        return tuple(lam * a + b * c for a, c in zip(x, y))
+    return ConvexStructure(blend)
 
 
 # every sampled tuple is also checked at these weights; endpoint behavior

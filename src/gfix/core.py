@@ -219,14 +219,6 @@ def evaluate(tuples: Callable[[], Iterable[tuple]], inequalities: Callable,
     return col.report()
 
 
-def pointwise(args: str, expr: str, dim: int, env: dict) -> Callable:
-    """``lambda args: (e_0, ..., e_{dim-1})``, where e_i is ``expr`` with
-    ``{i}`` set to i.  Names in ``expr`` resolve in a copy of ``env``, so
-    values reach the kernel through its namespace, never its source."""
-    terms = "".join(expr.format(i=i) + ", " for i in range(dim))
-    return eval(f"lambda {args}: ({terms})", dict(env))
-
-
 def structured_points(space: GSpace) -> list:
     """Deterministic grid pass: corners, midpoint and quarter points of
     the space's default box, filtered to the domain."""

@@ -8,10 +8,11 @@ alpha = 1 is a pure T-step.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .contractions import Mapping
 from .convexity import ConvexGSpace
@@ -84,11 +85,6 @@ def step_range(sched: StepSchedule, n: int) -> range:
     return range(n)
 
 
-def schedule_values(sched: StepSchedule, n: int) -> List[float]:
-    """The first n step sizes alpha_0 .. alpha_{n-1}."""
-    return [sched.alpha_at(k) for k in step_range(sched, n)]
-
-
 @dataclass(frozen=True)
 class StoppingRule:
     max_iters: int = 10000
@@ -119,10 +115,17 @@ class IterationTrace:
     def __len__(self) -> int:
         return len(self.alphas)
 
-    @property
+    @functools.cached_property
     def points(self) -> tuple:
-        """x_0, x_1, ... as point tuples, rebuilt from ``coords``."""
-        coords = iter(self.coords)
+        """x_0, x_1, ... as point tuples, rebuilt from ``coords`` on the
+        first read and kept."""
+        return self.last_points(len(self))
+
+    def last_points(self, k: int) -> tuple:
+        """The last k iterates (all, if fewer) as point tuples, rebuilt
+        from ``coords``."""
+        start = max(0, len(self.coords) - k * self.space.dim)
+        coords = iter(self.coords[start:])
         return tuple(zip(*[coords] * self.space.dim))
 
 

@@ -43,7 +43,7 @@ def _euclidean_space(name: str, dim: int, g) -> ConvexGSpace:
     space = GSpace(name=f"{name}-{dim}", dim=dim, g=g, draw=_euclid_draw,
                    contains=_euclid_contains(dim),
                    default_box=_default_box(dim))
-    return ConvexGSpace(space, linear_interpolation(dim))
+    return ConvexGSpace(space, linear_interpolation())
 
 
 def make_perimeter_space(dim: int) -> ConvexGSpace:

@@ -107,7 +107,7 @@ def test_product_bound_zero_factor():
 ])
 def test_product_bound_carries_schedule_alphas(sched):
     rb = gfix.product_bound(0.4, sched, 25)
-    assert tuple(rb.alphas) == tuple(gfix.schedule_values(sched, 25))
+    assert tuple(rb.alphas) == tuple(map(sched.alpha_at, range(25)))
     assert tuple(rb.factors) == tuple(1.0 - a * (1.0 - 0.4) for a in rb.alphas)
 
 

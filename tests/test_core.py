@@ -264,8 +264,7 @@ def test_unbounded_box_fails_axioms():
     gfix.check_axioms,
     gfix.check_derived,
     lambda space, plan, tol: gfix.check_convexity(
-        gfix.ConvexGSpace(space, gfix.linear_interpolation(space.dim)), plan,
-        tol),
+        gfix.ConvexGSpace(space, gfix.linear_interpolation()), plan, tol),
     lambda space, plan, tol: gfix.check_condition(
         gfix.ContractionSpec(gfix.ConditionKind.K_SUM, {"k": 0.3}), space,
         gfix.make_affine_contraction((0.0, 0.0), 0.5), plan, tol),

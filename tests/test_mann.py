@@ -5,6 +5,7 @@ import math
 import pytest
 
 import gfix
+from gfix.mann import OVERFLOW_GUARD, _overflowed, step_range
 
 PERIM1 = gfix.make_perimeter_space(1)
 
@@ -120,6 +121,9 @@ def test_packed_trace_points():
     assert trace.points[0] == (3.0, 4.0) and trace.points[2] == want[2]
     assert trace.points[-1] == want[-1] and trace.points[-3] == want[4]
     assert trace.points[-3:] == want[4:]
+    assert trace.last_points(3) == want[4:] and trace.last_points(0) == ()
+    assert trace.last_points(9) == want
+    assert trace.points is trace.points  # rebuilt once, then kept
     assert all(type(c) is float for p in trace.points for c in p)
 
 
@@ -140,6 +144,20 @@ def test_diagnostics_on_packed_trace():
     assert gfix.convergence_diagnostics(trace, CENTER2, 4, 1e-6).passed
     assert not gfix.convergence_diagnostics(packed_run(), CENTER2, 4,
                                             1e-6).passed
+
+
+def ref_overflowed(p):
+    """The guard as a per-coordinate isfinite/abs test."""
+    return any(not math.isfinite(c) or abs(c) > 1e150 for c in p)
+
+
+@pytest.mark.parametrize("value", [
+    math.nan, math.inf, -math.inf, OVERFLOW_GUARD, -OVERFLOW_GUARD,
+    math.nextafter(OVERFLOW_GUARD, math.inf),
+    -math.nextafter(OVERFLOW_GUARD, math.inf), 0.0, -0.0, 1.0])
+def test_overflow_guard_matches_reference(value):
+    for p in ((value,), (0.5, value), (value, 2.0, -3.0)):
+        assert _overflowed(p) == ref_overflowed(p)
 
 
 def test_per_step_error_factor():
@@ -169,24 +187,29 @@ def test_run_mann_rejects_point_outside_domain():
 
 # --- schedules -----------------------------------------------------------------
 
+def alphas(sched, n):
+    """alpha_0 .. alpha_{n-1} as product_bound draws them."""
+    return list(map(sched.alpha_at, step_range(sched, n)))
+
+
 def test_schedule_values_harmonic():
-    assert gfix.schedule_values(gfix.harmonic_schedule(), 3) == [1.0, 0.5, 1.0 / 3.0]
+    assert alphas(gfix.harmonic_schedule(), 3) == [1.0, 0.5, 1.0 / 3.0]
 
 
 def test_schedule_values_constant():
-    assert gfix.schedule_values(gfix.constant_schedule(0.5), 2) == [0.5, 0.5]
+    assert alphas(gfix.constant_schedule(0.5), 2) == [0.5, 0.5]
 
 
 def test_schedule_values_power():
     sched = gfix.power_schedule(2.0)
-    assert gfix.schedule_values(sched, 3) == [1.0, 0.25, 1.0 / 9.0]
+    assert alphas(sched, 3) == [1.0, 0.25, 1.0 / 9.0]
     assert sched.divergent_sum is False
 
 
 def test_power_schedule_past_overflow():
     # (n + 1) ** 400 overflows from n = 5 on; alpha is then the subnormal
     # or zero (n + 1) ** -400 instead of an OverflowError
-    values = gfix.schedule_values(gfix.power_schedule(400.0), 13)
+    values = alphas(gfix.power_schedule(400.0), 13)
     assert values[4] == 1.0 / 5 ** 400.0
     assert 0.0 < values[5] == 6 ** -400.0 < 1e-300
     assert values[6:] == [0.0] * 7
@@ -204,7 +227,7 @@ EXPLICIT_1000 = [1.0 / (k + 2) for k in range(1000)]
 ], ids=["constant", "harmonic", "power", "explicit"])
 def test_schedule_alphas_match_closed_forms(sched, closed_form, divergent):
     # list equality compares the floats bit for bit (none is NaN or -0)
-    assert gfix.schedule_values(sched, 1000) == [closed_form(n)
+    assert alphas(sched, 1000) == [closed_form(n)
                                                  for n in range(1000)]
     assert sched.divergent_sum is divergent
 
@@ -238,4 +261,6 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         gfix.explicit_schedule([0.5, 2.0])
     with pytest.raises(ValueError):
-        gfix.schedule_values(gfix.explicit_schedule([0.5]), 5)
+        alphas(gfix.explicit_schedule([0.5]), 5)
+    with pytest.raises(ValueError):
+        gfix.product_bound(0.5, gfix.explicit_schedule([0.5]), 5)

@@ -11,6 +11,7 @@ import tracemalloc
 
 import pytest
 
+import gfix
 from gfix.cli import main
 
 
@@ -36,7 +37,7 @@ def test_bound_peak_memory(delta, tmp_path):
 
 
 def test_iterate_peak_memory(tmp_path, capsys):
-    # about 1.6 MB with the iterates' coordinates packed; keeping the 2e4
+    # about 1.7 MB with the iterates' coordinates packed; keeping the 2e4
     # points as tuples took 4.2 MB, and boxed float columns and the
     # joined text 14 MB
     assert peak_mb(["iterate", "--space", "perimeter-3",
@@ -44,3 +45,18 @@ def test_iterate_peak_memory(tmp_path, capsys):
                     "--coeff", "a=0.5,b=0,c=0,d=0", "--schedule", "harmonic",
                     "--x0", "1,2,3", "--max-iters", "20000",
                     "--out", str(tmp_path / "t.csv")]) < 2.5
+
+
+def test_high_dimensional_space_and_maps_build_in_linear_memory():
+    # about 0.7 MB at dim 2e4, most of it the box and the two argument
+    # tuples; compiling a flat tuple expression per dimension took 124 MB
+    dim = 20000
+    tracemalloc.start()
+    try:
+        gfix.get_space(f"perimeter-{dim}")
+        gfix.make_affine_contraction((0.0,) * dim, 0.5)
+        gfix.make_translation((1.0,) * dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 < 3

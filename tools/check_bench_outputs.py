@@ -4,9 +4,9 @@
 
 Expands each command template of bench/run.py's WORKLOADS over all POOL
 entries at the full SIZES, runs the commands through ``gfix.cli.main``
-(OUT a temporary file) in one worker process per CPU, and compares each
-exit code with the workload's and sha256(stdout + out) with
-bench/expected.json.  Prints each mismatch, in command order, then the
+(OUT a temporary file) in one worker process per CPU this process may
+run on, and compares each exit code with the workload's and
+sha256(stdout + out) with bench/expected.json.  Prints each mismatch, in command order, then the
 count, and exits 1 if there is any mismatch.  It only reads bench/.
 The whole check takes a few minutes on one core.
 """
@@ -46,7 +46,8 @@ def main() -> int:
                 for workload, (want, templates) in bench.WORKLOADS.items()
                 for template in templates for k in range(bench.POOL)]
     mismatches = 0
-    with multiprocessing.get_context("spawn").Pool(os.cpu_count()) as pool:
+    workers = len(os.sched_getaffinity(0))
+    with multiprocessing.get_context("spawn").Pool(workers) as pool:
         # imap hands results back in command order
         results = pool.imap(outcome, [key for _, _, key in commands])
         for (workload, want, key), (code, digest) in zip(commands, results):
