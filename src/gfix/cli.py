@@ -2,7 +2,7 @@
 
 Commands: check-axioms, check-derived, check-convexity, check-condition,
 iterate, bound.  Exit codes: 0 = all checks passed, 1 = violations or
-divergence found, 2 = configuration error.
+divergence found, 2 = configuration or file error.
 
 All reals are serialized with 17 significant digits so outputs
 round-trip exactly; reruns with an identical configuration are
@@ -160,28 +160,21 @@ class Settings:
     flag or the file set."""
 
     def __init__(self, args: argparse.Namespace):
-        flags = vars(args)
         own = {name: defaults[args.command]
                for name, _, defaults in _OPTIONS if args.command in defaults}
         file = {}
         if args.config:
-            try:
-                with open(args.config) as fh:
-                    lines = [line for line in map(str.strip, fh)
-                             if line and not line.startswith("#")]
-            except OSError as exc:
-                raise ConfigError(f"cannot read config {args.config}: {exc}")
+            with open(args.config) as fh:
+                lines = [line for line in map(str.strip, fh)
+                         if line and not line.startswith("#")]
             file = _pairs(lines, f" in {args.config}", own)
-        self.values, self.given = {}, set(file)
-        for name, default in own.items():
-            value = flags[name.replace("-", "_")]
-            if value is None:
-                value = file.get(name, default)
-            else:
-                self.given.add(name)
-            if default is _REQUIRED and value in (_REQUIRED, ""):
+        flags = {name: value for name in own if
+                 (value := getattr(args, name.replace("-", "_"))) is not None}
+        self.values = {**own, **file, **flags}
+        self.given = {*file, *flags}
+        for name, value in self.values.items():
+            if own[name] is _REQUIRED and value in (_REQUIRED, ""):
                 raise ConfigError(f"--{name} is required")
-            self.values[name] = value
 
     def get(self, name: str):
         """The value converted to the option's type; None when unset."""
@@ -377,7 +370,7 @@ def main(argv=None) -> int:
     try:
         handler = _HANDLERS.get(args.command, _cmd_check)
         return handler(args, Settings(args))
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,7 +35,6 @@ Box = tuple
 
 STRICT_FLOOR = 1e-12  # strict positivity is witnessed above this level
 _RATIO_FLOOR = 1e-15  # denominator clamp for worst-ratio diagnostics
-_STRUCTURED_LIMIT = 12  # grid points kept by the structured pass
 
 
 class DomainError(ValueError):
@@ -220,18 +219,17 @@ def evaluate(tuples: Callable[[], Iterable[tuple]], inequalities: Callable,
 
 
 def structured_points(space: GSpace) -> list:
-    """Deterministic grid pass: corners, midpoint and quarter points of
-    the space's default box, filtered to the domain."""
+    """Deterministic grid pass over the default box, filtered to the domain:
+    corners (all up to dim 3, else the two extremes), midpoint, quarters."""
     box = space.default_box
-    if space.dim <= 4:
+    if space.dim <= 3:
         pts = list(itertools.product(*box))
     else:
         pts = [tuple(lo for lo, _ in box), tuple(hi for _, hi in box)]
     pts.append(tuple((lo + hi) / 2 for lo, hi in box))
     pts.append(tuple(lo + 0.25 * (hi - lo) for lo, hi in box))
     pts.append(tuple(lo + 0.75 * (hi - lo) for lo, hi in box))
-    good = [tuple(float(c) for c in p) for p in pts if space.contains(p)]
-    return good[:_STRUCTURED_LIMIT]
+    return [tuple(float(c) for c in p) for p in pts if space.contains(p)]
 
 
 def structured_quads(pts: Sequence[Point]) -> list:

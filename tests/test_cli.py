@@ -146,6 +146,36 @@ def test_error_exit_message(args, line, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+_SMALL_RUNS = {
+    "check-axioms": "--space perimeter-1 --samples 5",
+    "check-derived": "--space perimeter-1 --samples 5",
+    "check-convexity": "--space max-1 --samples 5",
+    "check-condition": "--space perimeter-1 --mapping affine:k=0.5 "
+                       "--condition four-term --coeff a=0.5,b=0,c=0,d=0 "
+                       "--samples 5",
+    "iterate": "--space perimeter-1 --mapping affine:k=0.5 --max-iters 5",
+    "bound": "--delta 0.3 --max-iters 5",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+@pytest.mark.parametrize("flag, path", [
+    ("--out", "missing/o.csv"),
+    ("--out", "."),
+    ("--config", "missing.cfg"),
+], ids=["out-in-missing-dir", "out-is-dir", "config-missing"])
+def test_file_error_exits_two_naming_the_file(command, flag, path, tmp_path,
+                                              capsys):
+    path = str(tmp_path / path)
+    argv = [command, *_SMALL_RUNS[command].split(), flag, path]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and repr(path) in line
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("args", [
     "check-condition --space perimeter-1 --mapping translation:offset=1e308 "
     "--condition k-sum --coeff k=0.1 --samples 5",

@@ -180,9 +180,16 @@ def test_sample_points_independent_of_count_prefix():
 
 
 def test_structured_points_cover_corners_and_midpoint():
-    pts = structured_points(PERIM2)
-    assert (-10.0, -10.0) in pts and (10.0, 10.0) in pts
-    assert (0.0, 0.0) in pts
+    for key in itertools.product(["perimeter", "max"], range(1, 7)):
+        space = gfix.get_space("%s-%d" % key).space
+        box = space.default_box
+        pts = structured_points(space)
+        for t in (0.5, 0.25, 0.75):
+            assert tuple(lo + t * (hi - lo) for lo, hi in box) in pts, key
+        if space.dim <= 3:
+            assert set(itertools.product(*box)) <= set(pts), key
+        lows, highs = zip(*box)
+        assert lows in pts and highs in pts, key
 
 
 def test_structured_points_respect_sign_domain():
