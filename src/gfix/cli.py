@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from itertools import chain
 from typing import Optional
 
 from . import analysis, contractions, convexity, core, mann, spaces
@@ -186,22 +187,12 @@ class Settings:
             f"{k}={v}" for k, v in sorted(self.values.items()) if v is not None)
 
 
-class _Csv:
+def _csv(head: list, template: str, *columns) -> core.Sized:
     """CSV lines: the preformatted ``head`` lines, then ``template % row``
     for each row of the zipped ``columns``.  Rows are formatted as they
     are read, so the whole text is never held at once."""
-
-    def __init__(self, head: list, template: str, *columns):
-        self.head, self.template, self.columns = head, template, columns
-
-    def __len__(self) -> int:
-        return len(self.head) + min(map(len, self.columns))
-
-    def __iter__(self):
-        yield from self.head
-        template = self.template
-        for row in zip(*self.columns):
-            yield template % row
+    return core.Sized(len(head) + min(map(len, columns)), lambda: chain(
+        head, map(template.__mod__, zip(*columns))))
 
 
 def _write_lines(path: Optional[str], lines) -> None:
@@ -312,7 +303,7 @@ def _cmd_iterate(args: argparse.Namespace, settings: Settings) -> int:
     if bound_report is not None:
         columns += [bound_report.bounds, bound_report.slacks]
     template = "%d" + ",%.17g" * len(columns) + "," * (5 - len(columns))
-    _write_lines(args.out, _Csv([CSV_HEADER], template,
+    _write_lines(args.out, _csv([CSV_HEADER], template,
                                 range(len(trace)), *columns))
 
     summary = ["# gfix iterate",
@@ -335,7 +326,7 @@ def _cmd_bound(args: argparse.Namespace, settings: Settings) -> int:
     delta = settings.get("delta")
     sched = _schedule(settings)
     rb = analysis.product_bound(delta, sched, settings.get("max-iters"))
-    _write_lines(args.out, _Csv(
+    _write_lines(args.out, _csv(
         ["n,alpha_n,factor,B_n", "0,,,%.17g" % rb.products[0]],
         "%d,%.17g,%.17g,%.17g", range(1, len(rb.products)), rb.alphas,
         rb.factors, rb.products[1:]))

@@ -161,11 +161,12 @@ def check_condition(spec: ContractionSpec, space: GSpace, T: Mapping,
     sampled point outside the domain."""
     check_id = spec.kind.value
 
-    def condition(x, y, z, _):
+    def condition(x, y, z):
         lhs, rhs = _sides(spec, space, T, x, y, z)
         return ((le_tol, check_id, (x, y, z), lhs, rhs),)
 
-    return evaluate(lambda: sample_quads(space, plan), condition, tol,
+    # a quadruple's first three points, without drawing its fourth
+    return evaluate(lambda: sample_quads(space, plan, 3), condition, tol,
                     ratio=True)
 
 

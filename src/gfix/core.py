@@ -243,28 +243,51 @@ def structured_quads(pts: Sequence[Point]) -> list:
     return quads
 
 
+@dataclass(frozen=True)
+class Sized:
+    """A re-iterable of known length: ``len()`` is ``size`` and each
+    pass runs ``make()`` afresh, so nothing is held between passes."""
+
+    size: int
+    make: Callable[[], Iterable]
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        return iter(self.make())
+
+
 def sample_tuples(space: GSpace, plan: SamplePlan,
                   structured: Callable[[list], Iterable[tuple]],
-                  weights: Optional[Callable[[Stream], object]] = None):
+                  weights: Optional[Callable[[Stream], object]] = None,
+                  points: int = 4) -> Sized:
     """Witness tuples: ``plan.count`` random ones, then the structured pass.
 
-    Random tuple i holds four points drawn from Stream(seed, i),
+    Random tuple i holds ``points`` points drawn from Stream(seed, i),
     followed by ``weights(stream)`` when given, so weights come from the
     same stream after the points.  ``structured`` maps the box's
-    structured points to further tuples of the same shape.
-    """
+    structured points to further tuples of the same shape.  Random
+    tuples are drawn as a pass reads them; ``len()`` draws nothing."""
     box = space.default_box
     draw, sep = space.draw, plan.min_separation
-    for i in range(plan.count):
-        s = Stream(plan.seed, i)
-        t = tuple(draw(s, box, sep) for _ in range(4))
-        yield t + (weights(s),) if weights else t
-    yield from structured(structured_points(space))
+    extra = list(structured(structured_points(space)))
+
+    def tuples():
+        for i in range(plan.count):
+            s = Stream(plan.seed, i)
+            t = tuple(draw(s, box, sep) for _ in range(points))
+            yield t + (weights(s),) if weights else t
+        yield from extra
+    return Sized(plan.count + len(extra), tuples)
 
 
-def sample_quads(space: GSpace, plan: SamplePlan) -> list:
-    """Random quadruples per the plan plus the structured pass."""
-    return list(sample_tuples(space, plan, structured_quads))
+def sample_quads(space: GSpace, plan: SamplePlan, points: int = 4) -> Sized:
+    """Random quadruples per the plan plus the structured pass, each cut
+    to its first ``points`` points; those do not depend on ``points``."""
+    return sample_tuples(
+        space, plan, lambda pts: [q[:points] for q in structured_quads(pts)],
+        points=points)
 
 
 _PERMS = tuple(itertools.permutations((0, 1, 2)))

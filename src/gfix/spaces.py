@@ -13,6 +13,7 @@ excluded), so it ships without a convex structure.
 from __future__ import annotations
 
 import math
+from itertools import starmap
 
 from .convexity import ConvexGSpace, linear_interpolation
 from .core import DomainError, GSpace, Point
@@ -24,12 +25,12 @@ _DRAW_ATTEMPTS = 10_000  # rejection budget of one sign-example draw
 
 def _euclid_contains(dim: int):
     def contains(p: Point) -> bool:
-        return len(p) == dim and all(math.isfinite(c) for c in p)
+        return len(p) == dim and all(map(math.isfinite, p))
     return contains
 
 
 def _euclid_draw(stream: Stream, box, min_separation: float) -> Point:
-    return tuple(stream.uniform(lo, hi) for lo, hi in box)
+    return tuple(starmap(stream.uniform, box))
 
 
 def _default_box(dim: int):

@@ -11,7 +11,7 @@ from array import array
 import pytest
 
 import gfix
-from gfix.cli import (CSV_HEADER, _Csv, _fmt, main, parse_mapping,
+from gfix.cli import (CSV_HEADER, _csv, _fmt, main, parse_mapping,
                       parse_schedule)
 
 
@@ -435,7 +435,7 @@ def test_row_template_matches_fmt():
 
 
 def test_csv_rows_formatted_as_read():
-    csv = _Csv(["n,a,b", "0,,"], "%d,%.17g,%.17g", range(1, 4),
+    csv = _csv(["n,a,b", "0,,"], "%d,%.17g,%.17g", range(1, 4),
                array("d", [0.5, -0.0, math.inf]),
                array("d", [1e-320, 2.0, 3.0, 4.0]))
     assert len(csv) == 5

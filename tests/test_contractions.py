@@ -138,7 +138,7 @@ def test_sum_dominates_max_pointwise():
     T = gfix.make_affine_contraction((0.0,), 0.6)
     sm = ContractionSpec(ConditionKind.SUM, {"a": 0.2, "b": 0.1})
     mx = ContractionSpec(ConditionKind.MAX, {"a": 0.2, "b": 0.1})
-    quads = sample_quads(SPACE1, gfix.SamplePlan(seed=4, count=30))[:30]
+    quads = list(sample_quads(SPACE1, gfix.SamplePlan(seed=4, count=30)))[:30]
     for x, y, z, _ in quads:
         assert (gfix.rhs_value(sm, SPACE1, T, x, y, z)
                 >= gfix.rhs_value(mx, SPACE1, T, x, y, z) - 1e-12)

@@ -165,8 +165,8 @@ def test_derived_degenerate_triple():
 # --- sampling machinery -----------------------------------------------------
 
 def test_sample_points_deterministic_and_in_domain():
-    quads1 = sample_quads(SIGN, gfix.SamplePlan(seed=5, count=200))
-    quads2 = sample_quads(SIGN, gfix.SamplePlan(seed=5, count=200))
+    quads1 = list(sample_quads(SIGN, gfix.SamplePlan(seed=5, count=200)))
+    quads2 = list(sample_quads(SIGN, gfix.SamplePlan(seed=5, count=200)))
     assert quads1 == quads2
     assert all(SIGN.contains(p) and abs(p[0]) >= 1e-3
                for quad in quads1[:200] for p in quad)
@@ -174,9 +174,28 @@ def test_sample_points_deterministic_and_in_domain():
 
 def test_sample_points_independent_of_count_prefix():
     # per-index streams: the first k random quads do not depend on count
-    long = sample_quads(PERIM2, gfix.SamplePlan(seed=9, count=100))
-    short = sample_quads(PERIM2, gfix.SamplePlan(seed=9, count=10))
+    long = list(sample_quads(PERIM2, gfix.SamplePlan(seed=9, count=100)))
+    short = list(sample_quads(PERIM2, gfix.SamplePlan(seed=9, count=10)))
     assert long[:10] == short[:10]
+
+
+@pytest.mark.parametrize("space", [PERIM2, MAX3, SIGN],
+                         ids=["perimeter-2", "max-3", "sign-example"])
+def test_three_point_draws_are_prefixes_of_four_point_draws(space):
+    # each point comes from the sample's stream after the ones before it,
+    # so dropping the last point changes none of the others; the sign
+    # example rejects draws, which must not shift the stream either
+    plan = gfix.SamplePlan(seed=11, count=300, min_separation=1.0)
+    triples = list(sample_quads(space, plan, 3))
+    assert triples == [q[:3] for q in sample_quads(space, plan)]
+
+
+def test_uniform_is_next_u64_scaled_to_the_interval():
+    a, b = Stream(7, 3), Stream(7, 3)
+    for i in range(10000):
+        lo, hi = (-10.0, 10.0) if i % 2 else (0.0, 1.0)
+        expected = lo + (hi - lo) * ((b.next_u64() >> 11) * 2.0 ** -53)
+        assert a.uniform(lo, hi) == expected
 
 
 def test_structured_points_cover_corners_and_midpoint():
@@ -267,16 +286,18 @@ def test_unbounded_box_fails_axioms():
     assert not gfix.check_axioms(unbounded, plan).passed
 
 
-@pytest.mark.parametrize("check", [
-    gfix.check_axioms,
-    gfix.check_derived,
-    lambda space, plan, tol: gfix.check_convexity(
-        gfix.ConvexGSpace(space, gfix.linear_interpolation()), plan, tol),
-    lambda space, plan, tol: gfix.check_condition(
+# each check with the points it draws per sample: a condition reads and
+# draws only three
+@pytest.mark.parametrize("check, points", [
+    (gfix.check_axioms, 4),
+    (gfix.check_derived, 4),
+    (lambda space, plan, tol: gfix.check_convexity(
+        gfix.ConvexGSpace(space, gfix.linear_interpolation()), plan, tol), 4),
+    (lambda space, plan, tol: gfix.check_condition(
         gfix.ContractionSpec(gfix.ConditionKind.K_SUM, {"k": 0.3}), space,
-        gfix.make_affine_contraction((0.0, 0.0), 0.5), plan, tol),
+        gfix.make_affine_contraction((0.0, 0.0), 0.5), plan, tol), 3),
 ], ids=["axioms", "derived", "convexity", "condition"])
-def test_bad_tol_is_rejected_before_any_draw(check):
+def test_bad_tol_is_rejected_before_any_draw(check, points):
     draws = []
 
     def draw(stream, box, min_separation):
@@ -289,7 +310,7 @@ def test_bad_tol_is_rejected_before_any_draw(check):
         check(counted, plan, math.nan)
     assert draws == []
     check(counted, plan, 1e-9)  # the same space draws when tol is good
-    assert len(draws) == 4 * 200
+    assert len(draws) == points * 200
 
 
 def test_sign_example_sampler_gives_up_on_empty_box():

@@ -1,29 +1,71 @@
-"""Peak memory of the iterate and bound commands.
+"""Peak memory of the check, iterate and bound commands.
 
 tracemalloc counts the Python allocations of one in-process run, so the
 peak is the same on every machine and run, unlike the resident set.
 Each column, the iterates' coordinates included, is packed doubles and
 the CSV is written row by row, so the peak grows with the rows kept, not
-with the text written.
+with the text written.  The checks draw each witness tuple as they read
+it, so their peak does not grow with the samples.
 """
 
+import dataclasses
 import tracemalloc
 
 import pytest
 
 import gfix
 from gfix.cli import main
+from gfix.core import sample_quads, structured_points, structured_quads
 
 
-def peak_mb(args):
+def peak_mb(args, expected_code=0):
     tracemalloc.start()
     try:
         code = main(args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 0
+    assert code == expected_code
     return peak / 1e6
+
+
+def test_check_condition_peak_memory(capsys):
+    # about 0.5 MB; holding the 20k witness quadruples in one list before
+    # the first check took 10.3 MB
+    assert peak_mb(["check-condition", "--space", "perimeter-2",
+                    "--mapping", "affine:k=2", "--condition", "four-term",
+                    "--coeff", "a=0.5,b=0,c=0,d=0", "--samples", "20000"],
+                   expected_code=1) < 1
+
+
+def test_check_axioms_peak_memory(capsys):
+    # about 0.2 MB; a list of the 10k quadruples took 6.3 MB
+    assert peak_mb(["check-axioms", "--space", "perimeter-3",
+                    "--samples", "10000"]) < 1
+
+
+def test_sampled_witnesses_are_sized_without_drawing():
+    draws = []
+    perimeter = gfix.get_space("perimeter-3").space
+
+    def draw(stream, box, min_separation):
+        draws.append(1)
+        return perimeter.draw(stream, box, min_separation)
+
+    space = dataclasses.replace(perimeter, draw=draw)
+    plan = gfix.SamplePlan(seed=0, count=500)
+    extra = len(structured_quads(structured_points(space)))
+    assert len(sample_quads(space, plan)) == 500 + extra
+    assert len(sample_quads(space, plan, 3)) == 500 + extra
+    assert draws == []
+
+
+def test_sampled_witnesses_repeat_on_every_pass():
+    quads = sample_quads(gfix.get_space("max-2").space,
+                         gfix.SamplePlan(seed=3, count=200))
+    first = list(quads)
+    assert len(first) == len(quads)
+    assert list(quads) == first
 
 
 @pytest.mark.parametrize("delta", ["0.39", "1e-10"])  # 1e-10: log space
