@@ -1,0 +1,159 @@
+"""CSV rows split into ranges formatted by forked workers.
+
+``cli._write_lines`` splits a CSV's data rows into k contiguous ranges,
+k = max(1, min(usable CPUs, rows // MIN_ROWS)).  These tests force k by
+replacing the CPU count and MIN_ROWS, and check that every k writes the
+same bytes as one range, that a failing worker fails the command with
+exit 2, and that no child process is left behind.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import gfix
+from gfix import cli
+
+MIN_ROWS = 4  # small enough that a few dozen rows make three ranges
+
+ITERATE = ["iterate", "--space", "perimeter-3", "--mapping", "affine:k=0.5",
+           "--schedule", "harmonic", "--x0", "1,2,3", "--max-iters", "40"]
+BOUNDS = ["--condition", "four-term", "--coeff", "a=0.5,b=0,c=0,d=0"]
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Force MIN_ROWS; count the forks made while the test runs."""
+    monkeypatch.setattr(cli, "MIN_ROWS", MIN_ROWS)
+    made = []
+    real = os.fork
+
+    def fork():
+        made.append(1)
+        return real()
+    monkeypatch.setattr(os, "fork", fork)
+    return made
+
+
+def run(monkeypatch, capsys, tmp_path, args, cpus):
+    """(exit code, --out bytes, stdout) of ``args`` with ``cpus`` CPUs."""
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    out = tmp_path / f"out-{cpus}.csv"
+    code = cli.main([*args, "--out", str(out)])
+    assert_no_children()
+    return code, out.read_bytes(), capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args, code", [
+    (ITERATE + BOUNDS, 0),
+    (ITERATE, 0),  # no --condition: the bound and slack columns are blank
+    (["iterate", "--space", "perimeter-1", "--mapping", "affine:k=2",
+      "--schedule", "constant", "--alpha", "1", "--x0", "1",
+      "--max-iters", "5000"], 1),  # diverges after about a thousand rows
+    (["bound", "--delta", "0.3", "--schedule", "harmonic",
+      "--max-iters", "41"], 0),
+    (["bound", "--delta", "1e-10", "--schedule", "harmonic",
+      "--max-iters", "41"], 0),  # log space
+])
+def test_every_range_count_writes_the_same_bytes(
+        args, code, forks, monkeypatch, capsys, tmp_path):
+    one = run(monkeypatch, capsys, tmp_path, args, 1)
+    assert one[0] == code and one[1].count(b"\n") > 3 * MIN_ROWS
+    assert forks == []
+    for cpus in (2, 3):
+        forks.clear()
+        assert run(monkeypatch, capsys, tmp_path, args, cpus) == one
+        assert len(forks) == cpus - 1
+
+
+@pytest.mark.parametrize("rows", [0, 1, MIN_ROWS - 1, MIN_ROWS, MIN_ROWS + 1,
+                                  2 * MIN_ROWS, 3 * MIN_ROWS + 1])
+def test_range_count_follows_rows_and_cpus(
+        rows, forks, monkeypatch, capsys, tmp_path):
+    args = ["bound", "--delta", "0.3", "--schedule", "harmonic",
+            "--max-iters", str(rows)]
+    one = run(monkeypatch, capsys, tmp_path, args, 1)
+    assert one[1].count(b"\n") == rows + 2  # the header and row 0 first
+    for cpus in (2, 3):
+        forks.clear()
+        assert run(monkeypatch, capsys, tmp_path, args, cpus) == one
+        assert len(forks) == max(1, min(cpus, rows // MIN_ROWS)) - 1
+
+
+def test_no_fork_means_one_range(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(cli, "MIN_ROWS", MIN_ROWS)
+    args = ITERATE + BOUNDS
+    one = run(monkeypatch, capsys, tmp_path, args, 1)
+    monkeypatch.delattr(os, "fork")
+    assert run(monkeypatch, capsys, tmp_path, args, 3) == one
+
+
+def test_row_ranges_zip_the_columns():
+    csv = cli._csv(["n,a"], "%d,%.17g", range(5), [0.5, 1.5, 2.5, 3.5, 4.5])
+    assert list(csv.rows(0, 2)) == ["0,0.5\n", "1,1.5\n"]
+    assert list(csv.rows(2, 5)) == ["2,2.5\n", "3,3.5\n", "4,4.5\n"]
+    assert list(csv.rows(5, 5)) == []
+
+
+class Poisoned:
+    """A column whose iteration raises at row ``at``."""
+
+    def __init__(self, values, at):
+        self.values, self.at = values, at
+
+    def __len__(self):
+        return len(self.values)
+
+    def __iter__(self):
+        for i, v in enumerate(self.values):
+            if i == self.at:
+                raise ValueError(f"poisoned row {i}")
+            yield v
+
+
+# 41 rows in two ranges: range 0 is rows 0-19, formatted in this process
+@pytest.mark.parametrize("at", [30, 5], ids=["in-worker", "in-parent"])
+def test_failing_range_exits_two_and_leaves_no_child(
+        at, forks, monkeypatch, capsys, tmp_path):
+    real = cli._csv
+
+    def csv(head, template, *columns):
+        return real(head, template, *columns[:-1], Poisoned(columns[-1], at))
+    monkeypatch.setattr(cli, "_csv", csv)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    code = cli.main([*ITERATE, *BOUNDS, "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert len(forks) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("worker" in err) == (at == 30)
+    assert_no_children()
+
+
+def test_split_stdout_is_written_once(tmp_path):
+    # without --out the CSV goes to stdout, a pipe here and so block
+    # buffered: a worker that flushed what it inherited would repeat it
+    src = os.path.dirname(os.path.dirname(gfix.__file__))
+    forced = ("import sys; from gfix import cli; cli.MIN_ROWS = 4; "
+              "cli._cpus = lambda: 3; sys.exit(cli.main(sys.argv[1:]))")
+
+    def gfix_run(*extra):
+        proc = subprocess.run(
+            [sys.executable, "-c", forced, *ITERATE, *BOUNDS, *extra],
+            capture_output=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0 and proc.stderr == b""
+        return proc.stdout
+
+    out = tmp_path / "t.csv"
+    summary = gfix_run("--out", str(out))
+    csv = out.read_bytes()
+    assert csv.count(b"\n") == 42 and summary.startswith(b"# gfix iterate\n")
+    assert gfix_run() == csv + summary

@@ -2,10 +2,13 @@
 
 tracemalloc counts the Python allocations of one in-process run, so the
 peak is the same on every machine and run, unlike the resident set.
-Each column, the iterates' coordinates included, is packed doubles and
-the CSV is written row by row, so the peak grows with the rows kept, not
-with the text written.  The checks draw each witness tuple as they read
-it, so their peak does not grow with the samples.
+Each column, the iterates' coordinates included, is packed doubles.  The
+CSV's data rows are split into contiguous ranges: this process formats
+the first range row by row and copies each forked worker's range from
+its pipe in 64 KB chunks, so its peak grows with the rows kept, not with
+the text written.  The CSV tests force two ranges.  The checks draw each
+witness tuple as they read it, so their peak does not grow with the
+samples.
 """
 
 import dataclasses
@@ -14,6 +17,7 @@ import tracemalloc
 import pytest
 
 import gfix
+from gfix import cli
 from gfix.cli import main
 from gfix.core import sample_quads, structured_points, structured_quads
 
@@ -69,7 +73,8 @@ def test_sampled_witnesses_repeat_on_every_pass():
 
 
 @pytest.mark.parametrize("delta", ["0.39", "1e-10"])  # 1e-10: log space
-def test_bound_peak_memory(delta, tmp_path):
+def test_bound_peak_memory(delta, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
     # about 3.4 MB; a boxed list of the alphas took it to 4.4 MB, and
     # holding every row as a tuple of floats and the text as one string
     # to 37 MB
@@ -78,7 +83,8 @@ def test_bound_peak_memory(delta, tmp_path):
                     "--out", str(tmp_path / "b.csv")]) < 4
 
 
-def test_iterate_peak_memory(tmp_path, capsys):
+def test_iterate_peak_memory(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
     # about 1.7 MB with the iterates' coordinates packed; keeping the 2e4
     # points as tuples took 4.2 MB, and boxed float columns and the
     # joined text 14 MB
