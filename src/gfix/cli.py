@@ -6,10 +6,10 @@ divergence found, 2 = configuration or file error.
 
 All reals are serialized with 17 significant digits so outputs
 round-trip exactly; reruns with an identical configuration are
-byte-identical.  The CSVs of iterate and bound split their data rows into
-contiguous ranges, one per usable CPU and none under MIN_ROWS rows, and
-forked workers format every range but the first (see ``_write_lines``);
-the bytes are the same on any number of CPUs.
+byte-identical.  The sampled checks and the CSVs of iterate and bound
+run in ``core.forked_ranges``, one per usable CPU, of at least
+``core.MIN_TUPLES`` witness tuples or ``MIN_ROWS`` CSV rows; the bytes
+are the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -214,84 +214,43 @@ def _csv(head: list, template: str, *columns) -> _Csv:
     """CSV lines: the preformatted ``head`` lines, then ``template % row``
     for each row of the zipped ``columns``.  Rows are formatted as they
     are read, so the whole text is never held at once."""
-    return _Csv(len(head) + min(map(len, columns)), lambda: chain(
-        head, map(template.__mod__, zip(*columns))), head, template, columns)
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _format_range(fd: int, inherited: list, lines) -> None:
-    """In a forked worker: format ``lines`` into memory, write the bytes
-    to the pipe ``fd`` and leave through ``os._exit``, 0 on success and 1
-    on any error, so no inherited buffer is ever flushed.  The worker
-    first closes the ``inherited`` read ends, so a parent that stops
-    reading leaves it a broken pipe instead of a full one."""
-    code = 1
-    try:
-        for r in inherited:
-            os.close(r)
-        text = bytearray()
-        while chunk := "".join(islice(lines, 4096)):
-            text += chunk.encode("ascii")
-        with open(fd, "wb") as out:
-            out.write(text)
-        code = 0
-    finally:
-        os._exit(code)
+    return _Csv(len(head) + min(map(len, columns)), lambda start, stop: islice(
+        chain(head, map(template.__mod__, zip(*columns))), start, stop),
+        head, template, columns)
 
 
 def _write_lines(path: Optional[str], lines) -> None:
     """Write ``lines``, each ended by a newline, to the file ``path`` or,
     without one, to stdout.
 
-    A ``_Csv``'s data rows are split into k contiguous ranges, k =
-    max(1, min(usable CPUs, rows // MIN_ROWS)), and k = 1 where there is
-    no ``os.fork``.  Forked workers format ranges 1..k-1, each into its
-    own pipe, while this process writes the head and range 0; it then
-    copies each pipe in order, at most ``_PIPE_CHUNK`` bytes at a time, so
-    the output is the same bytes for every k.  Each worker holds its
-    range's text until it is copied: at k = 2 about 5.7 MB of the 11.5 MB
-    ``iterate`` CSV of 1e5 steps on perimeter-3, ten times that at 1e6.
-    A worker that fails raises ``OSError``; every worker is reaped before
-    this returns or raises."""
+    A ``_Csv``'s data rows run in ``core.forked_ranges`` of ``MIN_ROWS``
+    or more, and this process copies each worker's range from its pipe
+    ``_PIPE_CHUNK`` bytes at a time.  A worker holds its range's text
+    until then: at k = 2, 5.7 MB of the 11.5 MB ``iterate`` CSV of 1e5
+    steps on perimeter-3, ten times that at 1e6."""
     with (open(path, "w", newline="") if path
           else contextlib.nullcontext(sys.stdout)) as fh:
         if not isinstance(lines, _Csv):
             fh.writelines(line + "\n" for line in lines)
             return
         fh.writelines(line + "\n" for line in lines.head)
-        rows = len(lines) - len(lines.head)
-        k = (max(1, min(_cpus(), rows // MIN_ROWS))
-             if hasattr(os, "fork") else 1)
-        cuts = [rows * i // k for i in range(k + 1)]
-        fh.flush()
-        reads, pids = [], []
-        try:
-            for start, stop in zip(cuts[1:-1], cuts[2:]):
-                r, w = os.pipe()
-                reads.append(r)
-                try:
-                    pid = os.fork()
-                    if pid == 0:
-                        _format_range(w, reads, lines.rows(start, stop))
-                finally:
-                    os.close(w)
-                pids.append(pid)
-            fh.writelines(lines.rows(0, cuts[1]))
-            for r in reads:
-                while chunk := os.read(r, _PIPE_CHUNK):
-                    fh.write(chunk.decode("ascii"))
-        finally:
-            for r in reads:
-                os.close(r)
-            failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
-        if failed:
-            raise OSError(f"{failed} of {k - 1} CSV row workers failed")
+        fh.flush()  # a worker must never hold unwritten output
+
+        def work(start, stop):
+            rows, text = lines.rows(start, stop), bytearray()
+            while chunk := "".join(islice(rows, 4096)):
+                text += chunk.encode("ascii")
+            return text
+
+        def own(start, stop):
+            fh.writelines(lines.rows(start, stop))
+
+        def copy(fd, start, stop):
+            while chunk := os.read(fd, _PIPE_CHUNK):
+                fh.write(chunk.decode("ascii"))
+
+        core.forked_ranges(len(lines) - len(lines.head), MIN_ROWS, work,
+                           own, copy)
 
 
 def _report_lines(cmd: str, settings: Settings, report: CheckReport) -> list:

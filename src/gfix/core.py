@@ -16,13 +16,19 @@ only states its inequalities: a function from one witness tuple to
 ``(form, check_id, witness, lhs, rhs)`` rows.  ``evaluate`` runs it over
 the tuples from ``sample_tuples``, turns each row into a signed margin
 through one of the margin forms below, and records it in a Collector.
+Tuple i is drawn from its own stream, so ``evaluate`` splits the tuples
+into contiguous ranges, one per usable CPU: forked workers evaluate all
+but the first, and this process records every row in index order, so a
+report is the same on any number of CPUs.
 """
 
 from __future__ import annotations
 
 import itertools
+import marshal
 import math
 import operator
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -35,6 +41,8 @@ Box = tuple
 
 STRICT_FLOOR = 1e-12  # strict positivity is witnessed above this level
 _RATIO_FLOOR = 1e-15  # denominator clamp for worst-ratio diagnostics
+MIN_TUPLES = 1000  # fewest witness tuples a range gets: 20-40 ms; a fork ~2 ms
+_CHUNK_TUPLES = 64  # witness tuples per chunk a check worker sends
 
 
 class DomainError(ValueError):
@@ -196,6 +204,58 @@ def ge(lhs: float, rhs: float, tol: float) -> float:
     return rhs - lhs
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def forked_ranges(size: int, minimum: int, work: Callable, own: Callable,
+                  take: Callable) -> None:
+    """Run items 0..size-1 in k contiguous ranges, k = max(1, min(usable
+    CPUs, size // minimum)), and k = 1 where there is no ``os.fork``.
+    A worker forked per range 1..k-1 closes the read ends it inherits,
+    writes ``work(start, stop)`` to its own pipe and leaves through
+    ``os._exit``, flushing no inherited buffer.  This process runs
+    ``own(0, stop)``, then ``take(fd, start, stop)`` on each pipe in
+    order.  It reaps every worker, killing them first when it raises;
+    a worker that failed raises ``OSError``."""
+    k = max(1, min(_cpus(), size // minimum)) if hasattr(os, "fork") else 1
+    cuts = [size * i // k for i in range(k + 1)]
+    reads, pids = [], []
+    try:
+        for start, stop in zip(cuts[1:-1], cuts[2:]):
+            r, w = os.pipe()
+            reads.append(r)
+            try:
+                if (pid := os.fork()) == 0:
+                    try:
+                        for fd in reads:
+                            os.close(fd)
+                        with open(w, "wb") as out:
+                            out.write(work(start, stop))
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        own(0, cuts[1])
+        for r, start, stop in zip(reads, cuts[1:], cuts[2:]):
+            take(r, start, stop)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL: a failed run needs no more rows
+        raise
+    finally:
+        for r in reads:
+            os.close(r)
+        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
+    if failed:
+        raise OSError(f"{failed} of {k - 1} forked workers failed")
+
+
 def evaluate(tuples: Callable[[], Iterable[tuple]], inequalities: Callable,
              tol: float, ratio: bool = False) -> CheckReport:
     """Record every inequality at every witness tuple ``t`` of ``tuples()``.
@@ -205,16 +265,60 @@ def evaluate(tuples: Callable[[], Iterable[tuple]], inequalities: Callable,
     ``ratio`` the report also carries the worst lhs/rhs ratio.  ``tol``
     lies in [0, 1): below, equalities fail; above, slack exceeds values.
     It is checked before ``tuples`` is called, so a bad one draws nothing.
+
+    A ``Sized`` runs in ``forked_ranges`` of ``MIN_TUPLES`` or more.  A
+    worker buffers its rows as length-framed marshal chunks, each with
+    the index its tuples end at; this process records them one chunk at
+    a time and evaluates the rest of a range an error stopped, so the
+    report, or the error, is the one a single pass gives.
     """
     if not 0.0 <= tol < 1.0:
         raise ValueError(f"tol must be in [0, 1), got {tol}")
     col = Collector()
     record = col.record
-    for t in tuples():
-        for form, check_id, witness, lhs, rhs in inequalities(*t):
-            record(check_id, witness, lhs, rhs, form(lhs, rhs, tol))
-            if ratio:
-                col.note_ratio(lhs / max(rhs, _RATIO_FLOOR))
+    items = tuples()
+
+    if ratio:
+        def keep(check_id, witness, lhs, rhs, margin):
+            record(check_id, witness, lhs, rhs, margin)
+            col.note_ratio(lhs / max(rhs, _RATIO_FLOOR))
+    else:
+        keep = record
+
+    def run(witnesses, keep=keep):
+        for t in witnesses:
+            for form, check_id, witness, lhs, rhs in inequalities(*t):
+                keep(check_id, witness, lhs, rhs, form(lhs, rhs, tol))
+
+    def work(start, stop):
+        out, rows = bytearray(), []
+        try:
+            for i in range(start, stop, _CHUNK_TUPLES):
+                run(items.make(i, end := min(i + _CHUNK_TUPLES, stop)),
+                    lambda *row: rows.append(row))
+                chunk = marshal.dumps((end, rows))
+                out += len(chunk).to_bytes(4, "little") + chunk
+                rows.clear()
+        except Exception:
+            pass  # the parent evaluates the rest and meets the error there
+        return out
+
+    def take(fd, start, stop):
+        with open(fd, "rb", closefd=False) as pipe:
+            while len(head := pipe.read(4)) == 4:
+                size = int.from_bytes(head, "little")
+                if len(chunk := pipe.read(size)) < size:
+                    break
+                start, rows = marshal.loads(chunk)  # the rows before start
+                for row in rows:
+                    keep(*row)
+        run(items.make(start, stop))  # what a stopped worker did not send
+
+    if isinstance(items, Sized):
+        forked_ranges(len(items), MIN_TUPLES, work,
+                      lambda start, stop: run(items.make(start, stop)), take)
+    else:  # any other iterable is read in one pass here
+        run(items)
     return col.report()
 
 
@@ -245,17 +349,18 @@ def structured_quads(pts: Sequence[Point]) -> list:
 
 @dataclass(frozen=True)
 class Sized:
-    """A re-iterable of known length: ``len()`` is ``size`` and each
-    pass runs ``make()`` afresh, so nothing is held between passes."""
+    """A re-iterable of known length: ``len()`` is ``size``,
+    ``make(start, stop)`` gives items start..stop-1 afresh, and a pass is
+    ``make(0, size)``, so nothing is held between passes."""
 
     size: int
-    make: Callable[[], Iterable]
+    make: Callable[[int, int], Iterable]
 
     def __len__(self) -> int:
         return self.size
 
     def __iter__(self):
-        return iter(self.make())
+        return iter(self.make(0, self.size))
 
 
 def sample_tuples(space: GSpace, plan: SamplePlan,
@@ -268,18 +373,19 @@ def sample_tuples(space: GSpace, plan: SamplePlan,
     followed by ``weights(stream)`` when given, so weights come from the
     same stream after the points.  ``structured`` maps the box's
     structured points to further tuples of the same shape.  Random
-    tuples are drawn as a pass reads them; ``len()`` draws nothing."""
+    tuples are drawn as a pass reads them, and a range draws none before
+    its start; ``len()`` draws nothing."""
     box = space.default_box
-    draw, sep = space.draw, plan.min_separation
+    draw, sep, count = space.draw, plan.min_separation, plan.count
     extra = list(structured(structured_points(space)))
 
-    def tuples():
-        for i in range(plan.count):
+    def tuples(start, stop):
+        for i in range(start, min(stop, count)):
             s = Stream(plan.seed, i)
             t = tuple(draw(s, box, sep) for _ in range(points))
             yield t + (weights(s),) if weights else t
-        yield from extra
-    return Sized(plan.count + len(extra), tuples)
+        yield from extra[max(start - count, 0):max(stop - count, 0)]
+    return Sized(count + len(extra), tuples)
 
 
 def sample_quads(space: GSpace, plan: SamplePlan, points: int = 4) -> Sized:

@@ -1,8 +1,9 @@
 """CSV rows split into ranges formatted by forked workers.
 
 ``cli._write_lines`` splits a CSV's data rows into k contiguous ranges,
-k = max(1, min(usable CPUs, rows // MIN_ROWS)).  These tests force k by
-replacing the CPU count and MIN_ROWS, and check that every k writes the
+k = max(1, min(usable CPUs, rows // MIN_ROWS)), through
+``core.forked_ranges``.  These tests force k by replacing the CPU count
+(``core._cpus``) and ``cli.MIN_ROWS``, and check that every k writes the
 same bytes as one range, that a failing worker fails the command with
 exit 2, and that no child process is left behind.
 """
@@ -14,7 +15,7 @@ import sys
 import pytest
 
 import gfix
-from gfix import cli
+from gfix import cli, core
 
 MIN_ROWS = 4  # small enough that a few dozen rows make three ranges
 
@@ -44,7 +45,7 @@ def forks(monkeypatch):
 
 def run(monkeypatch, capsys, tmp_path, args, cpus):
     """(exit code, --out bytes, stdout) of ``args`` with ``cpus`` CPUs."""
-    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    monkeypatch.setattr(core, "_cpus", lambda: cpus)
     out = tmp_path / f"out-{cpus}.csv"
     code = cli.main([*args, "--out", str(out)])
     assert_no_children()
@@ -127,7 +128,7 @@ def test_failing_range_exits_two_and_leaves_no_child(
     def csv(head, template, *columns):
         return real(head, template, *columns[:-1], Poisoned(columns[-1], at))
     monkeypatch.setattr(cli, "_csv", csv)
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
     code = cli.main([*ITERATE, *BOUNDS, "--out", str(tmp_path / "t.csv")])
     assert code == 2
     assert len(forks) == 1
@@ -141,8 +142,8 @@ def test_split_stdout_is_written_once(tmp_path):
     # without --out the CSV goes to stdout, a pipe here and so block
     # buffered: a worker that flushed what it inherited would repeat it
     src = os.path.dirname(os.path.dirname(gfix.__file__))
-    forced = ("import sys; from gfix import cli; cli.MIN_ROWS = 4; "
-              "cli._cpus = lambda: 3; sys.exit(cli.main(sys.argv[1:]))")
+    forced = ("import sys; from gfix import cli, core; cli.MIN_ROWS = 4; "
+              "core._cpus = lambda: 3; sys.exit(cli.main(sys.argv[1:]))")
 
     def gfix_run(*extra):
         proc = subprocess.run(

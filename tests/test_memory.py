@@ -17,7 +17,7 @@ import tracemalloc
 import pytest
 
 import gfix
-from gfix import cli
+from gfix import core
 from gfix.cli import main
 from gfix.core import sample_quads, structured_points, structured_quads
 
@@ -33,7 +33,8 @@ def peak_mb(args, expected_code=0):
     return peak / 1e6
 
 
-def test_check_condition_peak_memory(capsys):
+def test_check_condition_peak_memory(capsys, monkeypatch):
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
     # about 0.5 MB; holding the 20k witness quadruples in one list before
     # the first check took 10.3 MB
     assert peak_mb(["check-condition", "--space", "perimeter-2",
@@ -42,7 +43,8 @@ def test_check_condition_peak_memory(capsys):
                    expected_code=1) < 1
 
 
-def test_check_axioms_peak_memory(capsys):
+def test_check_axioms_peak_memory(capsys, monkeypatch):
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
     # about 0.2 MB; a list of the 10k quadruples took 6.3 MB
     assert peak_mb(["check-axioms", "--space", "perimeter-3",
                     "--samples", "10000"]) < 1
@@ -74,7 +76,7 @@ def test_sampled_witnesses_repeat_on_every_pass():
 
 @pytest.mark.parametrize("delta", ["0.39", "1e-10"])  # 1e-10: log space
 def test_bound_peak_memory(delta, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
     # about 3.4 MB; a boxed list of the alphas took it to 4.4 MB, and
     # holding every row as a tuple of floats and the text as one string
     # to 37 MB
@@ -84,7 +86,7 @@ def test_bound_peak_memory(delta, tmp_path, monkeypatch):
 
 
 def test_iterate_peak_memory(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
     # about 1.7 MB with the iterates' coordinates packed; keeping the 2e4
     # points as tuples took 4.2 MB, and boxed float columns and the
     # joined text 14 MB
