@@ -15,10 +15,10 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Callable, Sequence
+from itertools import accumulate, islice, repeat
+from typing import Callable, Optional, Sequence
 
-from .core import CheckReport, Point, evaluate, le
+from .core import CheckReport, Columns, Point, Rows, evaluate, le
 from .mann import IterationTrace, StepSchedule, step_range
 
 _LOGSPACE_TRIGGER = 1e-8  # switch to log accumulation below this factor
@@ -27,58 +27,89 @@ _LOGSPACE_TRIGGER = 1e-8  # switch to log accumulation below this factor
 @dataclass(frozen=True)
 class RateBound:
     """Step sizes alpha_0 .. alpha_{n-1}, per-step factors
-    1 - alpha_k*(1-delta) and cumulative products B_0 .. B_n, each an
-    ``array("d")``."""
+    1 - alpha_k*(1-delta) and cumulative products B_0 .. B_n, each a
+    read-only ``core.Columns`` over the rate chain's rows."""
 
-    factors: array
-    products: array
-    alphas: array
+    factors: Sequence[float]
+    products: Sequence[float]
+    alphas: Sequence[float]
 
 
-def _rate_chain(delta: float,
-                step_sizes: Callable[[], Sequence[float]]) -> RateBound:
-    """The chain from delta and the alphas ``step_sizes()`` to factors
-    and products.  ``step_sizes`` is called only once delta has passed,
-    so a bad delta is reported ahead of any schedule error."""
+def _rate_chain(delta: float, step_sizes: Callable[[], Sequence[float]],
+                errors: Optional[Sequence[float]] = None) -> Rows:
+    """Rows (alpha_{n-1}, factor_{n-1}, B_n) for n = 0 .. len(alphas),
+    alpha and factor NaN in row 0, from delta and the alphas
+    ``step_sizes()``, read twice.  With ``errors``, row n also holds
+    bound_n = B_n*errors[0] and the slack bound_n - errors[n].
+    ``step_sizes`` is called only once delta has passed, so a bad delta
+    is reported ahead of any schedule error."""
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must be in [0, 1), got {delta}")
-    alphas = array("d", step_sizes())
-    factors = array("d", (1.0 - a * (1.0 - delta) for a in alphas))
-    if min(factors, default=1.0) < _LOGSPACE_TRIGGER:
-        # log accumulation survives the underflow such factors cause;
-        # a zero factor sends log B to -inf, so every later B_n is 0
-        products = array("d", [1.0])
-        log_b = 0.0
-        for f in factors:
-            log_b = log_b + math.log(f) if f else -math.inf
-            products.append(math.exp(log_b))
-    else:
-        products = array("d", accumulate(factors, operator.mul, initial=1.0))
-    return RateBound(factors=factors, products=products, alphas=alphas)
+    alphas, c = step_sizes(), 1.0 - delta
+    if not isinstance(alphas, Columns):  # stored, to be read twice
+        stored, alphas = Rows(1), iter(alphas)
+        while chunk := array("d", islice(alphas, 1024)):
+            stored.put(chunk)
+        alphas = Columns(stored, 0)
+    # log accumulation survives the underflow factors below the trigger
+    # cause; a zero factor sends log B to -inf, so every later B_n is 0.
+    # Rounded, 1 - a*c still falls as a grows: max a gives the least factor
+    log_space = 1.0 - max(alphas, default=0.0) * c < _LOGSPACE_TRIGGER
+    rows, log_b, b = Rows(3 if errors is None else 5), 0.0, 1.0
+    if errors is not None:
+        e0, later = errors[0], iter(errors)
+
+    def put(*columns):
+        if errors is not None:
+            bounds = array("d", map(operator.mul, columns[2], repeat(e0)))
+            columns += (bounds, array("d", map(operator.sub, bounds,
+                                               islice(later, len(bounds)))))
+        rows.put(*columns)
+
+    put(*(array("d", [v]) for v in (math.nan, math.nan, 1.0)))
+    for block in alphas.arrays():
+        for at in range(0, len(block), 1024):
+            chunk = block[at:at + 1024]
+            factors = array("d", (1.0 - a * c for a in chunk))
+            if log_space:
+                products = array("d")
+                for f in factors:
+                    log_b = log_b + math.log(f) if f else -math.inf
+                    products.append(math.exp(log_b))
+            else:
+                products = array("d", accumulate(factors, operator.mul,
+                                                 initial=b))[1:]
+                b = products[-1]
+            put(chunk, factors, products)
+    return rows
 
 
 def product_bound(delta: float, sched: StepSchedule, n: int) -> RateBound:
     """B_0 .. B_n for the given factor and schedule, accumulated in log
     space when some factor drops below 1e-8."""
-    return _rate_chain(delta, lambda: map(sched.alpha_at,
+    rows = _rate_chain(delta, lambda: map(sched.alpha_at,
                                           step_range(sched, n)))
+    return RateBound(factors=Columns(rows, 1, start=1),
+                     products=Columns(rows, 2),
+                     alphas=Columns(rows, 0, start=1))
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-step bound B_n*G(x_0,u,u) and slack bound - G(x_n,u,u), each
-    an ``array("d")``; a NaN slack makes ``min_slack`` NaN."""
+    """Per-step bound B_n*G(x_0,u,u) and slack bound - G(x_n,u,u), each a
+    read-only ``core.Columns``; a NaN slack makes ``min_slack`` NaN."""
 
-    slacks: array
+    slacks: Sequence[float]
     min_slack: float
     holds: bool
-    bounds: array
+    bounds: Sequence[float]
 
 
-def trace_products(trace: IterationTrace, delta: float) -> array:
+def trace_products(trace: IterationTrace, delta: float) -> Sequence[float]:
     """B_0 .. B_{len(trace)-1} recomputed from the trace's own recorded
     step sizes, so B_n pairs with the recorded x_n."""
-    return _rate_chain(delta, lambda: trace.alphas[:len(trace) - 1]).products
+    return Columns(_rate_chain(delta, lambda: trace.alphas[:len(trace) - 1]),
+                   2)
 
 
 def verify_bound(trace: IterationTrace, delta: float,
@@ -90,14 +121,13 @@ def verify_bound(trace: IterationTrace, delta: float,
     """
     if trace.true_errors is None:
         raise ValueError("trace has no true errors (fixed point unknown)")
-    errors = trace.true_errors
-    e0 = errors[0]
-    bounds = array("d", (b * e0 for b in trace_products(trace, delta)))
-    slacks = array("d", map(operator.sub, bounds, errors))
+    rows = _rate_chain(delta, lambda: trace.alphas[:len(trace) - 1],
+                       trace.true_errors)
+    slacks = Columns(rows, 4)
     # min() passes over a NaN slack; a NaN must fail the bound instead
     min_slack = math.nan if any(map(math.isnan, slacks)) else min(slacks)
     return BoundReport(slacks=slacks, min_slack=min_slack,
-                       holds=min_slack >= -tol, bounds=bounds)
+                       holds=min_slack >= -tol, bounds=Columns(rows, 3))
 
 
 def diagnostics_maxima(trace: IterationTrace, limit: Point,

@@ -9,14 +9,15 @@ round-trip exactly; reruns with an identical configuration are
 byte-identical.  The sampled checks and the CSVs of iterate and bound
 run in ``core.forked_ranges``, one per usable CPU, of at least
 ``core.MIN_TUPLES`` witness tuples or ``MIN_ROWS`` CSV rows; the bytes
-are the same on any number of CPUs.
+are the same on any number of CPUs.  Workers write their ranges to
+temporary files, and iterate and bound keep their columns in
+``core.Rows``, so no process holds a whole column or range.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -27,7 +28,7 @@ from .core import CheckReport, SamplePlan
 
 CSV_HEADER = "n,alpha_n,residual,true_error,bound,slack"
 MIN_ROWS = 10000  # fewest CSV data rows a range gets; a fork costs ~2 ms
-_PIPE_CHUNK = 65536  # bytes copied from a worker's pipe per read
+_COPY_CHUNK = 65536  # bytes copied from a worker's file per read
 
 
 class ConfigError(ValueError):
@@ -205,9 +206,9 @@ class _Csv(core.Sized):
 
     def rows(self, start: int, stop: int):
         """Data rows ``start`` to ``stop - 1``, each ended by a newline;
-        ``islice`` takes the range, so no column is copied."""
+        a column view sliced to the range reads only its rows."""
         return map((self.template + "\n").__mod__,
-                   zip(*(islice(c, start, stop) for c in self.columns)))
+                   zip(*(c[start:stop] for c in self.columns)))
 
 
 def _csv(head: list, template: str, *columns) -> _Csv:
@@ -224,10 +225,9 @@ def _write_lines(path: Optional[str], lines) -> None:
     without one, to stdout.
 
     A ``_Csv``'s data rows run in ``core.forked_ranges`` of ``MIN_ROWS``
-    or more, and this process copies each worker's range from its pipe
-    ``_PIPE_CHUNK`` bytes at a time.  A worker holds its range's text
-    until then: at k = 2, 5.7 MB of the 11.5 MB ``iterate`` CSV of 1e5
-    steps on perimeter-3, ten times that at 1e6."""
+    or more.  A worker writes its range's text to a temporary file 4096
+    rows at a time, and this process copies it from there ``_COPY_CHUNK``
+    bytes at a time, so no process holds a range's text."""
     with (open(path, "w", newline="") if path
           else contextlib.nullcontext(sys.stdout)) as fh:
         if not isinstance(lines, _Csv):
@@ -237,16 +237,15 @@ def _write_lines(path: Optional[str], lines) -> None:
         fh.flush()  # a worker must never hold unwritten output
 
         def work(start, stop):
-            rows, text = lines.rows(start, stop), bytearray()
+            rows = lines.rows(start, stop)
             while chunk := "".join(islice(rows, 4096)):
-                text += chunk.encode("ascii")
-            return text
+                yield chunk.encode("ascii")
 
         def own(start, stop):
             fh.writelines(lines.rows(start, stop))
 
-        def copy(fd, start, stop):
-            while chunk := os.read(fd, _PIPE_CHUNK):
+        def copy(file, start, stop):
+            while chunk := file.read(_COPY_CHUNK):
                 fh.write(chunk.decode("ascii"))
 
         core.forked_ranges(len(lines) - len(lines.head), MIN_ROWS, work,

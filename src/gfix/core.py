@@ -24,11 +24,15 @@ report is the same on any number of CPUs.
 
 from __future__ import annotations
 
+import collections.abc
 import itertools
 import marshal
 import math
 import operator
 import os
+import tempfile
+import weakref
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -43,6 +47,7 @@ STRICT_FLOOR = 1e-12  # strict positivity is witnessed above this level
 _RATIO_FLOOR = 1e-15  # denominator clamp for worst-ratio diagnostics
 MIN_TUPLES = 1000  # fewest witness tuples a range gets: 20-40 ms; a fork ~2 ms
 _CHUNK_TUPLES = 64  # witness tuples per chunk a check worker sends
+_BLOCK_VALUES = 32768  # doubles a row store keeps in memory: 256 KB
 
 
 class DomainError(ValueError):
@@ -215,45 +220,132 @@ def forked_ranges(size: int, minimum: int, work: Callable, own: Callable,
                   take: Callable) -> None:
     """Run items 0..size-1 in k contiguous ranges, k = max(1, min(usable
     CPUs, size // minimum)), and k = 1 where there is no ``os.fork``.
-    A worker forked per range 1..k-1 closes the read ends it inherits,
-    writes ``work(start, stop)`` to its own pipe and leaves through
-    ``os._exit``, flushing no inherited buffer.  This process runs
-    ``own(0, stop)``, then ``take(fd, start, stop)`` on each pipe in
-    order.  It reaps every worker, killing them first when it raises;
-    a worker that failed raises ``OSError``."""
+    A worker forked per range 1..k-1 writes the bytes chunks of
+    ``work(start, stop)`` to its own unlinked temporary file and leaves
+    through ``os._exit``, flushing no inherited buffer.  This process
+    runs ``own(0, stop)``, then, as each worker ends, in order,
+    ``take(file, start, stop)`` on its file from the start.  It reaps
+    every worker, killing them first when it raises; a worker that
+    failed raises ``OSError``."""
     k = max(1, min(_cpus(), size // minimum)) if hasattr(os, "fork") else 1
     cuts = [size * i // k for i in range(k + 1)]
-    reads, pids = [], []
+    files, pids, failed = [], [], 0
     try:
         for start, stop in zip(cuts[1:-1], cuts[2:]):
-            r, w = os.pipe()
-            reads.append(r)
-            try:
-                if (pid := os.fork()) == 0:
-                    try:
-                        for fd in reads:
-                            os.close(fd)
-                        with open(w, "wb") as out:
-                            out.write(work(start, stop))
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-            finally:
-                os.close(w)
+            files.append(out := tempfile.TemporaryFile())
+            if (pid := os.fork()) == 0:
+                try:
+                    out.writelines(work(start, stop))
+                    out.flush()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
             pids.append(pid)
         own(0, cuts[1])
-        for r, start, stop in zip(reads, cuts[1:], cuts[2:]):
-            take(r, start, stop)
+        for out, start, stop in zip(files, cuts[1:], cuts[2:]):
+            failed += os.waitpid(pids[0], 0)[1] != 0
+            del pids[0]
+            out.seek(0)
+            take(out, start, stop)
     except BaseException:
         for pid in pids:
             os.kill(pid, 9)  # SIGKILL: a failed run needs no more rows
         raise
     finally:
-        for r in reads:
-            os.close(r)
-        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
+        for out in files:
+            out.close()
+        failed += sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
     if failed:
         raise OSError(f"{failed} of {k - 1} forked workers failed")
+
+
+def _pread(file, start: int, stop: int) -> memoryview:
+    """Doubles start..stop-1 of ``file``; the file offset is left alone."""
+    if hasattr(os, "pread"):  # forked workers share the file offset
+        data = os.pread(file.fileno(), 8 * (stop - start), 8 * start)
+    else:  # where os.pread is missing, so is os.fork
+        file.seek(8 * start)
+        data = file.read(8 * (stop - start))
+    return memoryview(data).cast("d")
+
+
+class Rows:
+    """Rows of ``width`` doubles, appended to ``tail``.  Whenever ``tail``
+    holds a block, about 256 KB at any width, ``spill`` moves it to an
+    unlinked temporary file, made then and closed with the store."""
+
+    def __init__(self, width: int):
+        self.width, self.file, self.spilled = width, None, 0
+        self.block = max(1, _BLOCK_VALUES // width) * width  # values
+        self.tail = array("d")
+
+    def __len__(self) -> int:
+        return (self.spilled + len(self.tail)) // self.width
+
+    def put(self, *columns: array) -> None:
+        """Append row i of the equal-length ``columns`` for every i."""
+        rows = array("d", [0.0]) * (self.width * len(columns[0]))
+        for j, column in enumerate(columns):
+            rows[j::self.width] = column
+        self.tail += rows
+        while len(self.tail) >= self.block:
+            self.spill()
+
+    def spill(self) -> None:  # the first block of tail goes to the file
+        if self.file is None:
+            self.file = tempfile.TemporaryFile()
+            weakref.finalize(self, self.file.close)
+        self.file.write(memoryview(self.tail)[:self.block])
+        self.file.flush()  # _pread reads what the kernel holds
+        self.spilled += self.block
+        del self.tail[:self.block]
+
+
+class Columns(collections.abc.Sequence):
+    """Read-only view of columns first..first+count-1 of rows
+    start..stop-1 of a ``Rows``, flat in row order.  ``len()`` reads
+    nothing; a slice on whole rows is a view that reads only its rows."""
+
+    def __init__(self, rows: Rows, first: int, count: int = 1,
+                 start: int = 0, stop: Optional[int] = None):
+        self.rows, self.first, self.count = rows, first, count
+        self.start, self.stop = start, len(rows) if stop is None else stop
+
+    def __len__(self) -> int:
+        return (self.stop - self.start) * self.count
+
+    def __getitem__(self, i):
+        c = self.count
+        if not isinstance(i, slice):
+            i = range(len(self))[i]
+            return list(self[i - i % c:i - i % c + c])[i % c]
+        a, b, step = i.indices(len(self))
+        if step != 1 or a % c or b % c:
+            return array("d", self)[i]
+        return Columns(self.rows, self.first, c, self.start + a // c,
+                       self.start + max(a, b) // c)
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self.arrays())
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Columns) and len(self) == len(other)
+                and all(map(operator.eq, self, other)))
+
+    def arrays(self):
+        """This view's values as arrays, one per block of rows read."""
+        rows, w, c = self.rows, self.rows.width, self.count
+        a, b, s = self.start * w, self.stop * w, rows.spilled
+        for at in range(a - a % rows.block, b, rows.block):  # whole blocks
+            lo, hi = max(a, at), min(b, at + rows.block)
+            block = (_pread(rows.file, lo, hi) if at < s
+                     else memoryview(rows.tail)[lo - s:hi - s])
+            out = array("d", [0.0]) * (c * ((hi - lo) // w))
+            with memoryview(out) as view:
+                for j in range(c):
+                    view[j::c] = block[self.first + j::w]
+            block.release()  # tail may grow again once no view holds it
+            yield out
 
 
 def evaluate(tuples: Callable[[], Iterable[tuple]], inequalities: Callable,
@@ -267,16 +359,17 @@ def evaluate(tuples: Callable[[], Iterable[tuple]], inequalities: Callable,
     It is checked before ``tuples`` is called, so a bad one draws nothing.
 
     A ``Sized`` runs in ``forked_ranges`` of ``MIN_TUPLES`` or more.  A
-    worker buffers its rows as length-framed marshal chunks, each with
-    the index its tuples end at; this process records them one chunk at
-    a time and evaluates the rest of a range an error stopped, so the
-    report, or the error, is the one a single pass gives.
+    worker sends its rows as length-framed marshal chunks, each with the
+    index its tuples end at, and a passing row without its witness; this
+    process records them one chunk at a time and evaluates the rest of a
+    range an error stopped, so the report, or the error, is the one a
+    single pass gives.
     """
     if not 0.0 <= tol < 1.0:
         raise ValueError(f"tol must be in [0, 1), got {tol}")
     col = Collector()
     record = col.record
-    items = tuples()
+    items, rows = tuples(), []
 
     if ratio:
         def keep(check_id, witness, lhs, rhs, margin):
@@ -290,28 +383,29 @@ def evaluate(tuples: Callable[[], Iterable[tuple]], inequalities: Callable,
             for form, check_id, witness, lhs, rhs in inequalities(*t):
                 keep(check_id, witness, lhs, rhs, form(lhs, rhs, tol))
 
+    def send(check_id, witness, lhs, rhs, margin):
+        # record reads no witness of a row that passes
+        rows.append((check_id, None if -math.inf < margin <= 0.0 else witness,
+                     lhs, rhs, margin))
+
     def work(start, stop):
-        out, rows = bytearray(), []
         try:
             for i in range(start, stop, _CHUNK_TUPLES):
-                run(items.make(i, end := min(i + _CHUNK_TUPLES, stop)),
-                    lambda *row: rows.append(row))
+                run(items.make(i, end := min(i + _CHUNK_TUPLES, stop)), send)
                 chunk = marshal.dumps((end, rows))
-                out += len(chunk).to_bytes(4, "little") + chunk
+                yield len(chunk).to_bytes(4, "little") + chunk
                 rows.clear()
         except Exception:
             pass  # the parent evaluates the rest and meets the error there
-        return out
 
-    def take(fd, start, stop):
-        with open(fd, "rb", closefd=False) as pipe:
-            while len(head := pipe.read(4)) == 4:
-                size = int.from_bytes(head, "little")
-                if len(chunk := pipe.read(size)) < size:
-                    break
-                start, rows = marshal.loads(chunk)  # the rows before start
-                for row in rows:
-                    keep(*row)
+    def take(file, start, stop):
+        while len(head := file.read(4)) == 4:
+            size = int.from_bytes(head, "little")
+            if len(chunk := file.read(size)) < size:
+                break
+            start, rows = marshal.loads(chunk)  # the rows before start
+            for row in rows:
+                keep(*row)
         run(items.make(start, stop))  # what a stopped worker did not send
 
     if isinstance(items, Sized):

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .contractions import Mapping
 from .convexity import ConvexGSpace
-from .core import DomainError, GSpace, Point
+from .core import Columns, DomainError, GSpace, Point, Rows
 
 OVERFLOW_GUARD = 1e150
 
@@ -102,14 +101,14 @@ class IterationTrace:
     """Full record of one run: iterates, step sizes, residuals
     G(x_n, Tx_n, Tx_n) and, when the fixed point is known, true errors
     G(x_n, u, u).  The columns are parallel; entry n describes x_n.
-    Every column is an ``array("d")``; ``coords`` holds the coordinates
-    of x_0, x_1, ... back to back."""
+    ``coords`` holds the coordinates of x_0, x_1, ... back to back.
+    ``run_mann`` gives read-only ``core.Columns`` over its row store."""
 
     space: GSpace
-    coords: array
-    alphas: array
-    residuals: array
-    true_errors: Optional[array]
+    coords: Sequence[float]
+    alphas: Sequence[float]
+    residuals: Sequence[float]
+    true_errors: Optional[Sequence[float]]
     status: str
 
     def __len__(self) -> int:
@@ -152,18 +151,18 @@ def run_mann(cs: ConvexGSpace, T: Mapping, x0: Point, sched: StepSchedule,
         max_iters = min(max_iters, sched.limit)
 
     apply, blend = T.apply, cs.w.blend
-    coords, alphas, residuals = array("d"), array("d"), array("d")
-    errors = array("d") if u is not None else None
+    dim = space.dim
+    rows = Rows(dim + 3)  # x_n, alpha_n, residual, true error (0 unknown)
+    tail, block = rows.tail, rows.block
     x = tuple(float(c) for c in x0)
     for n in range(max_iters + 1):
         tx = apply(x)
         residual = g(x, tx, tx)
-        error = g(x, u, u) if errors is not None else 0.0
-        coords.extend(x)
-        alphas.append(sched.alpha_at(n))
-        residuals.append(residual)
-        if errors is not None:
-            errors.append(error)
+        error = g(x, u, u) if u is not None else 0.0
+        alpha = sched.alpha_at(n)
+        tail.extend((*x, alpha, residual, error))
+        if len(tail) == block:
+            rows.spill()
         if not (math.isfinite(residual) and math.isfinite(error)):
             status = STATUS_DIVERGED
             break
@@ -173,12 +172,14 @@ def run_mann(cs: ConvexGSpace, T: Mapping, x0: Point, sched: StepSchedule,
         if n == max_iters:
             status = STATUS_MAX_ITERS
             break
-        x_next = blend(x, tx, 1.0 - alphas[-1])
+        x_next = blend(x, tx, 1.0 - alpha)
         if _overflowed(x_next):
             status = STATUS_DIVERGED
             break
         x = x_next
 
-    return IterationTrace(space=space, coords=coords, alphas=alphas,
-                          residuals=residuals, true_errors=errors,
-                          status=status)
+    return IterationTrace(
+        space=space, coords=Columns(rows, 0, dim), alphas=Columns(rows, dim),
+        residuals=Columns(rows, dim + 1),
+        true_errors=Columns(rows, dim + 2) if u is not None else None,
+        status=status)

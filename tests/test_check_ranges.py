@@ -152,6 +152,30 @@ def test_non_finite_values_past_range_zero(forks, monkeypatch):
     assert report.violations[0].witness[0] == quads[190][0]
 
 
+@pytest.mark.parametrize("args", [
+    ["check-axioms", "--space", "perimeter-3"],
+    ["check-condition", "--space", "perimeter-2", "--mapping", "affine:k=2",
+     *FOUR_TERM]])
+def test_a_worker_sends_no_witness_of_a_passing_row(
+        args, forks, monkeypatch, capsys):
+    # record reads the witness of a failing row only; this process still
+    # records every row, passing ones with None for their witness
+    seen = []
+    record = core.Collector.record
+
+    def spy(self, check_id, witness, lhs, rhs, margin):
+        seen.append((witness is None, -math.inf < margin <= 0.0))
+        record(self, check_id, witness, lhs, rhs, margin)
+    monkeypatch.setattr(core.Collector, "record", spy)
+    one = run(monkeypatch, capsys, [*args, "--samples", "400"], 1)
+    assert not any(none for none, _ in seen)
+    seen.clear()
+    assert run(monkeypatch, capsys, [*args, "--samples", "400"], 2) == one
+    assert f"total_checks: {len(seen)}\n" in one[1]
+    assert {passing for none, passing in seen if none} == {True}
+    assert not any(none for none, passing in seen if not passing)
+
+
 def offset_to_zero(space_key: str, index: int, samples: int) -> str:
     """A translation that sends the first point of check-condition's
     witness ``index`` to 0, outside sign-example's domain, and no other

@@ -104,13 +104,18 @@ def test_row_ranges_zip_the_columns():
 
 
 class Poisoned:
-    """A column whose iteration raises at row ``at``."""
+    """A column whose iteration raises at row ``at``; a slice of it, the
+    way a CSV range reads a column, raises at the same row."""
 
     def __init__(self, values, at):
         self.values, self.at = values, at
 
     def __len__(self):
         return len(self.values)
+
+    def __getitem__(self, rows):
+        start = rows.indices(len(self.values))[0]
+        return Poisoned(self.values[rows], self.at - start)
 
     def __iter__(self):
         for i, v in enumerate(self.values):

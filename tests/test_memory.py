@@ -2,22 +2,28 @@
 
 tracemalloc counts the Python allocations of one in-process run, so the
 peak is the same on every machine and run, unlike the resident set.
-Each column, the iterates' coordinates included, is packed doubles.  The
-CSV's data rows are split into contiguous ranges: this process formats
-the first range row by row and copies each forked worker's range from
-its pipe in 64 KB chunks, so its peak grows with the rows kept, not with
-the text written.  The CSV tests force two ranges.  The checks draw each
-witness tuple as they read it, so their peak does not grow with the
-samples.
+``iterate`` and ``bound`` keep their rows in ``core.Rows`` stores, which
+hold one block of about 256 KB in memory and write the rest to an
+unlinked temporary file, and their columns are read back a block at a
+time.  The CSV's data rows are split into contiguous ranges: this
+process formats the first range row by row, and each forked worker
+writes its range to a temporary file that this process copies in 64 KB
+chunks.  So past the first blocks the peak does not grow with the steps,
+and one test reads the resident set of the command and its workers.
+The CSV tests force two ranges.  The checks draw each witness tuple as
+they read it, so their peak does not grow with the samples.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
 import gfix
-from gfix import core
+from gfix import cli, core
 from gfix.cli import main
 from gfix.core import sample_quads, structured_points, structured_quads
 
@@ -77,24 +83,73 @@ def test_sampled_witnesses_repeat_on_every_pass():
 @pytest.mark.parametrize("delta", ["0.39", "1e-10"])  # 1e-10: log space
 def test_bound_peak_memory(delta, tmp_path, monkeypatch):
     monkeypatch.setattr(core, "_cpus", lambda: 2)
-    # about 3.4 MB; a boxed list of the alphas took it to 4.4 MB, and
-    # holding every row as a tuple of floats and the text as one string
-    # to 37 MB
+    # about 0.9 MB with the rows in stores; the alpha, factor and product
+    # columns as arrays took 3.4 MB, a boxed list of the alphas 4.4 MB,
+    # and every row as a tuple of floats with the text as one string 37 MB
     assert peak_mb(["bound", "--delta", delta, "--schedule", "harmonic",
                     "--max-iters", "100000",
-                    "--out", str(tmp_path / "b.csv")]) < 4
+                    "--out", str(tmp_path / "b.csv")]) < 1
+
+
+ITERATE = ["iterate", "--space", "perimeter-3", "--mapping", "affine:k=0.5",
+           "--condition", "four-term", "--coeff", "a=0.5,b=0,c=0,d=0",
+           "--schedule", "harmonic", "--x0", "1,2,3"]
 
 
 def test_iterate_peak_memory(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(core, "_cpus", lambda: 2)
-    # about 1.7 MB with the iterates' coordinates packed; keeping the 2e4
-    # points as tuples took 4.2 MB, and boxed float columns and the
-    # joined text 14 MB
-    assert peak_mb(["iterate", "--space", "perimeter-3",
-                    "--mapping", "affine:k=0.5", "--condition", "four-term",
-                    "--coeff", "a=0.5,b=0,c=0,d=0", "--schedule", "harmonic",
-                    "--x0", "1,2,3", "--max-iters", "20000",
-                    "--out", str(tmp_path / "t.csv")]) < 2.5
+    # 0.9 to 1.1 MB with the rows in a store, the more when this is the
+    # first command run; the packed columns took 1.7 MB, the 2e4 points as
+    # tuples 4.2 MB, and boxed float columns and the joined text 14 MB
+    assert peak_mb([*ITERATE, "--max-iters", "20000",
+                    "--out", str(tmp_path / "t.csv")]) < 1.2
+
+
+def test_iterate_peak_does_not_grow_with_the_steps(tmp_path, capsys,
+                                                   monkeypatch):
+    # a 32 KB block fills within 2e3 steps and 1000-row ranges split
+    # both runs in two, so the runs differ in steps alone; the first,
+    # unused run pays the one-time costs.  About 0.32 and 0.35 MB; with
+    # packed columns the peak went from 0.5 to 3 MB
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 4096)
+    monkeypatch.setattr(cli, "MIN_ROWS", 1000)
+    _, small, large = (peak_mb([*ITERATE, "--max-iters", str(steps),
+                                "--out", str(tmp_path / "t.csv")])
+                       for steps in (2000, 2000, 40000))
+    assert large < small + 0.1
+
+
+# one wrapper interpreter per run, so that no earlier peak of this
+# process reaches the command through fork and exec
+WRAPPER = """if True:
+    import resource, subprocess, sys
+    subprocess.run([sys.executable, "-c",
+                    "import sys; from gfix.cli import main; "
+                    "sys.exit(main(sys.argv[1:]))", *sys.argv[1:]],
+                   check=True, stdout=subprocess.DEVNULL)
+    print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in kilobytes on Linux")
+def test_iterate_resident_set_with_workers_does_not_grow(tmp_path):
+    # RUSAGE_CHILDREN covers the command and every worker it reaped: at
+    # 1e5 steps about 17 MB against 16 MB at 2e3; with packed columns
+    # the parent took 22 MB and a worker holding its range's text 27 MB
+    src = os.path.dirname(os.path.dirname(gfix.__file__))
+
+    def children_peak_mb(steps):
+        proc = subprocess.run(
+            [sys.executable, "-c", WRAPPER, *ITERATE,
+             "--max-iters", str(steps), "--out", str(tmp_path / "t.csv")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout) / 1024
+
+    assert children_peak_mb(100000) < children_peak_mb(2000) + 3
 
 
 def test_high_dimensional_space_and_maps_build_in_linear_memory():

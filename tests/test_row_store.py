@@ -1,0 +1,194 @@
+"""Row stores: the iterate and bound columns in constant memory.
+
+``core.Rows`` keeps the rows after its last full block in memory and
+writes each full block to an unlinked temporary file; ``core.Columns``
+reads columns back as read-only sequences.  These tests force a block
+of a row or two (``core._BLOCK_VALUES``) and a CSV range of one row
+(``cli.MIN_ROWS``), and check that every block size and range count
+writes the bytes of one range with the default block, that the library
+columns equal the arrays the former array-based code built, and that
+the store's files never outlive it or show up in the temporary folder.
+"""
+
+import math
+import operator
+import os
+import tempfile
+from array import array
+from itertools import accumulate
+
+import pytest
+
+import gfix
+from gfix import cli, core
+from gfix.core import Columns, Rows
+
+ITERATE = ["iterate", "--space", "perimeter-3", "--mapping", "affine:k=0.5",
+           "--schedule", "harmonic", "--x0", "1,2,3", "--max-iters", "40"]
+BOUNDS = ["--condition", "four-term", "--coeff", "a=0.5,b=0,c=0,d=0"]
+# a=b=0 gives delta 0, so the alpha 1 of step 3 makes a zero factor; the
+# residual 2|x| falls to 0.25 <= 0.3 at x_3, so that step is never taken
+PAST_STOP = ["iterate", "--space", "perimeter-1", "--mapping", "affine:k=0",
+             "--schedule", "explicit:0.5;0.5;0.5;1;0.5", "--x0", "1",
+             "--residual-tol", "0.3", "--condition", "four-term",
+             "--coeff", "a=0,b=0,c=0,d=0"]
+
+CASES = {
+    "iterate": (ITERATE + BOUNDS, 0),
+    "iterate-no-bound": (ITERATE, 0),
+    "iterate-diverges": (["iterate", "--space", "perimeter-1", "--mapping",
+                          "affine:k=2", "--schedule", "constant", "--alpha",
+                          "1", "--x0", "1", "--max-iters", "5000"], 1),
+    "bound": (["bound", "--delta", "0.3", "--schedule", "harmonic",
+               "--max-iters", "41"], 0),
+    "bound-log-space": (["bound", "--delta", "1e-10", "--schedule",
+                         "harmonic", "--max-iters", "41"], 0),
+    "bound-zero-factor": (["bound", "--delta", "0", "--schedule", "constant",
+                           "--alpha", "1", "--max-iters", "41"], 0),
+    "explicit-past-stop": (PAST_STOP, 0),
+}
+
+
+@pytest.fixture
+def spills(monkeypatch, tmp_path):
+    """Temporary files go to an empty folder; list the files made."""
+    made = []
+    folder = tmp_path / "spill"
+    folder.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(folder))
+    real = tempfile.TemporaryFile
+
+    def temporary_file(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+    yield made
+    assert os.listdir(folder) == []
+
+
+def run(monkeypatch, capsys, tmp_path, args, cpus, block=None):
+    """(exit code, --out bytes, stdout) with ``cpus`` CPUs and, when
+    given, ``block`` values a store keeps in memory."""
+    monkeypatch.setattr(core, "_cpus", lambda: cpus)
+    if block is not None:
+        monkeypatch.setattr(core, "_BLOCK_VALUES", block)
+    out = tmp_path / "out.csv"
+    code = cli.main([*args, "--out", str(out)])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return code, out.read_bytes(), capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args, code", CASES.values(), ids=CASES.keys())
+def test_every_block_and_range_count_writes_the_same_bytes(
+        args, code, spills, monkeypatch, capsys, tmp_path):
+    one = run(monkeypatch, capsys, tmp_path, args, 1)
+    assert one[0] == code and spills == []  # less than a block: no file
+    monkeypatch.setattr(cli, "MIN_ROWS", 1)
+    for block in (1, 7, 64):
+        for cpus in (1, 2, 3):
+            assert run(monkeypatch, capsys, tmp_path, args, cpus,
+                       block) == one
+    assert spills and all(f.closed for f in spills)
+
+
+def old_chain(delta, alphas):
+    """Factors and products as the array-based chain built them."""
+    alphas = array("d", alphas)
+    factors = array("d", (1.0 - a * (1.0 - delta) for a in alphas))
+    if min(factors, default=1.0) < 1e-8:
+        products, log_b = array("d", [1.0]), 0.0
+        for f in factors:
+            log_b = log_b + math.log(f) if f else -math.inf
+            products.append(math.exp(log_b))
+    else:
+        products = array("d", accumulate(factors, operator.mul, initial=1.0))
+    return alphas, factors, products
+
+
+RUNS = {
+    "harmonic": (0.5, gfix.harmonic_schedule(), 0.0, 300),
+    "constant-one": (0.0, gfix.constant_schedule(1.0), 0.0, 300),
+    # |x_n - c| = 0.75^n |x_0 - c| first falls to 3 or less at x_3, so
+    # the alpha 1 that would make a zero factor is recorded, not used
+    "explicit-past-stop": (0.0, gfix.explicit_schedule(
+        [0.5, 0.5, 0.5, 1.0, 0.5]), 3.0, 5),
+}
+
+
+@pytest.mark.parametrize("block", [1, 7, core._BLOCK_VALUES])
+@pytest.mark.parametrize("delta, sched, residual_tol, steps", RUNS.values(),
+                         ids=RUNS.keys())
+def test_library_columns_equal_the_old_arrays(
+        delta, sched, residual_tol, steps, block, monkeypatch):
+    monkeypatch.setattr(core, "_BLOCK_VALUES", block)
+    space = gfix.get_space("perimeter-2")
+    T = gfix.make_affine_contraction((1.0, -2.0), 0.5)
+    trace = gfix.run_mann(space, T, (3.0, 4.0), sched, gfix.StoppingRule(
+        max_iters=steps, residual_tol=residual_tol))
+    points = [(3.0, 4.0)]
+    for alpha in trace.alphas[:-1]:
+        x = points[-1]
+        tx = T.apply(x)
+        points.append(space.w.blend(x, tx, 1.0 - alpha))
+    g = space.space.g
+    assert array("d", trace.coords) == array("d", (c for p in points
+                                                   for c in p))
+    assert array("d", trace.residuals) == array(
+        "d", (g(p, T.apply(p), T.apply(p)) for p in points))
+    assert array("d", trace.true_errors) == array(
+        "d", (g(p, (1.0, -2.0), (1.0, -2.0)) for p in points))
+
+    _, _, products = old_chain(delta, trace.alphas[:len(trace) - 1])
+    bounds = array("d", (b * trace.true_errors[0] for b in products))
+    report = gfix.verify_bound(trace, delta)
+    assert array("d", gfix.trace_products(trace, delta)) == products
+    assert array("d", report.bounds) == bounds
+    assert array("d", report.slacks) == array(
+        "d", map(operator.sub, bounds, trace.true_errors))
+
+    n = len(trace) - 1 if sched.limit else steps
+    rb = gfix.product_bound(delta, sched, n)
+    old = old_chain(delta, map(sched.alpha_at, range(n)))
+    assert (array("d", rb.alphas), array("d", rb.factors),
+            array("d", rb.products)) == old
+
+
+def test_columns_read_as_a_sequence(monkeypatch):
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 9)
+    rows = Rows(3)
+    rows.put(array("d", range(10)), array("d", range(10, 20)),
+             array("d", range(20, 30)))
+    assert rows.spilled == 27 and len(rows.tail) == 3 and len(rows) == 10
+    reads = []
+    real = core._pread
+    monkeypatch.setattr(core, "_pread", lambda *a: reads.append(a) or real(*a))
+    middle, pairs = Columns(rows, 1), Columns(rows, 1, 2, 2, 9)
+    assert len(middle) == 10 and len(pairs) == 14 and reads == []
+    assert list(middle) == [float(v) for v in range(10, 20)]
+    assert middle[0] == 10.0 and middle[-1] == 19.0 and middle[3] == 13.0
+    assert pairs[0] == 12.0 and pairs[1] == 22.0 and pairs[-1] == 28.0
+    assert list(pairs[2:6]) == [13.0, 23.0, 14.0, 24.0]
+    assert list(pairs[1:4]) == [22.0, 13.0, 23.0]  # not on whole rows
+    assert list(middle[::-3]) == [19.0, 16.0, 13.0, 10.0]
+    assert middle[4:4:1] == Columns(rows, 1, 1, 4, 4)
+    reads.clear()
+    assert list(middle[5:7]) == [15.0, 16.0]  # values 15..20, two blocks
+    assert [(start, stop) for _, start, stop in reads] == [(15, 18), (18, 21)]
+    assert 17.0 in middle and middle.index(12.0) == 2
+    assert middle == Columns(rows, 1) and middle != Columns(rows, 2)
+    assert middle != array("d", middle)
+    for i in (10, -11):
+        with pytest.raises(IndexError):
+            middle[i]
+
+
+def test_spill_error_exits_two(monkeypatch, capsys, tmp_path):
+    def full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(tempfile, "TemporaryFile", full)
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 7)
+    code = cli.main([*ITERATE, *BOUNDS, "--out", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: [Errno 28] No space left on device\n"
