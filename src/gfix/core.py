@@ -16,10 +16,11 @@ only states its inequalities: a function from one witness tuple to
 ``(form, check_id, witness, lhs, rhs)`` rows.  ``evaluate`` runs it over
 the tuples from ``sample_tuples``, turns each row into a signed margin
 through one of the margin forms below, and records it in a Collector.
-Tuple i is drawn from its own stream, so ``evaluate`` splits the tuples
-into contiguous ranges, one per usable CPU: forked workers evaluate all
-but the first, and this process records every row in index order, so a
-report is the same on any number of CPUs.
+Tuple i is drawn from its own stream, and the streams of a block of
+tuples side by side where the draw is ``box_draw``.  So ``evaluate``
+splits the tuples into contiguous ranges, one per usable CPU: forked
+workers evaluate all but the first, and this process records every row
+in index order, so a report is the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .rng import Stream
+from .rng import Stream, lanes
 
 # A point is a tuple of finite floats; dimension is its length.
 Point = tuple
@@ -45,7 +46,7 @@ Box = tuple
 
 STRICT_FLOOR = 1e-12  # strict positivity is witnessed above this level
 _RATIO_FLOOR = 1e-15  # denominator clamp for worst-ratio diagnostics
-MIN_TUPLES = 1000  # fewest witness tuples a range gets: 20-40 ms; a fork ~2 ms
+MIN_TUPLES = 1000  # fewest witness tuples a range gets: 10-30 ms; a fork ~2 ms
 _CHUNK_TUPLES = 64  # witness tuples per chunk a check worker sends
 _BLOCK_VALUES = 32768  # doubles a row store keeps in memory: 256 KB
 
@@ -304,12 +305,14 @@ class Rows:
 class Columns(collections.abc.Sequence):
     """Read-only view of columns first..first+count-1 of rows
     start..stop-1 of a ``Rows``, flat in row order.  ``len()`` reads
-    nothing; a slice on whole rows is a view that reads only its rows."""
+    nothing; an index reads the block its row is in, kept until an index
+    elsewhere; a slice on whole rows is a view that reads only its rows."""
 
     def __init__(self, rows: Rows, first: int, count: int = 1,
                  start: int = 0, stop: Optional[int] = None):
         self.rows, self.first, self.count = rows, first, count
         self.start, self.stop = start, len(rows) if stop is None else stop
+        self._last = 0, array("d")  # (first index, values) of a block read
 
     def __len__(self) -> int:
         return (self.stop - self.start) * self.count
@@ -318,7 +321,12 @@ class Columns(collections.abc.Sequence):
         c = self.count
         if not isinstance(i, slice):
             i = range(len(self))[i]
-            return list(self[i - i % c:i - i % c + c])[i % c]
+            at, values = self._last
+            if not 0 <= i - at < len(values):  # read the block row i is in
+                per = self.rows.block // self.rows.width
+                at = max(0, (self.start + i // c) // per * per - self.start) * c
+                self._last = at, values = at, next(self[at:at + per * c].arrays())
+            return values[i - at]
         a, b, step = i.indices(len(self))
         if step != 1 or a % c or b % c:
             return array("d", self)[i]
@@ -390,9 +398,10 @@ def evaluate(tuples: Callable[[], Iterable[tuple]], inequalities: Callable,
 
     def work(start, stop):
         try:
+            witnesses = iter(items.make(start, stop))  # drawn a block at a time
             for i in range(start, stop, _CHUNK_TUPLES):
-                run(items.make(i, end := min(i + _CHUNK_TUPLES, stop)), send)
-                chunk = marshal.dumps((end, rows))
+                run(itertools.islice(witnesses, _CHUNK_TUPLES), send)
+                chunk = marshal.dumps((min(i + _CHUNK_TUPLES, stop), rows))
                 yield len(chunk).to_bytes(4, "little") + chunk
                 rows.clear()
         except Exception:
@@ -457,6 +466,11 @@ class Sized:
         return iter(self.make(0, self.size))
 
 
+def box_draw(stream: Stream, box: Box, min_separation: float) -> Point:
+    """One uniform per coordinate of ``box``: the Euclidean spaces' draw."""
+    return tuple(itertools.starmap(stream.uniform, box))
+
+
 def sample_tuples(space: GSpace, plan: SamplePlan,
                   structured: Callable[[list], Iterable[tuple]],
                   weights: Optional[Callable[[Stream], object]] = None,
@@ -468,16 +482,26 @@ def sample_tuples(space: GSpace, plan: SamplePlan,
     same stream after the points.  ``structured`` maps the box's
     structured points to further tuples of the same shape.  Random
     tuples are drawn as a pass reads them, and a range draws none before
-    its start; ``len()`` draws nothing."""
-    box = space.default_box
+    its start; ``len()`` draws nothing.  With ``box_draw``, ``rng.lanes``
+    draws them in blocks of at most ``MIN_TUPLES``, with the same values."""
+    box, seed = space.default_box, plan.seed
     draw, sep, count = space.draw, plan.min_separation, plan.count
     extra = list(structured(structured_points(space)))
+    dim, bounds = len(box), box * points
 
     def tuples(start, stop):
-        for i in range(start, min(stop, count)):
-            s = Stream(plan.seed, i)
-            t = tuple(draw(s, box, sep) for _ in range(points))
-            yield t + (weights(s),) if weights else t
+        end = min(stop, count)
+        if draw is box_draw:
+            for at in range(start, end, MIN_TUPLES):
+                cols, states = lanes(seed, at, min(at + MIN_TUPLES, end), bounds)
+                parts = [zip(*cols[j:j + dim]) for j in range(0, len(cols), dim)]
+                if weights:
+                    parts.append(map(weights, map(Stream.resume, states)))
+                yield from zip(*parts)
+        else:
+            for s in map(Stream, itertools.repeat(seed), range(start, end)):
+                t = tuple(draw(s, box, sep) for _ in range(points))
+                yield t + (weights(s),) if weights else t
         yield from extra[max(start - count, 0):max(stop - count, 0)]
     return Sized(count + len(extra), tuples)
 

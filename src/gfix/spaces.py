@@ -13,10 +13,9 @@ excluded), so it ships without a convex structure.
 from __future__ import annotations
 
 import math
-from itertools import starmap
 
 from .convexity import ConvexGSpace, linear_interpolation
-from .core import DomainError, GSpace, Point
+from .core import DomainError, GSpace, Point, box_draw
 from .rng import Stream
 
 _DEFAULT_HALF_WIDTH = 10.0
@@ -29,10 +28,6 @@ def _euclid_contains(dim: int):
     return contains
 
 
-def _euclid_draw(stream: Stream, box, min_separation: float) -> Point:
-    return tuple(starmap(stream.uniform, box))
-
-
 def _default_box(dim: int):
     return ((-_DEFAULT_HALF_WIDTH, _DEFAULT_HALF_WIDTH),) * dim
 
@@ -41,7 +36,7 @@ def _euclidean_space(name: str, dim: int, g) -> ConvexGSpace:
     """``name-dim`` on R^dim with the given G and linear interpolation."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    space = GSpace(name=f"{name}-{dim}", dim=dim, g=g, draw=_euclid_draw,
+    space = GSpace(name=f"{name}-{dim}", dim=dim, g=g, draw=box_draw,
                    contains=_euclid_contains(dim),
                    default_box=_default_box(dim))
     return ConvexGSpace(space, linear_interpolation())

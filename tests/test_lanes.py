@@ -1,0 +1,118 @@
+"""Witness tuples drawn a range at a time.
+
+``rng.lanes`` runs the splitmix64 streams of an index range side by side,
+one state per 128-bit lane of one Python int, and ``core.sample_tuples``
+uses it where a space's draw is ``core.box_draw``.  Any other draw,
+including a wrapped ``box_draw``, takes one ``Stream`` per tuple and one
+draw call per point; these tests hold the two paths to the same tuples.
+"""
+
+import dataclasses
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gfix
+from gfix import core
+from gfix.core import box_draw, sample_tuples
+from gfix.rng import Stream, lanes
+
+BOUNDS = [(-10.0, 10.0), (0.0, 1.0), (-1000.0, 5.0)]
+# Stream(seed, i).uniform over BOUNDS for i = 3..6
+EXPECTED = {
+    2**64 + 5: [
+        (0.1810927874579633, 0.1052649209922869, -464.6554185300115),
+        (3.2407200316332503, 0.8880816934884296, -198.21966454399399),
+        (9.009949284321348, 0.7328403650264448, -75.27285785462334),
+        (2.7688418098492757, 0.5248540725060432, -539.6979522953563)],
+    -3: [
+        (9.777779309960472, 0.8537347022748929, -796.5188859860575),
+        (-5.458147061445162, 0.8455562526473421, -867.0710999967735),
+        (-4.422498065266415, 0.3936425144008957, -827.0399095960523),
+        (7.563618119992878, 0.49964347380954965, -96.42750484648843)],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EXPECTED))
+def test_lanes_give_the_streams_uniforms(seed):
+    columns, states = lanes(seed, 3, 7, BOUNDS)
+    assert list(zip(*columns)) == EXPECTED[seed]
+    for i, state in zip(range(3, 7), states):
+        stream = Stream(seed, i)
+        assert [stream.uniform(lo, hi) for lo, hi in BOUNDS] == [
+            column[i - 3] for column in columns]
+        assert stream.next_u64() == Stream.resume(state).next_u64()
+
+
+def test_an_empty_range_has_no_lanes():
+    columns, states = lanes(1, 5, 5, BOUNDS)
+    assert list(map(len, columns)) == [0, 0, 0] and len(states) == 0
+
+
+def per_point(space):
+    """``space`` with its draw wrapped, so ``sample_tuples`` calls it."""
+    return dataclasses.replace(
+        space, draw=lambda stream, box, sep: box_draw(stream, box, sep))
+
+
+def two_weights(stream):
+    return stream.uniform(), stream.uniform(-1.0, 2.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 5), points=st.integers(1, 4),
+       weighted=st.booleans(),
+       seed=st.one_of(st.integers(-2**70, -1), st.just(0),
+                      st.integers(2**64, 2**70)),
+       count=st.integers(1, 40), block=st.integers(1, 12),
+       start=st.integers(0, 50), length=st.integers(0, 30))
+def test_lane_path_equals_per_point_path(dim, points, weighted, seed, count,
+                                         block, start, length):
+    space = gfix.make_perimeter_space(dim).space
+    space = dataclasses.replace(space, default_box=tuple(
+        (-1.0 - j, 2.5 * j) for j in range(dim)))
+    plan = gfix.SamplePlan(seed=seed, count=count)
+    weights = two_weights if weighted else None
+
+    def structured(pts):
+        return [(p,) * points + ((0.5, 0.5),) * weighted for p in pts]
+
+    fast = sample_tuples(space, plan, structured, weights, points)
+    slow = sample_tuples(per_point(space), plan, structured, weights, points)
+    assert len(fast) == len(slow)
+    with mock.patch.object(core, "MIN_TUPLES", block):
+        # empty ranges, ranges across block edges, into the structured tuples
+        assert (list(fast.make(start, start + length))
+                == list(slow.make(start, start + length)))
+        assert list(fast) == list(slow)
+
+
+def test_a_range_builds_lanes_for_its_own_indices(monkeypatch):
+    built = []
+
+    def counted(seed, start, stop, bounds):
+        assert 0 < stop - start <= 10  # blocks of at most MIN_TUPLES
+        built.extend(range(start, stop))
+        return lanes(seed, start, stop, bounds)
+    monkeypatch.setattr(core, "lanes", counted)
+    monkeypatch.setattr(core, "MIN_TUPLES", 10)
+    space = gfix.make_max_space(2).space
+    quads = core.sample_quads(space, gfix.SamplePlan(seed=3, count=45))
+    assert built == []  # len() draws nothing
+    extra = len(quads) - 45
+    for start, stop in ((7, 31), (40, 45 + extra), (45, 45 + extra), (3, 3)):
+        built.clear()
+        assert len(list(quads.make(start, stop))) == stop - start
+        assert built == list(range(start, min(stop, 45)))
+
+
+def test_other_draws_take_a_stream_per_tuple(monkeypatch):
+    plan = gfix.SamplePlan(seed=5, count=30, min_separation=0.5)
+    perimeter = gfix.make_perimeter_space(2).space
+    expected = list(core.sample_quads(perimeter, plan))
+    monkeypatch.setattr(core, "lanes", None)  # any use would raise
+    assert list(core.sample_quads(per_point(perimeter), plan)) == expected
+    sign = core.sample_quads(gfix.make_sign_example_space(), plan)
+    assert len(list(sign)) == len(sign)

@@ -183,6 +183,24 @@ def test_columns_read_as_a_sequence(monkeypatch):
             middle[i]
 
 
+def test_an_index_loop_reads_each_block_once(monkeypatch):
+    trace = gfix.run_mann(
+        gfix.make_perimeter_space(1), gfix.make_affine_contraction((0.0,), 0.5),
+        (1.0,), gfix.harmonic_schedule(),
+        gfix.StoppingRule(max_iters=100000, residual_tol=0.0))
+    errors = trace.true_errors
+    rows = errors.rows
+    assert len(errors) == 100001 and rows.spilled // rows.block == 12
+    reads = []
+    real = core._pread
+    monkeypatch.setattr(core, "_pread", lambda *a: reads.append(a) or real(*a))
+    values = [errors[n] for n in range(len(errors))]
+    assert len(reads) == 12
+    assert values == list(errors)
+    reads.clear()
+    assert list(reversed(errors)) == values[::-1] and len(reads) == 12
+
+
 def test_spill_error_exits_two(monkeypatch, capsys, tmp_path):
     def full(*args, **kwargs):
         raise OSError(28, "No space left on device")
