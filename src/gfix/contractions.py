@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -125,33 +126,32 @@ class ApplicabilityVerdict:
     vacuous: bool = False
 
 
-def _sides(spec: ContractionSpec, space: GSpace, T: Mapping,
-           x: Point, y: Point, z: Point) -> Tuple[float, float]:
-    """G(Tx,Ty,Tz) and the right-hand side at (x, y, z), both from one
-    image per point; an image outside the domain raises DomainError."""
-    g = space.g
-    t = T.apply
-    tx, ty, tz = t(x), t(y), t(z)
-    contains = space.contains
-    if not (contains(tx) and contains(ty) and contains(tz)):
-        for p, tp in ((x, tx), (y, ty), (z, tz)):
-            if not contains(tp):
-                raise DomainError(f"{T.name} maps {p!r} to {tp!r}, which is "
-                                  f"not in the domain of {space.name}")
-    lhs = g(tx, ty, tz)
-    if spec.kind is ConditionKind.FOUR_TERM_ALT:
-        dx, dy, dz = g(x, x, tx), g(y, y, ty), g(z, z, tz)
-    else:
-        dx, dy, dz = g(x, tx, tx), g(y, ty, ty), g(z, tz, tz)
-    return lhs, _ROWS[spec.kind].rhs(spec.coefficients, g, x, y, z,
-                                     dx, dy, dz)
+def _sides(spec: ContractionSpec, space: GSpace, T: Mapping) -> Callable:
+    """``(x, y, z) -> (lhs, rhs)``: G(Tx,Ty,Tz) and the right-hand side,
+    both from one image per point; an image outside the domain raises
+    DomainError.  G, T, the domain test and the kind's row are bound once."""
+    g, t, contains, w = space.g, T.apply, space.contains, spec.coefficients
+    rhs, alt = _ROWS[spec.kind].rhs, spec.kind is ConditionKind.FOUR_TERM_ALT
+
+    def sides(x, y, z):
+        tx, ty, tz = t(x), t(y), t(z)
+        if not (contains(tx) and contains(ty) and contains(tz)):
+            for p, tp in ((x, tx), (y, ty), (z, tz)):
+                if not contains(tp):
+                    raise DomainError(f"{T.name} maps {p!r} to {tp!r}, which "
+                                      f"is not in the domain of {space.name}")
+        lhs = g(tx, ty, tz)
+        dx, dy, dz = ((g(x, x, tx), g(y, y, ty), g(z, z, tz)) if alt
+                      else (g(x, tx, tx), g(y, ty, ty), g(z, tz, tz)))
+        return lhs, rhs(w, g, x, y, z, dx, dy, dz)
+    return sides
 
 
 def rhs_value(spec: ContractionSpec, space: GSpace, T: Mapping,
               x: Point, y: Point, z: Point) -> float:
     """Right-hand side of the condition's inequality at (x, y, z);
     raises DomainError when T sends one of them outside the domain."""
-    return _sides(spec, space, T, x, y, z)[1]
+    return _sides(spec, space, T)(x, y, z)[1]
 
 
 def check_condition(spec: ContractionSpec, space: GSpace, T: Mapping,
@@ -159,11 +159,10 @@ def check_condition(spec: ContractionSpec, space: GSpace, T: Mapping,
     """Verify G(Tx,Ty,Tz) <= rhs on sampled triples; the report carries
     the worst lhs/rhs ratio seen.  Raises DomainError when T sends a
     sampled point outside the domain."""
-    check_id = spec.kind.value
+    check_id, sides = spec.kind.value, _sides(spec, space, T)
 
     def condition(x, y, z):
-        lhs, rhs = _sides(spec, space, T, x, y, z)
-        return ((le_tol, check_id, (x, y, z), lhs, rhs),)
+        return ((le_tol, check_id, (x, y, z), *sides(x, y, z)),)
 
     # a quadruple's first three points, without drawing its fourth
     return evaluate(lambda: sample_quads(space, plan, 3), condition, tol,
@@ -190,7 +189,7 @@ def make_affine_contraction(center: Point, k: float) -> Mapping:
         raise ValueError(f"center must be finite, got {center}")
 
     def apply(x: Point) -> Point:
-        return tuple(c + k * (a - c) for a, c in zip(x, center))
+        return tuple([c + k * (a - c) for a, c in zip(x, center)])
 
     fixed = center if k < 1 else None
     return Mapping(name=f"affine(k={k})", apply=apply, fixed_point=fixed)
@@ -203,6 +202,6 @@ def make_translation(offset: Point) -> Mapping:
         raise ValueError(f"offset must be finite, got {offset}")
 
     def apply(x: Point) -> Point:
-        return tuple(a + d for a, d in zip(x, offset))
+        return tuple(map(operator.add, x, offset))
 
     return Mapping(name="translation", apply=apply, fixed_point=None)

@@ -36,7 +36,7 @@ def linear_interpolation() -> ConvexStructure:
     Euclidean-derived spaces."""
     def blend(x: Point, y: Point, lam: float) -> Point:
         b = 1.0 - lam
-        return tuple(lam * a + b * c for a, c in zip(x, y))
+        return tuple([lam * a + b * c for a, c in zip(x, y)])
     return ConvexStructure(blend)
 
 

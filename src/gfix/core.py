@@ -15,12 +15,12 @@ named inequality between G-values at a witness tuple.  A check family
 only states its inequalities: a function from one witness tuple to
 ``(form, check_id, witness, lhs, rhs)`` rows.  ``evaluate`` runs it over
 the tuples from ``sample_tuples``, turns each row into a signed margin
-through one of the margin forms below, and records it in a Collector.
-Tuple i is drawn from its own stream, and the streams of a block of
-tuples side by side where the draw is ``box_draw``.  So ``evaluate``
-splits the tuples into contiguous ranges, one per usable CPU: forked
-workers evaluate all but the first, and this process records every row
-in index order, so a report is the same on any number of CPUs.
+through a margin form below, and records it in a Collector: a heap of
+the 10 worst.  Tuple i is drawn from its own stream, and the streams of
+a block of tuples side by side where the draw is ``box_draw``.  So
+``evaluate`` splits the tuples into contiguous ranges, one per usable
+CPU: forked workers evaluate all but the first, and this process records
+every row in index order, so a report is the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -120,23 +120,26 @@ class CheckReport:
 
 
 _KEEP_WORST = 10
-_BY_MARGIN = operator.attrgetter("margin")
 
 
 class Collector:
-    """Accumulates check outcomes.
+    """Accumulates check outcomes, one ``record`` per row.
 
-    A check fails when its margin is > 0 or not finite.  Non-finite
-    margins are recorded under ``<check_id>:non-finite`` and rank as the
-    worst violations, in the order seen; they make ``worst_margin`` +inf,
-    or NaN for good once a NaN margin is seen, and the report's
-    ``worst_ratio``, when ratios are noted, takes the same value.
+    A check fails when its margin is > 0 or not finite.  ``worst`` is a
+    min-heap, kept sorted, of plain tuples ``(margin, -seq, check_id,
+    witness, lhs, rhs)``, seq the violation count at the row: the 10
+    worst finite violations, ties in the order first seen, or
+    placeholders of margin 0; a row enters above ``worst[0]`` alone.
+    ``report`` changes nothing and makes a ``Violation`` of each
+    survivor.  Non-finite margins, under ``<check_id>:non-finite``, rank
+    worst, in the order seen; they make ``worst_margin`` +inf, or NaN
+    for good once a NaN margin is seen, and ``worst_ratio``, when ratios
+    are noted, the same.
     """
 
     def __init__(self):
-        self.total = 0
-        self.count = 0
-        self.worst: list[Violation] = []
+        self.total = self.count = 0
+        self.worst = [(0.0, 0, "", (), 0.0, 0.0)] * _KEEP_WORST
         self.non_finite: list[Violation] = []
         self.worst_margin = -math.inf
         self.worst_ratio: Optional[float] = None
@@ -149,35 +152,33 @@ class Collector:
         if -math.inf < margin <= 0.0:
             return
         self.count += 1
-        if 0.0 < margin < math.inf:
-            self.worst.append(Violation(check_id, witness, lhs, rhs, margin))
-            if len(self.worst) > 4 * _KEEP_WORST:
-                # stable, so equal margins keep the order they were seen in
-                self.worst.sort(key=_BY_MARGIN, reverse=True)
-                del self.worst[_KEEP_WORST:]
-        else:
+        if not 0.0 < margin < math.inf:
             if self.worst_margin == self.worst_margin:  # NaN stays NaN
                 self.worst_margin = math.inf
             if len(self.non_finite) < _KEEP_WORST:
                 self.non_finite.append(Violation(f"{check_id}:non-finite",
                                                  witness, lhs, rhs, margin))
+        elif margin > self.worst[0][0]:
+            self.worst[0] = (margin, -self.count, check_id, witness, lhs, rhs)
+            self.worst.sort()
 
     def note_ratio(self, ratio: float) -> None:
         if self.worst_ratio is None or ratio > self.worst_ratio:
             self.worst_ratio = ratio
 
     def report(self) -> CheckReport:
-        self.worst.sort(key=_BY_MARGIN, reverse=True)
-        if self.worst_ratio is not None and not self.worst_margin < math.inf:
-            # an inf or NaN margin has no finite lhs/rhs ratio to show
-            self.worst_ratio = self.worst_margin
+        ratio = self.worst_ratio
+        if ratio is not None and not self.worst_margin < math.inf:
+            ratio = self.worst_margin  # an inf or NaN margin has no ratio
+        finite = [Violation(c, w, lhs, rhs, m) for m, _, c, w, lhs, rhs
+                  in sorted(self.worst, reverse=True) if m]
         return CheckReport(
             total_checks=self.total,
             violation_count=self.count,
-            violations=tuple((self.non_finite + self.worst)[:_KEEP_WORST]),
+            violations=tuple((self.non_finite + finite)[:_KEEP_WORST]),
             worst_margin=self.worst_margin,
             passed=self.count == 0,
-            worst_ratio=self.worst_ratio,
+            worst_ratio=ratio,
         )
 
 

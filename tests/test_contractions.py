@@ -103,6 +103,43 @@ def test_check_condition_applies_t_once_per_point(kind):
     assert len(evaluated) == _G_PER_CHECK.get(kind, 5) * report.total_checks
 
 
+@pytest.mark.parametrize("kind", list(ConditionKind))
+def test_rhs_value_is_the_rhs_check_condition_records(kind, monkeypatch):
+    space = gfix.make_max_space(2).space
+    T = gfix.make_affine_contraction((0.3, -0.2), 1.4)
+    names = _ROWS[kind].names
+    spec = ContractionSpec(kind, {n: 0.05 * (i + 1)
+                                  for i, n in enumerate(names)})
+    rows, record = [], gfix.core.Collector.record
+
+    def spy(self, check_id, witness, lhs, rhs, margin):
+        rows.append((witness, lhs, rhs))
+        record(self, check_id, witness, lhs, rhs, margin)
+    monkeypatch.setattr(gfix.core.Collector, "record", spy)
+    report = gfix.check_condition(spec, space, T,
+                                  gfix.SamplePlan(seed=4, count=60))
+    assert len(rows) == report.total_checks > 60
+    for (x, y, z), lhs, rhs in rows:
+        assert lhs == space.g(T.apply(x), T.apply(y), T.apply(z))
+        assert gfix.rhs_value(spec, space, T, x, y, z) == rhs
+
+
+def test_leaving_the_domain_names_the_mapping_and_point():
+    sign = gfix.make_sign_example_space()
+    T = gfix.make_affine_contraction((0.0,), 0.0)  # every image is 0
+    spec = ContractionSpec(ConditionKind.K_SUM, {"k": 0.3})
+    plan = gfix.SamplePlan(seed=0, count=20)
+    x = next(iter(sample_quads(sign, plan, 3)))[0]
+    message = (f"affine(k=0.0) maps {x!r} to (0.0,), which is not in the "
+               "domain of sign-example")
+    with pytest.raises(gfix.DomainError) as raised:
+        gfix.check_condition(spec, sign, T, plan)
+    assert str(raised.value) == message
+    with pytest.raises(gfix.DomainError) as raised:
+        gfix.rhs_value(spec, sign, T, (2.0,), x, x)
+    assert str(raised.value) == message.replace(repr(x), "(2.0,)", 1)
+
+
 def test_check_condition_constant_map_passes():
     T = gfix.make_affine_contraction((3.0,), 0.0)
     spec = four_term(0.0, 0.4, 0.4, 0.4)

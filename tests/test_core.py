@@ -4,12 +4,14 @@ brute-force grid sweep before trusting the sampled checkers."""
 import dataclasses
 import itertools
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfix
+from gfix import core
 from gfix.core import Collector, sample_quads, structured_points
 from gfix.rng import Stream
 
@@ -266,6 +268,111 @@ def test_collector_infinite_margin_is_worst(margins, worst):
     assert repr(report.worst_margin) == repr(worst)
     # no ratio was noted, so the report shows none (no worst_ratio line)
     assert report.worst_ratio is None
+
+
+class SortedCollector:
+    """The sort-based Collector the heap replaced, kept as the reference:
+    a Violation per violation, re-sorted (stably) past 40 and at report."""
+
+    def __init__(self):
+        self.total = 0
+        self.count = 0
+        self.worst = []
+        self.non_finite = []
+        self.worst_margin = -math.inf
+        self.worst_ratio = None
+
+    def record(self, check_id, witness, lhs, rhs, margin):
+        self.total += 1
+        if margin > self.worst_margin or margin != margin:
+            self.worst_margin = margin
+        if -math.inf < margin <= 0.0:
+            return
+        self.count += 1
+        if 0.0 < margin < math.inf:
+            self.worst.append(core.Violation(check_id, witness, lhs, rhs,
+                                             margin))
+            if len(self.worst) > 40:
+                self.worst.sort(key=operator.attrgetter("margin"),
+                                reverse=True)
+                del self.worst[10:]
+        else:
+            if self.worst_margin == self.worst_margin:
+                self.worst_margin = math.inf
+            if len(self.non_finite) < 10:
+                self.non_finite.append(core.Violation(
+                    f"{check_id}:non-finite", witness, lhs, rhs, margin))
+
+    def note_ratio(self, ratio):
+        if self.worst_ratio is None or ratio > self.worst_ratio:
+            self.worst_ratio = ratio
+
+    def report(self):
+        self.worst.sort(key=operator.attrgetter("margin"), reverse=True)
+        if self.worst_ratio is not None and not self.worst_margin < math.inf:
+            self.worst_ratio = self.worst_margin
+        return core.CheckReport(
+            total_checks=self.total, violation_count=self.count,
+            violations=tuple((self.non_finite + self.worst)[:10]),
+            worst_margin=self.worst_margin, passed=self.count == 0,
+            worst_ratio=self.worst_ratio)
+
+
+# a small pool, so that ties at the 10th place are common; non-finite
+# margins are a few rows inserted apart, since 10 of them fill a report
+_MARGIN = st.sampled_from([0.0, -0.0, -1.0, 5e-324, 0.5, 1.0, 2.0, 3.0])
+_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+_ROW = st.tuples(_MARGIN, st.none() | _MARGIN | _NON_FINITE)  # ratio noted
+
+
+def feed(col, rows, first=0):
+    for i, (margin, ratio) in enumerate(rows, first):
+        col.record(f"c{i % 3}", (i,), float(i), -float(i), margin)
+        if ratio is not None:
+            col.note_ratio(ratio)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(_ROW, max_size=30) | st.lists(_ROW, min_size=41,
+                                               max_size=160),
+       st.lists(st.tuples(st.integers(0, 160), _NON_FINITE), max_size=12),
+       st.integers(0, 170))
+def test_heap_collector_matches_sorted_reference(rows, inserted, cut):
+    for at, margin in inserted:
+        rows.insert(at, (margin, None))
+    # repr tells NaN, 0.0 and -0.0 apart and finds NaN equal to itself
+    ref, col, split = SortedCollector(), Collector(), Collector()
+    feed(ref, rows)
+    feed(col, rows)
+    expected = repr(ref.report())
+    assert repr(col.report()) == expected
+    assert repr(col.report()) == expected  # report changes nothing
+    feed(split, rows[:cut])
+    split.report()
+    feed(split, rows[cut:], min(cut, len(rows)))
+    assert repr(split.report()) == expected
+
+
+def test_collector_builds_violations_for_survivors_only(monkeypatch):
+    built, violation = [], core.Violation
+
+    def counted(*args):
+        built.append(args)
+        return violation(*args)
+    monkeypatch.setattr(core, "Violation", counted)
+    col = Collector()
+    non_finite = set(range(3, 100000, 6667))
+    assert len(non_finite) == 15
+    for i in range(100000):
+        col.record("x", (i,), 0.0, 0.0, float(i % 977) + 1.0)
+        if i in non_finite:
+            col.record("x", (i,), math.nan, 0.0, math.nan)
+        assert len(col.worst) <= 10
+    report = col.report()
+    assert len(built) <= 20
+    assert report.violation_count == 100015
+    assert [v.witness for v in report.violations] == [
+        (i,) for i in sorted(non_finite)[:10]]
 
 
 def test_nan_evaluator_fails_axioms():
