@@ -16,9 +16,9 @@ import operator
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .core import CheckReport, Columns, Point, Rows, evaluate, le
+from .core import CheckReport, Columns, Point, Rows, Sized, evaluate, le
 from .mann import IterationTrace, StepSchedule, step_range
 
 _LOGSPACE_TRIGGER = 1e-8  # switch to log accumulation below this factor
@@ -35,53 +35,48 @@ class RateBound:
     alphas: Sequence[float]
 
 
-def _rate_chain(delta: float, step_sizes: Callable[[], Sequence[float]],
+def _rate_chain(delta: float, step_sizes: Callable[[], Iterable[float]],
                 errors: Optional[Sequence[float]] = None) -> Rows:
     """Rows (alpha_{n-1}, factor_{n-1}, B_n) for n = 0 .. len(alphas),
     alpha and factor NaN in row 0, from delta and the alphas
-    ``step_sizes()``, read twice.  With ``errors``, row n also holds
+    ``step_sizes()``.  With ``errors``, row n also holds
     bound_n = B_n*errors[0] and the slack bound_n - errors[n].
-    ``step_sizes`` is called only once delta has passed, so a bad delta
-    is reported ahead of any schedule error."""
+    ``step_sizes`` is called once delta has passed, so a bad delta is
+    reported ahead of any schedule error, and again, to rebuild the
+    chain in log space, at the first factor below 1e-8.  Rounded,
+    1 - a*c never rises with a: that is when 1 - max(alphas)*c < 1e-8."""
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must be in [0, 1), got {delta}")
-    alphas, c = step_sizes(), 1.0 - delta
-    if not isinstance(alphas, Columns):  # stored, to be read twice
-        stored, alphas = Rows(1), iter(alphas)
-        while chunk := array("d", islice(alphas, 1024)):
-            stored.put(chunk)
-        alphas = Columns(stored, 0)
-    # log accumulation survives the underflow factors below the trigger
-    # cause; a zero factor sends log B to -inf, so every later B_n is 0.
-    # Rounded, 1 - a*c still falls as a grows: max a gives the least factor
-    log_space = 1.0 - max(alphas, default=0.0) * c < _LOGSPACE_TRIGGER
-    rows, log_b, b = Rows(3 if errors is None else 5), 0.0, 1.0
-    if errors is not None:
-        e0, later = errors[0], iter(errors)
+    c = 1.0 - delta
 
     def put(*columns):
         if errors is not None:
+            at, e0 = len(rows), errors[0]
             bounds = array("d", map(operator.mul, columns[2], repeat(e0)))
             columns += (bounds, array("d", map(operator.sub, bounds,
-                                               islice(later, len(bounds)))))
+                                               errors[at:at + len(bounds)])))
         rows.put(*columns)
 
-    put(*(array("d", [v]) for v in (math.nan, math.nan, 1.0)))
-    for block in alphas.arrays():
-        for at in range(0, len(block), 1024):
-            chunk = block[at:at + 1024]
+    for log_space in (False, True):
+        alphas, rows = iter(step_sizes()), Rows(3 if errors is None else 5)
+        log_b, b = 0.0, 1.0
+        put(*(array("d", [v]) for v in (math.nan, math.nan, 1.0)))
+        while chunk := array("d", islice(alphas, 1024)):
             factors = array("d", (1.0 - a * c for a in chunk))
-            if log_space:
+            if log_space:  # survives underflow; a zero factor makes B 0
                 products = array("d")
                 for f in factors:
                     log_b = log_b + math.log(f) if f else -math.inf
                     products.append(math.exp(log_b))
+            elif min(factors) < _LOGSPACE_TRIGGER:
+                break
             else:
                 products = array("d", accumulate(factors, operator.mul,
                                                  initial=b))[1:]
                 b = products[-1]
             put(chunk, factors, products)
-    return rows
+        else:
+            return rows
 
 
 def product_bound(delta: float, sched: StepSchedule, n: int) -> RateBound:
@@ -152,5 +147,5 @@ def convergence_diagnostics(trace: IterationTrace, limit: Point, tail: int,
     def criterion(family, value):
         yield le, f"conv-{family}", (limit,), value, tol
 
-    maxima = diagnostics_maxima(trace, limit, tail)
-    return evaluate(maxima.items, criterion, tol)
+    items = list(diagnostics_maxima(trace, limit, tail).items())
+    return evaluate(lambda: Sized(3, lambda a, b: items[a:b]), criterion, tol)

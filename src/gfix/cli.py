@@ -20,7 +20,7 @@ import argparse
 import contextlib
 import sys
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from typing import Optional
 
 from . import analysis, contractions, convexity, core, mann, spaces
@@ -196,13 +196,16 @@ class Settings:
 
 
 @dataclass(frozen=True)
-class _Csv(core.Sized):
+class _Csv:
     """The lines ``_csv`` makes; ``rows`` formats any range of the data
     rows, so ``_write_lines`` can split them."""
 
     head: list
     template: str
     columns: tuple
+
+    def __len__(self) -> int:
+        return len(self.head) + min(map(len, self.columns))
 
     def rows(self, start: int, stop: int):
         """Data rows ``start`` to ``stop - 1``, each ended by a newline;
@@ -215,9 +218,7 @@ def _csv(head: list, template: str, *columns) -> _Csv:
     """CSV lines: the preformatted ``head`` lines, then ``template % row``
     for each row of the zipped ``columns``.  Rows are formatted as they
     are read, so the whole text is never held at once."""
-    return _Csv(len(head) + min(map(len, columns)), lambda start, stop: islice(
-        chain(head, map(template.__mod__, zip(*columns))), start, stop),
-        head, template, columns)
+    return _Csv(head, template, columns)
 
 
 def _write_lines(path: Optional[str], lines) -> None:

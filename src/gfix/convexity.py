@@ -65,5 +65,5 @@ def check_convexity(cs: ConvexGSpace, plan: SamplePlan,
 
     return evaluate(lambda: sample_tuples(
         cs.space, plan, structured,
-        lambda s: (s.uniform(),) + _LAMBDA_ANCHORS), convexity, tol)
+        lambda lam: (lam,) + _LAMBDA_ANCHORS), convexity, tol)
 

@@ -162,10 +162,6 @@ class Collector:
             self.worst[0] = (margin, -self.count, check_id, witness, lhs, rhs)
             self.worst.sort()
 
-    def note_ratio(self, ratio: float) -> None:
-        if self.worst_ratio is None or ratio > self.worst_ratio:
-            self.worst_ratio = ratio
-
     def report(self) -> CheckReport:
         ratio = self.worst_ratio
         if ratio is not None and not self.worst_margin < math.inf:
@@ -357,7 +353,7 @@ class Columns(collections.abc.Sequence):
             yield out
 
 
-def evaluate(tuples: Callable[[], Iterable[tuple]], inequalities: Callable,
+def evaluate(tuples: Callable[[], Sized], inequalities: Callable,
              tol: float, ratio: bool = False) -> CheckReport:
     """Record every inequality at every witness tuple ``t`` of ``tuples()``.
 
@@ -367,7 +363,7 @@ def evaluate(tuples: Callable[[], Iterable[tuple]], inequalities: Callable,
     lies in [0, 1): below, equalities fail; above, slack exceeds values.
     It is checked before ``tuples`` is called, so a bad one draws nothing.
 
-    A ``Sized`` runs in ``forked_ranges`` of ``MIN_TUPLES`` or more.  A
+    The tuples run in ``forked_ranges`` of ``MIN_TUPLES`` or more.  A
     worker sends its rows as length-framed marshal chunks, each with the
     index its tuples end at, and a passing row without its witness; this
     process records them one chunk at a time and evaluates the rest of a
@@ -380,10 +376,12 @@ def evaluate(tuples: Callable[[], Iterable[tuple]], inequalities: Callable,
     record = col.record
     items, rows = tuples(), []
 
-    if ratio:
+    if ratio:  # the first ratio enters, a later one when strictly larger
         def keep(check_id, witness, lhs, rhs, margin):
             record(check_id, witness, lhs, rhs, margin)
-            col.note_ratio(lhs / max(rhs, _RATIO_FLOOR))
+            q = lhs / max(rhs, _RATIO_FLOOR)  # NaN for a NaN rhs
+            if col.worst_ratio is None or q > col.worst_ratio:
+                col.worst_ratio = q
     else:
         keep = record
 
@@ -418,11 +416,8 @@ def evaluate(tuples: Callable[[], Iterable[tuple]], inequalities: Callable,
                 keep(*row)
         run(items.make(start, stop))  # what a stopped worker did not send
 
-    if isinstance(items, Sized):
-        forked_ranges(len(items), MIN_TUPLES, work,
-                      lambda start, stop: run(items.make(start, stop)), take)
-    else:  # any other iterable is read in one pass here
-        run(items)
+    forked_ranges(len(items), MIN_TUPLES, work,
+                  lambda start, stop: run(items.make(start, stop)), take)
     return col.report()
 
 
@@ -474,35 +469,35 @@ def box_draw(stream: Stream, box: Box, min_separation: float) -> Point:
 
 def sample_tuples(space: GSpace, plan: SamplePlan,
                   structured: Callable[[list], Iterable[tuple]],
-                  weights: Optional[Callable[[Stream], object]] = None,
+                  weights: Optional[Callable[[float], object]] = None,
                   points: int = 4) -> Sized:
     """Witness tuples: ``plan.count`` random ones, then the structured pass.
 
     Random tuple i holds ``points`` points drawn from Stream(seed, i),
-    followed by ``weights(stream)`` when given, so weights come from the
-    same stream after the points.  ``structured`` maps the box's
-    structured points to further tuples of the same shape.  Random
-    tuples are drawn as a pass reads them, and a range draws none before
-    its start; ``len()`` draws nothing.  With ``box_draw``, ``rng.lanes``
-    draws them in blocks of at most ``MIN_TUPLES``, with the same values."""
+    then ``weights(u)`` when given, u the stream's next uniform.
+    ``structured`` maps the box's structured points to further tuples of
+    the same shape.  Random tuples are drawn as a pass reads them, and a
+    range draws none before its start; ``len()`` draws nothing.  With
+    ``box_draw``, ``rng.lanes`` draws them in blocks of at most
+    ``MIN_TUPLES``, u as one more column, with the same values."""
     box, seed = space.default_box, plan.seed
     draw, sep, count = space.draw, plan.min_separation, plan.count
     extra = list(structured(structured_points(space)))
-    dim, bounds = len(box), box * points
+    dim, bounds = len(box), box * points + ((0.0, 1.0),) * bool(weights)
 
     def tuples(start, stop):
         end = min(stop, count)
         if draw is box_draw:
             for at in range(start, end, MIN_TUPLES):
-                cols, states = lanes(seed, at, min(at + MIN_TUPLES, end), bounds)
+                cols = lanes(seed, at, min(at + MIN_TUPLES, end), bounds)
                 parts = [zip(*cols[j:j + dim]) for j in range(0, len(cols), dim)]
-                if weights:
-                    parts.append(map(weights, map(Stream.resume, states)))
+                if weights:  # the last part is the u column alone
+                    parts[-1] = map(weights, cols[-1])
                 yield from zip(*parts)
         else:
             for s in map(Stream, itertools.repeat(seed), range(start, end)):
                 t = tuple(draw(s, box, sep) for _ in range(points))
-                yield t + (weights(s),) if weights else t
+                yield t + (weights(s.uniform()),) if weights else t
         yield from extra[max(start - count, 0):max(stop - count, 0)]
     return Sized(count + len(extra), tuples)
 

@@ -8,7 +8,6 @@ alpha = 1 is a pure T-step.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -114,10 +113,10 @@ class IterationTrace:
     def __len__(self) -> int:
         return len(self.alphas)
 
-    @functools.cached_property
+    @property
     def points(self) -> tuple:
-        """x_0, x_1, ... as point tuples, rebuilt from ``coords`` on the
-        first read and kept."""
+        """x_0, x_1, ... as point tuples, rebuilt from ``coords`` on each
+        read."""
         return self.last_points(len(self))
 
     def last_points(self, k: int) -> tuple:

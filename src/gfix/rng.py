@@ -2,8 +2,8 @@
 
 Every sampling routine derives an independent stream from (seed, index),
 so results do not depend on evaluation order and can be partitioned
-across workers without changing the output.  ``lanes`` steps a range's
-streams together, one per 128-bit lane of a single Python int.
+across workers without changing the output.  ``lanes`` gives the uniforms
+of a range's streams, stepped together, one per 128-bit lane of one int.
 """
 
 import sys
@@ -30,11 +30,6 @@ class Stream:
     def __init__(self, seed: int, index: int = 0):
         self._state = _mix((seed & _MASK) ^ _mix(((index + 1) * _GAMMA) & _MASK))
 
-    @classmethod
-    def resume(cls, state: int) -> "Stream":  # at a state ``lanes`` returns
-        (stream := cls.__new__(cls))._state = state
-        return stream
-
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK
         return _mix(self._state)
@@ -48,10 +43,9 @@ class Stream:
         return low + (high - low) * u
 
 
-def lanes(seed: int, start: int, stop: int, bounds) -> tuple:
+def lanes(seed: int, start: int, stop: int, bounds) -> list:
     """One array per ``(low, high)`` of ``bounds``, in turn, of
-    ``Stream(seed, i).uniform(low, high)`` for i in start..stop-1, and an
-    array of each stream's state after them."""
+    ``Stream(seed, i).uniform(low, high)`` for i in start..stop-1."""
     ones = int.from_bytes((b"\1" + bytes(15)) * (n := stop - start), "little")
     mask, gamma = _MASK * ones, _GAMMA * ones
 
@@ -69,4 +63,4 @@ def lanes(seed: int, start: int, stop: int, bounds) -> tuple:
         state, span = (state + gamma) & mask, hi - lo
         columns.append(array("d", [lo + span * (v * (1.0 / (1 << 53)))
                                    for v in low(_mix(state, mask) >> 11)]))
-    return columns, low(state)
+    return columns

@@ -5,9 +5,10 @@ import dataclasses
 import itertools
 import math
 import operator
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gfix
@@ -322,14 +323,36 @@ class SortedCollector:
 # margins are a few rows inserted apart, since 10 of them fill a report
 _MARGIN = st.sampled_from([0.0, -0.0, -1.0, 5e-324, 0.5, 1.0, 2.0, 3.0])
 _NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
-_ROW = st.tuples(_MARGIN, st.none() | _MARGIN | _NON_FINITE)  # ratio noted
+# lhs and rhs: a rhs of 0 or below is clamped, a NaN rhs gives a NaN ratio
+_SIDE = st.sampled_from([0.0, -0.0, -1.0, 1e-300, 0.5, 2.0]) | _NON_FINITE
+_ROW = st.tuples(_MARGIN, _SIDE, _SIDE)
 
 
-def feed(col, rows, first=0):
-    for i, (margin, ratio) in enumerate(rows, first):
-        col.record(f"c{i % 3}", (i,), float(i), -float(i), margin)
-        if ratio is not None:
-            col.note_ratio(ratio)
+def feed(col, rows):
+    for i, (margin, lhs, rhs) in enumerate(rows):
+        col.record(f"c{i % 3}", (i,), lhs, rhs, margin)
+        col.note_ratio(lhs / max(rhs, 1e-15))
+
+
+def evaluated(rows, cut):
+    """``evaluate(..., ratio=True)`` with row i as tuple i, the margin of
+    each row given; a report is taken, and dropped, before row ``cut``."""
+    made = []
+
+    class Reporting(Collector):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    def row(i):
+        if i == cut:
+            made[0].report()
+        margin, lhs, rhs = rows[i]
+        yield (lambda *_: margin), f"c{i % 3}", (i,), lhs, rhs
+
+    tuples = core.Sized(len(rows), lambda start, stop: zip(range(start, stop)))
+    with mock.patch.object(core, "Collector", Reporting):
+        return core.evaluate(lambda: tuples, row, 0.0, ratio=True)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -337,20 +360,17 @@ def feed(col, rows, first=0):
                                                max_size=160),
        st.lists(st.tuples(st.integers(0, 160), _NON_FINITE), max_size=12),
        st.integers(0, 170))
+# the ratio -0.0 equals 0.0, so it must not replace it
+@example(rows=[(0.0, 0.0, 1.0), (0.0, -0.0, 1.0)], inserted=[], cut=0)
 def test_heap_collector_matches_sorted_reference(rows, inserted, cut):
     for at, margin in inserted:
-        rows.insert(at, (margin, None))
+        rows.insert(at, (margin, 1.0, 1.0))
     # repr tells NaN, 0.0 and -0.0 apart and finds NaN equal to itself
-    ref, col, split = SortedCollector(), Collector(), Collector()
+    ref = SortedCollector()
     feed(ref, rows)
-    feed(col, rows)
     expected = repr(ref.report())
-    assert repr(col.report()) == expected
-    assert repr(col.report()) == expected  # report changes nothing
-    feed(split, rows[:cut])
-    split.report()
-    feed(split, rows[cut:], min(cut, len(rows)))
-    assert repr(split.report()) == expected
+    assert repr(evaluated(rows, None)) == expected
+    assert repr(evaluated(rows, cut)) == expected  # report changes nothing
 
 
 def test_collector_builds_violations_for_survivors_only(monkeypatch):

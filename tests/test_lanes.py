@@ -37,18 +37,37 @@ EXPECTED = {
 
 @pytest.mark.parametrize("seed", sorted(EXPECTED))
 def test_lanes_give_the_streams_uniforms(seed):
-    columns, states = lanes(seed, 3, 7, BOUNDS)
+    columns = lanes(seed, 3, 7, BOUNDS)
+    assert len(columns) == len(BOUNDS)  # uniform columns only
+    assert all(c.typecode == "d" and len(c) == 4 for c in columns)
     assert list(zip(*columns)) == EXPECTED[seed]
-    for i, state in zip(range(3, 7), states):
+    for i in range(3, 7):
         stream = Stream(seed, i)
         assert [stream.uniform(lo, hi) for lo, hi in BOUNDS] == [
             column[i - 3] for column in columns]
-        assert stream.next_u64() == Stream.resume(state).next_u64()
+
+
+@pytest.mark.parametrize("seed", sorted(EXPECTED))
+def test_lambda_column_is_the_next_uniform_after_the_points(seed):
+    # the column convexity's random lambda comes from, last after the points
+    *_, lam = lanes(seed, 3, 7, BOUNDS + [(0.0, 1.0)])
+    for i in range(3, 7):
+        stream = Stream(seed, i)
+        for lo, hi in BOUNDS:
+            stream.uniform(lo, hi)
+        assert lam[i - 3] == stream.uniform()
+    fast = sample_tuples(gfix.make_max_space(2).space,
+                         gfix.SamplePlan(seed=seed, count=7), lambda pts: [],
+                         lambda u: u, points=2)
+    for i, t in enumerate(fast):
+        stream = Stream(seed, i)
+        for _ in range(4):
+            stream.uniform(-10.0, 10.0)
+        assert t[-1] == stream.uniform()
 
 
 def test_an_empty_range_has_no_lanes():
-    columns, states = lanes(1, 5, 5, BOUNDS)
-    assert list(map(len, columns)) == [0, 0, 0] and len(states) == 0
+    assert list(map(len, lanes(1, 5, 5, BOUNDS))) == [0, 0, 0]
 
 
 def per_point(space):
@@ -57,8 +76,8 @@ def per_point(space):
         space, draw=lambda stream, box, sep: box_draw(stream, box, sep))
 
 
-def two_weights(stream):
-    return stream.uniform(), stream.uniform(-1.0, 2.0)
+def one_weight(u):
+    return u, 3.0 * u - 1.0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -74,7 +93,7 @@ def test_lane_path_equals_per_point_path(dim, points, weighted, seed, count,
     space = dataclasses.replace(space, default_box=tuple(
         (-1.0 - j, 2.5 * j) for j in range(dim)))
     plan = gfix.SamplePlan(seed=seed, count=count)
-    weights = two_weights if weighted else None
+    weights = one_weight if weighted else None
 
     def structured(pts):
         return [(p,) * points + ((0.5, 0.5),) * weighted for p in pts]

@@ -1,6 +1,8 @@
 """Averaged iteration: steps, schedules, stopping, and traces."""
 
+import gc
 import math
+import tracemalloc
 
 import pytest
 
@@ -123,8 +125,23 @@ def test_packed_trace_points():
     assert trace.points[-3:] == want[4:]
     assert trace.last_points(3) == want[4:] and trace.last_points(0) == ()
     assert trace.last_points(9) == want
-    assert trace.points is trace.points  # rebuilt once, then kept
     assert all(type(c) is float for p in trace.points for c in p)
+
+
+def test_read_points_are_not_kept():
+    trace = gfix.run_mann(gfix.get_space("perimeter-3"),
+                          gfix.make_affine_contraction((0.0, 1.0, 2.0), 0.5),
+                          (1.0, 2.0, 3.0), gfix.harmonic_schedule(),
+                          gfix.StoppingRule(max_iters=20000, residual_tol=0.0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(trace.points) == 20001  # about 2.7 MB of tuples
+        gc.collect()  # empties the free lists, which keep 2000 3-tuples
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 0.1 * 2**20
 
 
 def test_packed_traces_of_identical_runs_are_equal():

@@ -20,7 +20,7 @@ from itertools import accumulate
 import pytest
 
 import gfix
-from gfix import cli, core
+from gfix import analysis, cli, core, mann
 from gfix.core import Columns, Rows
 
 ITERATE = ["iterate", "--space", "perimeter-3", "--mapping", "affine:k=0.5",
@@ -152,6 +152,41 @@ def test_library_columns_equal_the_old_arrays(
     old = old_chain(delta, map(sched.alpha_at, range(n)))
     assert (array("d", rb.alphas), array("d", rb.factors),
             array("d", rb.products)) == old
+
+
+# the factor 1 - 1.0*(1 - delta) of row 3000 sends the chain to log space
+# for delta 1e-10 and 0, after three linear chunks; for 0.5 it stays linear
+MID_CHAIN = [0.3] * 3000 + [1.0] + [0.2] * 2000
+
+
+@pytest.mark.parametrize("delta", [1e-10, 0.0, 0.5])
+def test_a_chain_restarted_mid_way_equals_the_old_arrays(delta):
+    alphas, factors, products = old_chain(delta, MID_CHAIN)
+    rb = gfix.product_bound(delta, gfix.explicit_schedule(MID_CHAIN),
+                            len(MID_CHAIN))
+    assert (array("d", rb.alphas), array("d", rb.factors),
+            array("d", rb.products)) == (alphas, factors, products)
+    errors = [0.5 ** (n % 7) for n in range(len(MID_CHAIN) + 1)]
+    rows = analysis._rate_chain(delta, lambda: iter(MID_CHAIN), errors)
+    bounds = array("d", (b * errors[0] for b in products))
+    assert array("d", Columns(rows, 3)) == bounds
+    assert array("d", Columns(rows, 4)) == array(
+        "d", map(operator.sub, bounds, errors))
+
+
+@pytest.mark.parametrize("delta, log_space", [(0.5, False), (1e-10, True)])
+def test_a_chain_reads_its_step_sizes_once_unless_it_restarts(delta,
+                                                              log_space):
+    calls, n = [], 5000
+    sched = mann.StepSchedule("harmonic", lambda k: calls.append(k) or
+                              1.0 / (k + 1), True)
+    rb = gfix.product_bound(delta, sched, n)
+    assert len(rb.products) == n + 1
+    if log_space:  # factor 1e-10 at step 0: one chunk, then the whole chain
+        assert n < len(calls) <= n + 1024
+        assert calls[-n:] == list(range(n))
+    else:
+        assert calls == list(range(n))
 
 
 def test_columns_read_as_a_sequence(monkeypatch):
