@@ -148,4 +148,4 @@ def convergence_diagnostics(trace: IterationTrace, limit: Point, tail: int,
         yield le, f"conv-{family}", (limit,), value, tol
 
     items = list(diagnostics_maxima(trace, limit, tail).items())
-    return evaluate(lambda: Sized(3, lambda a, b: items[a:b]), criterion, tol)
+    return evaluate(Sized(3, lambda a, b: items[a:b]), criterion, tol)

@@ -165,8 +165,7 @@ def check_condition(spec: ContractionSpec, space: GSpace, T: Mapping,
         return ((le_tol, check_id, (x, y, z), *sides(x, y, z)),)
 
     # a quadruple's first three points, without drawing its fourth
-    return evaluate(lambda: sample_quads(space, plan, 3), condition, tol,
-                    ratio=True)
+    return evaluate(sample_quads(space, plan, 3), condition, tol, ratio=True)
 
 
 def check_applicability(spec: ContractionSpec) -> ApplicabilityVerdict:

@@ -63,7 +63,7 @@ def check_convexity(cs: ConvexGSpace, plan: SamplePlan,
             for u, v in ((x, y), (y, x), (x, x), (pts[0], pts[-1])):
                 yield x, y, u, v, _LAMBDA_ANCHORS
 
-    return evaluate(lambda: sample_tuples(
-        cs.space, plan, structured,
-        lambda lam: (lam,) + _LAMBDA_ANCHORS), convexity, tol)
+    return evaluate(sample_tuples(cs.space, plan, structured,
+                                  lambda lam: (lam,) + _LAMBDA_ANCHORS),
+                    convexity, tol)
 

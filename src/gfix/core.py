@@ -15,12 +15,13 @@ named inequality between G-values at a witness tuple.  A check family
 only states its inequalities: a function from one witness tuple to
 ``(form, check_id, witness, lhs, rhs)`` rows.  ``evaluate`` runs it over
 the tuples from ``sample_tuples``, turns each row into a signed margin
-through a margin form below, and records it in a Collector: a heap of
-the 10 worst.  Tuple i is drawn from its own stream, and the streams of
-a block of tuples side by side where the draw is ``box_draw``.  So
-``evaluate`` splits the tuples into contiguous ranges, one per usable
-CPU: forked workers evaluate all but the first, and this process records
-every row in index order, so a report is the same on any number of CPUs.
+through a margin form below, and records it in a Collector: one heap
+of the 10 worst, non-finite ones first.  Tuple i is drawn from its own
+stream, and the streams of a block of tuples side by side where the
+draw is ``box_draw``.  So ``evaluate`` splits the tuples into contiguous
+ranges, one per usable CPU: forked workers evaluate all but the first,
+and this process records every row in index order, so a report is the
+same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -126,21 +127,20 @@ class Collector:
     """Accumulates check outcomes, one ``record`` per row.
 
     A check fails when its margin is > 0 or not finite.  ``worst`` is a
-    min-heap, kept sorted, of plain tuples ``(margin, -seq, check_id,
-    witness, lhs, rhs)``, seq the violation count at the row: the 10
-    worst finite violations, ties in the order first seen, or
-    placeholders of margin 0; a row enters above ``worst[0]`` alone.
-    ``report`` changes nothing and makes a ``Violation`` of each
-    survivor.  Non-finite margins, under ``<check_id>:non-finite``, rank
-    worst, in the order seen; they make ``worst_margin`` +inf, or NaN
+    min-heap, kept sorted, of plain tuples ``(rank, -seq, check_id,
+    witness, lhs, rhs, margin)``, seq the violation count at the row and
+    rank the margin, or +inf for a NaN or +-inf margin, whose id gains
+    ``:non-finite``: the 10 worst violations, ties in the order first
+    seen, or placeholders of rank 0; a row enters above ``worst[0]``
+    alone.  ``report`` changes nothing and makes a ``Violation`` of each
+    survivor.  A non-finite margin makes ``worst_margin`` +inf, or NaN
     for good once a NaN margin is seen, and ``worst_ratio``, when ratios
     are noted, the same.
     """
 
     def __init__(self):
         self.total = self.count = 0
-        self.worst = [(0.0, 0, "", (), 0.0, 0.0)] * _KEEP_WORST
-        self.non_finite: list[Violation] = []
+        self.worst = [(0.0, 0, "", (), 0.0, 0.0, 0.0)] * _KEEP_WORST
         self.worst_margin = -math.inf
         self.worst_ratio: Optional[float] = None
 
@@ -152,26 +152,25 @@ class Collector:
         if -math.inf < margin <= 0.0:
             return
         self.count += 1
+        rank = margin
         if not 0.0 < margin < math.inf:
             if self.worst_margin == self.worst_margin:  # NaN stays NaN
                 self.worst_margin = math.inf
-            if len(self.non_finite) < _KEEP_WORST:
-                self.non_finite.append(Violation(f"{check_id}:non-finite",
-                                                 witness, lhs, rhs, margin))
-        elif margin > self.worst[0][0]:
-            self.worst[0] = (margin, -self.count, check_id, witness, lhs, rhs)
+            check_id, rank = f"{check_id}:non-finite", math.inf
+        if rank > self.worst[0][0]:
+            self.worst[0] = (rank, -self.count, check_id, witness, lhs, rhs,
+                             margin)
             self.worst.sort()
 
     def report(self) -> CheckReport:
         ratio = self.worst_ratio
         if ratio is not None and not self.worst_margin < math.inf:
             ratio = self.worst_margin  # an inf or NaN margin has no ratio
-        finite = [Violation(c, w, lhs, rhs, m) for m, _, c, w, lhs, rhs
-                  in sorted(self.worst, reverse=True) if m]
         return CheckReport(
             total_checks=self.total,
             violation_count=self.count,
-            violations=tuple((self.non_finite + finite)[:_KEEP_WORST]),
+            violations=tuple(Violation(*row[2:])
+                             for row in reversed(self.worst) if row[0]),
             worst_margin=self.worst_margin,
             passed=self.count == 0,
             worst_ratio=ratio,
@@ -353,15 +352,15 @@ class Columns(collections.abc.Sequence):
             yield out
 
 
-def evaluate(tuples: Callable[[], Sized], inequalities: Callable,
-             tol: float, ratio: bool = False) -> CheckReport:
-    """Record every inequality at every witness tuple ``t`` of ``tuples()``.
+def evaluate(items: Sized, inequalities: Callable, tol: float,
+             ratio: bool = False) -> CheckReport:
+    """Record every inequality at every witness tuple ``t`` of ``items``.
 
     ``inequalities(*t)`` returns or yields ``(form, check_id, witness,
     lhs, rhs)`` rows; a row's margin is ``form(lhs, rhs, tol)``.  With
     ``ratio`` the report also carries the worst lhs/rhs ratio.  ``tol``
     lies in [0, 1): below, equalities fail; above, slack exceeds values.
-    It is checked before ``tuples`` is called, so a bad one draws nothing.
+    It is checked first, so a bad one makes no range and draws nothing.
 
     The tuples run in ``forked_ranges`` of ``MIN_TUPLES`` or more.  A
     worker sends its rows as length-framed marshal chunks, each with the
@@ -373,8 +372,7 @@ def evaluate(tuples: Callable[[], Sized], inequalities: Callable,
     if not 0.0 <= tol < 1.0:
         raise ValueError(f"tol must be in [0, 1), got {tol}")
     col = Collector()
-    record = col.record
-    items, rows = tuples(), []
+    record, rows = col.record, []
 
     if ratio:  # the first ratio enters, a later one when strictly larger
         def keep(check_id, witness, lhs, rhs, margin):
@@ -540,7 +538,7 @@ def check_axioms(space: GSpace, plan: SamplePlan, tol: float = 1e-9) -> CheckRep
         yield (le_tol, "axiom-v", (x, y, z, a), g(x, y, z),
                g(x, a, a) + g(a, y, z))
 
-    return evaluate(lambda: sample_quads(space, plan), axioms, tol)
+    return evaluate(sample_quads(space, plan), axioms, tol)
 
 
 def check_derived(space: GSpace, plan: SamplePlan, tol: float = 1e-9) -> CheckReport:
@@ -574,4 +572,4 @@ def check_derived(space: GSpace, plan: SamplePlan, tol: float = 1e-9) -> CheckRe
         yield (le_tol, "derived-vi", (x, y, z, a), gxyz,
                g(x, a, a) + g(y, a, a) + g(z, a, a))
 
-    return evaluate(lambda: sample_quads(space, plan), derived, tol)
+    return evaluate(sample_quads(space, plan), derived, tol)

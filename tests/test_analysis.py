@@ -181,6 +181,18 @@ def test_verify_bound_fails_closed_on_nan_slack(true_errors):
     assert math.isnan(report.min_slack)
 
 
+@pytest.mark.parametrize("error, holds", [(1e-9, True), (2e-9, False)])
+def test_verify_bound_slack_on_its_tolerance(error, holds):
+    # delta 0 and alpha 0 give B_n = 1 and a bound of G(x_0,u,u) = 0, so
+    # the slack at step 1 is minus its true error: -tol itself holds
+    trace = gfix.IterationTrace(space=PERIM1, coords=array("d", (0.0, 0.0)),
+                                alphas=[0.0, 0.0], residuals=[0.0, 0.0],
+                                true_errors=[0.0, error], status="max-iters")
+    report = gfix.verify_bound(trace, 0.0)
+    assert report.min_slack == -error
+    assert report.holds is holds
+
+
 def test_verify_bound_refuses_vacuous_delta():
     with pytest.raises(ValueError):
         gfix.verify_bound(halving_trace(), 1.5)

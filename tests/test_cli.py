@@ -375,6 +375,17 @@ def test_iterate_divergence_exit_one(tmp_path, capsys):
     assert "status: diverged" in capsys.readouterr().out
 
 
+def test_iterate_residual_exactly_on_tol_stops(capsys):
+    # affine:k=0 with alpha 1 sends x_1 to the fixed point: its residual
+    # 0 equals --residual-tol 0, and equality stops the run
+    rc = run(["iterate", "--space", "perimeter-1", "--mapping", "affine:k=0",
+              "--schedule", "constant", "--alpha", "1", "--residual-tol", "0",
+              "--x0", "1", "--max-iters", "5"])
+    assert rc == 0
+    summary = capsys.readouterr().out.splitlines()
+    assert "status: residual-tol" in summary and "steps: 1" in summary
+
+
 @pytest.mark.parametrize("extra", [
     ["--mapping=affine:k=1e308", "--schedule=explicit:0;0", "--x0=1"],
     ["--mapping=affine:k=1e-320", "--alpha=1", "--x0=1e308"],

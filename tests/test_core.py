@@ -271,6 +271,15 @@ def test_collector_infinite_margin_is_worst(margins, worst):
     assert report.worst_ratio is None
 
 
+def test_collector_keeps_the_first_of_tied_rows():
+    # eleven rows tie at margin 1: the first ten seen stay, in that order
+    col = Collector()
+    for i in range(11):
+        col.record("x", (i,), 1.0, 0.0, 1.0)
+    assert [v.witness for v in col.report().violations] == [
+        (i,) for i in range(10)]
+
+
 class SortedCollector:
     """The sort-based Collector the heap replaced, kept as the reference:
     a Violation per violation, re-sorted (stably) past 40 and at report."""
@@ -352,7 +361,7 @@ def evaluated(rows, cut):
 
     tuples = core.Sized(len(rows), lambda start, stop: zip(range(start, stop)))
     with mock.patch.object(core, "Collector", Reporting):
-        return core.evaluate(lambda: tuples, row, 0.0, ratio=True)
+        return core.evaluate(tuples, row, 0.0, ratio=True)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -393,6 +402,28 @@ def test_collector_builds_violations_for_survivors_only(monkeypatch):
     assert report.violation_count == 100015
     assert [v.witness for v in report.violations] == [
         (i,) for i in sorted(non_finite)[:10]]
+
+
+def test_derived_near_miss_margins(monkeypatch):
+    # G is 0 on the diagonal, 1 with exactly two points equal and 5 with
+    # all three distinct; the structured quad (p, q, r, p) puts a = x,
+    # where derived-v's right side is (2/3)(1 + 1 + 5) and derived-vi's
+    # is 0 + 1 + 1, so each worst margin pins its right side exactly
+    def g(x, y, z):
+        return (0.0, 1.0, 5.0)[len({x, y, z}) - 1]
+    space = gfix.GSpace(name="jump", dim=1, g=g, draw=core.box_draw,
+                        contains=lambda p: 0.0 <= p[0] <= 3.0,
+                        default_box=((0.0, 3.0),))
+    worst, record = {}, core.Collector.record
+
+    def spy(self, check_id, witness, lhs, rhs, margin):
+        worst[check_id] = max(worst.get(check_id, -math.inf), margin)
+        record(self, check_id, witness, lhs, rhs, margin)
+    monkeypatch.setattr(core.Collector, "record", spy)
+    gfix.check_derived(space, gfix.SamplePlan(seed=0, count=50))
+    assert worst["derived-v"] == 5 - (2 / 3) * 7 - 1e-9 * (2 / 3) * 7
+    assert worst["derived-v"] == 0.33333332866666726
+    assert worst["derived-vi"] == 3 - 1e-9 * 2
 
 
 def test_nan_evaluator_fails_axioms():

@@ -236,6 +236,17 @@ def test_an_index_loop_reads_each_block_once(monkeypatch):
     assert list(reversed(errors)) == values[::-1] and len(reads) == 12
 
 
+def test_a_platform_without_pread_reads_the_same_rows(
+        monkeypatch, capsys, tmp_path):
+    # where os.pread is missing, so is os.fork: _pread seeks and reads
+    args = ITERATE[:-1] + ["500"]
+    both = run(monkeypatch, capsys, tmp_path, args, 2, 7)
+    monkeypatch.delattr(os, "pread")
+    monkeypatch.delattr(os, "fork")
+    assert run(monkeypatch, capsys, tmp_path, args, 2, 7) == both
+    assert both[0] == 0
+
+
 def test_spill_error_exits_two(monkeypatch, capsys, tmp_path):
     def full(*args, **kwargs):
         raise OSError(28, "No space left on device")

@@ -1,0 +1,106 @@
+"""Run the source mutants that tier-1 must kill.
+
+    python3 tools/mutants.py
+
+Each mutant replaces one snippet of a file under src/ and names the test
+files that should fail on it.  For each, in list order, this checks that
+the snippet occurs exactly once, copies src/, tests/ and pyproject.toml
+to a temporary folder outside the repository, applies the mutant there
+and runs its test files with ``python -m pytest -x -q``, no cache and no
+bytecode written.  A mutant is KILLED when pytest exits non-zero and
+SURVIVED otherwise.  Prints one line per mutant with its time, and exits
+1 if any mutant survived.  Stdlib only; the repository is only read.
+
+Left off the list: the four-term-alt orientation mutant (``_sides``
+giving four-term-alt the primary displacement G(p,Tp,Tp)).  Every
+bundled space has G(x,x,y) = G(x,y,y), so no test can tell the two
+orientations apart until a non-symmetric space exists.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (file, old, new, why, test files)
+MUTANTS = [
+    ("src/gfix/core.py",
+     'check_id, rank = f"{check_id}:non-finite", math.inf',
+     'check_id, rank = f"{check_id}:non-finite", margin',
+     "a non-finite row is ranked by its own margin, not first",
+     ["tests/test_core.py"]),
+    ("src/gfix/core.py",
+     "if rank > self.worst[0][0]:",
+     "if rank >= self.worst[0][0]:",
+     "a row that ties the 10th place displaces the one seen first",
+     ["tests/test_core.py"]),
+    ("src/gfix/core.py",
+     "(2.0 / 3.0) * (g(x, y, a)",
+     "1.0 * (g(x, y, a)",
+     "derived-v's factor 2/3 weakened to 1",
+     ["tests/test_core.py"]),
+    ("src/gfix/core.py",
+     "g(x, a, a) + g(y, a, a) + g(z, a, a))",
+     "g(x, a, a) + g(y, a, a) + g(z, a, a) + 1.0)",
+     "derived-vi's right side + 1",
+     ["tests/test_core.py"]),
+    ("src/gfix/core.py",
+     "file.seek(8 * start)",
+     "file.seek(8 * start + 8)",
+     "the no-os.pread read starts one double late",
+     ["tests/test_row_store.py"]),
+    ("src/gfix/mann.py",
+     "if residual <= stop.residual_tol:",
+     "if residual < stop.residual_tol:",
+     "a residual exactly on --residual-tol does not stop the run",
+     ["tests/test_cli.py"]),
+    ("src/gfix/analysis.py",
+     "holds=min_slack >= -tol",
+     "holds=min_slack >= -10 * tol",
+     "verify_bound's tolerance x 10",
+     ["tests/test_analysis.py"]),
+]
+
+
+def run(file: str, old: str, new: str, tests: list) -> bool:
+    """True when ``tests`` fail with ``old`` replaced by ``new``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, Path(tmp) / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        target = Path(tmp) / file
+        target.write_text(target.read_text().replace(old, new))
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=str(Path(tmp) / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+             "no:cacheprovider", *tests],
+            cwd=tmp, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        return done.returncode != 0
+
+
+def main() -> int:
+    for file, old, *_ in MUTANTS:
+        count = (ROOT / file).read_text().count(old)
+        assert count == 1, f"{file}: {old!r} occurs {count} times"
+    survivors = 0
+    for file, old, new, why, tests in MUTANTS:
+        start = time.perf_counter()
+        killed = run(file, old, new, tests)
+        survivors += not killed
+        print(f"{'KILLED' if killed else 'SURVIVED':8} "
+              f"{time.perf_counter() - start:5.1f} s  {file}: {why}",
+              flush=True)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
