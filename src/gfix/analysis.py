@@ -55,7 +55,10 @@ def _rate_chain(delta: float, step_sizes: Callable[[], Iterable[float]],
             bounds = array("d", map(operator.mul, columns[2], repeat(e0)))
             columns += (bounds, array("d", map(operator.sub, bounds,
                                                errors[at:at + len(bounds)])))
-        rows.put(*columns)
+        values = array("d", [0.0]) * (rows.width * len(columns[0]))
+        for j, column in enumerate(columns):
+            values[j::rows.width] = column
+        rows.add(values)
 
     for log_space in (False, True):
         alphas, rows = iter(step_sizes()), Rows(3 if errors is None else 5)

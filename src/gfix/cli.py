@@ -9,9 +9,10 @@ round-trip exactly; reruns with an identical configuration are
 byte-identical.  The sampled checks and the CSVs of iterate and bound
 run in ``core.forked_ranges``, one per usable CPU, of at least
 ``core.MIN_TUPLES`` witness tuples or ``MIN_ROWS`` CSV rows; the bytes
-are the same on any number of CPUs.  Workers write their ranges to
-temporary files, and iterate and bound keep their columns in
-``core.Rows``, so no process holds a whole column or range.
+are the same on any number of CPUs, and so is an error.  Workers send
+their ranges in chunks through temporary files, and iterate and bound
+keep their columns in ``core.Rows``, so no process holds a whole column
+or range.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .core import CheckReport, SamplePlan
 
 CSV_HEADER = "n,alpha_n,residual,true_error,bound,slack"
 MIN_ROWS = 10000  # fewest CSV data rows a range gets; a fork costs ~2 ms
-_COPY_CHUNK = 65536  # bytes copied from a worker's file per read
 
 
 class ConfigError(ValueError):
@@ -197,8 +197,10 @@ class Settings:
 
 @dataclass(frozen=True)
 class _Csv:
-    """The lines ``_csv`` makes; ``rows`` formats any range of the data
-    rows, so ``_write_lines`` can split them."""
+    """CSV lines: the preformatted ``head`` lines, then ``template % row``
+    for each row of the zipped ``columns``.  Rows are formatted as they
+    are read, so the whole text is never held at once; ``rows`` formats
+    any range of the data rows, so ``_write_lines`` can split them."""
 
     head: list
     template: str
@@ -214,21 +216,14 @@ class _Csv:
                    zip(*(c[start:stop] for c in self.columns)))
 
 
-def _csv(head: list, template: str, *columns) -> _Csv:
-    """CSV lines: the preformatted ``head`` lines, then ``template % row``
-    for each row of the zipped ``columns``.  Rows are formatted as they
-    are read, so the whole text is never held at once."""
-    return _Csv(head, template, columns)
-
-
 def _write_lines(path: Optional[str], lines) -> None:
     """Write ``lines``, each ended by a newline, to the file ``path`` or,
     without one, to stdout.
 
     A ``_Csv``'s data rows run in ``core.forked_ranges`` of ``MIN_ROWS``
-    or more.  A worker writes its range's text to a temporary file 4096
-    rows at a time, and this process copies it from there ``_COPY_CHUNK``
-    bytes at a time, so no process holds a range's text."""
+    or more.  A worker sends its range's text 512 rows, about 64 KB, at
+    a time, and this process writes each as it reads it, so no process
+    holds a range's text."""
     with (open(path, "w", newline="") if path
           else contextlib.nullcontext(sys.stdout)) as fh:
         if not isinstance(lines, _Csv):
@@ -239,18 +234,14 @@ def _write_lines(path: Optional[str], lines) -> None:
 
         def work(start, stop):
             rows = lines.rows(start, stop)
-            while chunk := "".join(islice(rows, 4096)):
-                yield chunk.encode("ascii")
+            for at in range(start, stop, 512):
+                yield min(at + 512, stop), "".join(islice(rows, 512))
 
         def own(start, stop):
             fh.writelines(lines.rows(start, stop))
 
-        def copy(file, start, stop):
-            while chunk := file.read(_COPY_CHUNK):
-                fh.write(chunk.decode("ascii"))
-
         core.forked_ranges(len(lines) - len(lines.head), MIN_ROWS, work,
-                           own, copy)
+                           own, fh.write)
 
 
 def _report_lines(cmd: str, settings: Settings, report: CheckReport) -> list:
@@ -353,8 +344,8 @@ def _cmd_iterate(args: argparse.Namespace, settings: Settings) -> int:
     if bound_report is not None:
         columns += [bound_report.bounds, bound_report.slacks]
     template = "%d" + ",%.17g" * len(columns) + "," * (5 - len(columns))
-    _write_lines(args.out, _csv([CSV_HEADER], template,
-                                range(len(trace)), *columns))
+    _write_lines(args.out, _Csv([CSV_HEADER], template,
+                                (range(len(trace)), *columns)))
 
     summary = ["# gfix iterate",
                settings.config_line(),
@@ -376,10 +367,10 @@ def _cmd_bound(args: argparse.Namespace, settings: Settings) -> int:
     delta = settings.get("delta")
     sched = _schedule(settings)
     rb = analysis.product_bound(delta, sched, settings.get("max-iters"))
-    _write_lines(args.out, _csv(
+    _write_lines(args.out, _Csv(
         ["n,alpha_n,factor,B_n", "0,,,%.17g" % rb.products[0]],
-        "%d,%.17g,%.17g,%.17g", range(1, len(rb.products)), rb.alphas,
-        rb.factors, rb.products[1:]))
+        "%d,%.17g,%.17g,%.17g", (range(1, len(rb.products)), rb.alphas,
+                                 rb.factors, rb.products[1:])))
     return 0
 
 

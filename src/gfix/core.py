@@ -18,15 +18,15 @@ the tuples from ``sample_tuples``, turns each row into a signed margin
 through a margin form below, and records it in a Collector: one heap
 of the 10 worst, non-finite ones first.  Tuple i is drawn from its own
 stream, and the streams of a block of tuples side by side where the
-draw is ``box_draw``.  So ``evaluate`` splits the tuples into contiguous
-ranges, one per usable CPU: forked workers evaluate all but the first,
-and this process records every row in index order, so a report is the
-same on any number of CPUs.
+draw is ``box_draw``.  So ``evaluate`` splits the tuples into
+``forked_ranges``, one per usable CPU, the owner of the workers' chunk
+format and of the rerun of what a stopped worker left: this process
+records every row in index order, so a report, or an error, is the same
+on any number of CPUs.
 """
 
 from __future__ import annotations
 
-import collections.abc
 import itertools
 import marshal
 import math
@@ -213,37 +213,54 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def forked_ranges(size: int, minimum: int, work: Callable, own: Callable,
+def forked_ranges(size: int, minimum: int, work: Callable, run: Callable,
                   take: Callable) -> None:
     """Run items 0..size-1 in k contiguous ranges, k = max(1, min(usable
     CPUs, size // minimum)), and k = 1 where there is no ``os.fork``.
-    A worker forked per range 1..k-1 writes the bytes chunks of
-    ``work(start, stop)`` to its own unlinked temporary file and leaves
-    through ``os._exit``, flushing no inherited buffer.  This process
-    runs ``own(0, stop)``, then, as each worker ends, in order,
-    ``take(file, start, stop)`` on its file from the start.  It reaps
-    every worker, killing them first when it raises; a worker that
-    failed raises ``OSError``."""
+    A worker forked per range 1..k-1 writes each ``(at, payload)`` of
+    ``work(start, stop)``, items start..at-1 done, as a length-prefixed
+    ``marshal`` chunk to its own unlinked temporary file until one
+    raises, and leaves through ``os._exit``, flushing no inherited
+    buffer.  This process runs ``run(0, stop)``, then, as each worker
+    ends, in order, ``take(payload)`` for each whole chunk of its file
+    and ``run`` on the rest of its range, so an error is the one a
+    single range raises.  It reaps every worker, killing them first when
+    it raises; a worker that failed raises ``OSError``."""
     k = max(1, min(_cpus(), size // minimum)) if hasattr(os, "fork") else 1
     cuts = [size * i // k for i in range(k + 1)]
     files, pids, failed = [], [], 0
+
+    def chunks(start, stop):
+        try:
+            for item in work(start, stop):
+                chunk = marshal.dumps(item)
+                yield len(chunk).to_bytes(4, "little") + chunk
+        except Exception:
+            pass  # this process runs the rest and meets the error there
+
     try:
         for start, stop in zip(cuts[1:-1], cuts[2:]):
             files.append(out := tempfile.TemporaryFile())
             if (pid := os.fork()) == 0:
                 try:
-                    out.writelines(work(start, stop))
+                    out.writelines(chunks(start, stop))
                     out.flush()
                     os._exit(0)
                 finally:
                     os._exit(1)
             pids.append(pid)
-        own(0, cuts[1])
-        for out, start, stop in zip(files, cuts[1:], cuts[2:]):
+        run(0, cuts[1])
+        for out, at, stop in zip(files, cuts[1:], cuts[2:]):
             failed += os.waitpid(pids[0], 0)[1] != 0
             del pids[0]
             out.seek(0)
-            take(out, start, stop)
+            while len(head := out.read(4)) == 4:
+                n = int.from_bytes(head, "little")
+                if len(chunk := out.read(n)) < n:
+                    break
+                at, payload = marshal.loads(chunk)
+                take(payload)
+            run(at, stop)
     except BaseException:
         for pid in pids:
             os.kill(pid, 9)  # SIGKILL: a failed run needs no more rows
@@ -267,9 +284,9 @@ def _pread(file, start: int, stop: int) -> memoryview:
 
 
 class Rows:
-    """Rows of ``width`` doubles, appended to ``tail``.  Whenever ``tail``
-    holds a block, about 256 KB at any width, ``spill`` moves it to an
-    unlinked temporary file, made then and closed with the store."""
+    """Rows of ``width`` doubles.  ``add`` appends to ``tail`` and moves
+    each full block, about 256 KB at any width, to an unlinked temporary
+    file, made then and closed with the store."""
 
     def __init__(self, width: int):
         self.width, self.file, self.spilled = width, None, 0
@@ -279,55 +296,42 @@ class Rows:
     def __len__(self) -> int:
         return (self.spilled + len(self.tail)) // self.width
 
-    def put(self, *columns: array) -> None:
-        """Append row i of the equal-length ``columns`` for every i."""
-        rows = array("d", [0.0]) * (self.width * len(columns[0]))
-        for j, column in enumerate(columns):
-            rows[j::self.width] = column
-        self.tail += rows
+    def add(self, values: Iterable[float]) -> None:
+        """Append ``values``, whole rows in row order."""
+        self.tail.extend(values)
         while len(self.tail) >= self.block:
-            self.spill()
-
-    def spill(self) -> None:  # the first block of tail goes to the file
-        if self.file is None:
-            self.file = tempfile.TemporaryFile()
-            weakref.finalize(self, self.file.close)
-        self.file.write(memoryview(self.tail)[:self.block])
-        self.file.flush()  # _pread reads what the kernel holds
-        self.spilled += self.block
-        del self.tail[:self.block]
+            if self.file is None:
+                self.file = tempfile.TemporaryFile()
+                weakref.finalize(self, self.file.close)
+            self.file.write(memoryview(self.tail)[:self.block])
+            self.file.flush()  # _pread reads what the kernel holds
+            self.spilled += self.block
+            del self.tail[:self.block]
 
 
-class Columns(collections.abc.Sequence):
-    """Read-only view of columns first..first+count-1 of rows
-    start..stop-1 of a ``Rows``, flat in row order.  ``len()`` reads
-    nothing; an index reads the block its row is in, kept until an index
-    elsewhere; a slice on whole rows is a view that reads only its rows."""
+class Columns:
+    """Read-only view of column ``first`` of rows start..stop-1 of a
+    ``Rows``.  ``len()`` reads nothing; an index reads only its own row;
+    a slice with step 1 is a view that reads only its rows, and a pass
+    reads one block at a time."""
 
-    def __init__(self, rows: Rows, first: int, count: int = 1,
-                 start: int = 0, stop: Optional[int] = None):
-        self.rows, self.first, self.count = rows, first, count
+    def __init__(self, rows: Rows, first: int, start: int = 0,
+                 stop: Optional[int] = None):
+        self.rows, self.first = rows, first
         self.start, self.stop = start, len(rows) if stop is None else stop
-        self._last = 0, array("d")  # (first index, values) of a block read
 
     def __len__(self) -> int:
-        return (self.stop - self.start) * self.count
+        return self.stop - self.start
 
     def __getitem__(self, i):
-        c = self.count
         if not isinstance(i, slice):
             i = range(len(self))[i]
-            at, values = self._last
-            if not 0 <= i - at < len(values):  # read the block row i is in
-                per = self.rows.block // self.rows.width
-                at = max(0, (self.start + i // c) // per * per - self.start) * c
-                self._last = at, values = at, next(self[at:at + per * c].arrays())
-            return values[i - at]
+            return next(self[i:i + 1].arrays())[0]
         a, b, step = i.indices(len(self))
-        if step != 1 or a % c or b % c:
+        if step != 1:
             return array("d", self)[i]
-        return Columns(self.rows, self.first, c, self.start + a // c,
-                       self.start + max(a, b) // c)
+        return Columns(self.rows, self.first, self.start + a,
+                       self.start + max(a, b))
 
     def __iter__(self):
         return itertools.chain.from_iterable(self.arrays())
@@ -338,16 +342,14 @@ class Columns(collections.abc.Sequence):
 
     def arrays(self):
         """This view's values as arrays, one per block of rows read."""
-        rows, w, c = self.rows, self.rows.width, self.count
+        rows, w = self.rows, self.rows.width
         a, b, s = self.start * w, self.stop * w, rows.spilled
         for at in range(a - a % rows.block, b, rows.block):  # whole blocks
             lo, hi = max(a, at), min(b, at + rows.block)
             block = (_pread(rows.file, lo, hi) if at < s
                      else memoryview(rows.tail)[lo - s:hi - s])
-            out = array("d", [0.0]) * (c * ((hi - lo) // w))
-            with memoryview(out) as view:
-                for j in range(c):
-                    view[j::c] = block[self.first + j::w]
+            out = array("d", [0.0]) * ((hi - lo) // w)
+            memoryview(out)[:] = block[self.first::w]
             block.release()  # tail may grow again once no view holds it
             yield out
 
@@ -363,11 +365,9 @@ def evaluate(items: Sized, inequalities: Callable, tol: float,
     It is checked first, so a bad one makes no range and draws nothing.
 
     The tuples run in ``forked_ranges`` of ``MIN_TUPLES`` or more.  A
-    worker sends its rows as length-framed marshal chunks, each with the
-    index its tuples end at, and a passing row without its witness; this
-    process records them one chunk at a time and evaluates the rest of a
-    range an error stopped, so the report, or the error, is the one a
-    single pass gives.
+    worker sends its rows in chunks of ``_CHUNK_TUPLES`` tuples, a passing
+    row without its witness, and this process records every row in index
+    order, so the report, or the error, is the one a single pass gives.
     """
     if not 0.0 <= tol < 1.0:
         raise ValueError(f"tol must be in [0, 1), got {tol}")
@@ -394,25 +394,15 @@ def evaluate(items: Sized, inequalities: Callable, tol: float,
                      lhs, rhs, margin))
 
     def work(start, stop):
-        try:
-            witnesses = iter(items.make(start, stop))  # drawn a block at a time
-            for i in range(start, stop, _CHUNK_TUPLES):
-                run(itertools.islice(witnesses, _CHUNK_TUPLES), send)
-                chunk = marshal.dumps((min(i + _CHUNK_TUPLES, stop), rows))
-                yield len(chunk).to_bytes(4, "little") + chunk
-                rows.clear()
-        except Exception:
-            pass  # the parent evaluates the rest and meets the error there
+        witnesses = iter(items.make(start, stop))  # drawn a block at a time
+        for i in range(start, stop, _CHUNK_TUPLES):
+            run(itertools.islice(witnesses, _CHUNK_TUPLES), send)
+            yield min(i + _CHUNK_TUPLES, stop), rows
+            rows.clear()
 
-    def take(file, start, stop):
-        while len(head := file.read(4)) == 4:
-            size = int.from_bytes(head, "little")
-            if len(chunk := file.read(size)) < size:
-                break
-            start, rows = marshal.loads(chunk)  # the rows before start
-            for row in rows:
-                keep(*row)
-        run(items.make(start, stop))  # what a stopped worker did not send
+    def take(rows):
+        for row in rows:
+            keep(*row)
 
     forked_ranges(len(items), MIN_TUPLES, work,
                   lambda start, stop: run(items.make(start, stop)), take)

@@ -100,11 +100,11 @@ class IterationTrace:
     """Full record of one run: iterates, step sizes, residuals
     G(x_n, Tx_n, Tx_n) and, when the fixed point is known, true errors
     G(x_n, u, u).  The columns are parallel; entry n describes x_n.
-    ``coords`` holds the coordinates of x_0, x_1, ... back to back.
-    ``run_mann`` gives read-only ``core.Columns`` over its row store."""
+    ``coords`` holds one column per coordinate.  ``run_mann`` gives
+    read-only ``core.Columns`` over its row store."""
 
     space: GSpace
-    coords: Sequence[float]
+    coords: tuple
     alphas: Sequence[float]
     residuals: Sequence[float]
     true_errors: Optional[Sequence[float]]
@@ -122,9 +122,8 @@ class IterationTrace:
     def last_points(self, k: int) -> tuple:
         """The last k iterates (all, if fewer) as point tuples, rebuilt
         from ``coords``."""
-        start = max(0, len(self.coords) - k * self.space.dim)
-        coords = iter(self.coords[start:])
-        return tuple(zip(*[coords] * self.space.dim))
+        start = max(0, len(self) - k)
+        return tuple(zip(*(c[start:] for c in self.coords)))
 
 
 def _overflowed(p: Point) -> bool:
@@ -149,19 +148,16 @@ def run_mann(cs: ConvexGSpace, T: Mapping, x0: Point, sched: StepSchedule,
     if sched.limit is not None:
         max_iters = min(max_iters, sched.limit)
 
-    apply, blend = T.apply, cs.w.blend
     dim = space.dim
     rows = Rows(dim + 3)  # x_n, alpha_n, residual, true error (0 unknown)
-    tail, block = rows.tail, rows.block
+    apply, blend, add = T.apply, cs.w.blend, rows.add
     x = tuple(float(c) for c in x0)
     for n in range(max_iters + 1):
         tx = apply(x)
         residual = g(x, tx, tx)
         error = g(x, u, u) if u is not None else 0.0
         alpha = sched.alpha_at(n)
-        tail.extend((*x, alpha, residual, error))
-        if len(tail) == block:
-            rows.spill()
+        add((*x, alpha, residual, error))
         if not (math.isfinite(residual) and math.isfinite(error)):
             status = STATUS_DIVERGED
             break
@@ -178,7 +174,7 @@ def run_mann(cs: ConvexGSpace, T: Mapping, x0: Point, sched: StepSchedule,
         x = x_next
 
     return IterationTrace(
-        space=space, coords=Columns(rows, 0, dim), alphas=Columns(rows, dim),
-        residuals=Columns(rows, dim + 1),
+        space=space, coords=tuple(Columns(rows, j) for j in range(dim)),
+        alphas=Columns(rows, dim), residuals=Columns(rows, dim + 1),
         true_errors=Columns(rows, dim + 2) if u is not None else None,
         status=status)

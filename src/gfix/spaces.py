@@ -99,18 +99,15 @@ class UnknownSpaceError(ValueError):
 
 def get_space(key: str):
     """Resolve a catalog key: ``perimeter-<dim>``, ``max-<dim>`` or
-    ``sign-example``.  Returns a ConvexGSpace, or a bare GSpace for the
+    ``sign-example``, dim in ASCII digits without a leading zero.  Returns a ConvexGSpace, or a bare GSpace for the
     sign example."""
     if key == "sign-example":
         return make_sign_example_space()
     for prefix, maker in (("perimeter-", make_perimeter_space),
                           ("max-", make_max_space)):
         if key.startswith(prefix):
-            try:
-                dim = int(key[len(prefix):])
-            except ValueError:
+            digits = key[len(prefix):]
+            if not (digits.isascii() and digits.isdigit()) or digits[0] == "0":
                 raise UnknownSpaceError(f"bad dimension in space key {key!r}")
-            if dim < 1:
-                raise UnknownSpaceError(f"dimension must be >= 1 in {key!r}")
-            return maker(dim)
+            return maker(int(digits))
     raise UnknownSpaceError(f"unknown space key {key!r}")

@@ -79,10 +79,10 @@ def test_04_exact_rate_regression():
     assert len(trace) > 51
     e0 = trace.true_errors[0]
     products = gfix.trace_products(trace, 0.5)
-    for n in range(51):
-        bound = products[n] * e0
+    for n, product, error in zip(range(51), products, trace.true_errors):
+        bound = product * e0
         assert bound == pytest.approx(0.75 ** n * e0, rel=1e-12)
-        assert abs(trace.true_errors[n] - bound) <= 1e-12 * bound
+        assert abs(error - bound) <= 1e-12 * bound
     report(4, "true error equals 0.75^n bound within 1e-12 relative for "
               "n = 0..50")
 

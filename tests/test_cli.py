@@ -11,7 +11,7 @@ from array import array
 import pytest
 
 import gfix
-from gfix.cli import (CSV_HEADER, _csv, _fmt, main, parse_mapping,
+from gfix.cli import (CSV_HEADER, _Csv, _fmt, main, parse_mapping,
                       parse_schedule)
 
 
@@ -109,6 +109,10 @@ def test_nan_min_separation_exits_two_promptly():
      "--condition sum --coeff a=x,b=0",
      "error: --coeff a: expected float, got 'x'"),
     ("check-axioms --space nope-3", "error: unknown space key 'nope-3'"),
+    ("check-axioms --space perimeter-+1",
+     "error: bad dimension in space key 'perimeter-+1'"),
+    ("iterate --space max-\u0663 --mapping affine:k=0.5",
+     "error: bad dimension in space key 'max-\u0663'"),
     ("iterate --space perimeter-1 --mapping affine:k=0.5 --x0 nan",
      "error: (nan,) is not in the domain of perimeter-1"),
     ("bound --delta 0.5 --schedule power:x",
@@ -446,9 +450,9 @@ def test_row_template_matches_fmt():
 
 
 def test_csv_rows_formatted_as_read():
-    csv = _csv(["n,a,b", "0,,"], "%d,%.17g,%.17g", range(1, 4),
-               array("d", [0.5, -0.0, math.inf]),
-               array("d", [1e-320, 2.0, 3.0, 4.0]))
+    csv = _Csv(["n,a,b", "0,,"], "%d,%.17g,%.17g", (
+        range(1, 4), array("d", [0.5, -0.0, math.inf]),
+        array("d", [1e-320, 2.0, 3.0, 4.0])))
     assert len(csv) == 5
     assert csv.head + list(csv.rows(0, 3)) == [
         "n,a,b", "0,,", "1,0.5,9.9998886718268301e-321\n", "2,-0,2\n",

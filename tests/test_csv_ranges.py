@@ -4,8 +4,9 @@
 k = max(1, min(usable CPUs, rows // MIN_ROWS)), through
 ``core.forked_ranges``.  These tests force k by replacing the CPU count
 (``core._cpus``) and ``cli.MIN_ROWS``, and check that every k writes the
-same bytes as one range, that a failing worker fails the command with
-exit 2, and that no child process is left behind.
+same bytes as one range, that an error in any range fails the command
+with the error line of one range and exit 2, and that no child process
+is left behind.
 """
 
 import os
@@ -97,7 +98,7 @@ def test_no_fork_means_one_range(monkeypatch, capsys, tmp_path):
 
 
 def test_row_ranges_zip_the_columns():
-    csv = cli._csv(["n,a"], "%d,%.17g", range(5), [0.5, 1.5, 2.5, 3.5, 4.5])
+    csv = cli._Csv(["n,a"], "%d,%.17g", (range(5), [0.5, 1.5, 2.5, 3.5, 4.5]))
     assert list(csv.rows(0, 2)) == ["0,0.5\n", "1,1.5\n"]
     assert list(csv.rows(2, 5)) == ["2,2.5\n", "3,3.5\n", "4,4.5\n"]
     assert list(csv.rows(5, 5)) == []
@@ -105,22 +106,22 @@ def test_row_ranges_zip_the_columns():
 
 class Poisoned:
     """A column whose iteration raises at row ``at``; a slice of it, the
-    way a CSV range reads a column, raises at the same row."""
+    way a CSV range reads a column, raises at the same row and names it."""
 
-    def __init__(self, values, at):
-        self.values, self.at = values, at
+    def __init__(self, values, at, first=0):
+        self.values, self.at, self.first = values, at, first
 
     def __len__(self):
         return len(self.values)
 
     def __getitem__(self, rows):
         start = rows.indices(len(self.values))[0]
-        return Poisoned(self.values[rows], self.at - start)
+        return Poisoned(self.values[rows], self.at - start, self.first + start)
 
     def __iter__(self):
         for i, v in enumerate(self.values):
             if i == self.at:
-                raise ValueError(f"poisoned row {i}")
+                raise ValueError(f"poisoned row {self.first + i}")
             yield v
 
 
@@ -128,19 +129,21 @@ class Poisoned:
 @pytest.mark.parametrize("at", [30, 5], ids=["in-worker", "in-parent"])
 def test_failing_range_exits_two_and_leaves_no_child(
         at, forks, monkeypatch, capsys, tmp_path):
-    real = cli._csv
-
-    def csv(head, template, *columns):
-        return real(head, template, *columns[:-1], Poisoned(columns[-1], at))
-    monkeypatch.setattr(cli, "_csv", csv)
-    monkeypatch.setattr(core, "_cpus", lambda: 2)
-    code = cli.main([*ITERATE, *BOUNDS, "--out", str(tmp_path / "t.csv")])
-    assert code == 2
+    class Csv(cli._Csv):
+        def __init__(self, head, template, columns):
+            super().__init__(head, template,
+                             (*columns[:-1], Poisoned(columns[-1], at)))
+    monkeypatch.setattr(cli, "_Csv", Csv)
+    errors = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(core, "_cpus", lambda: cpus)
+        code = cli.main([*ITERATE, *BOUNDS, "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert_no_children()
+        errors.append(capsys.readouterr().err)
     assert len(forks) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert ("worker" in err) == (at == 30)
-    assert_no_children()
+    # the rest of a stopped worker's range runs here: one range's error
+    assert errors[1] == errors[0] == f"error: poisoned row {at}\n"
 
 
 def test_split_stdout_is_written_once(tmp_path):

@@ -84,13 +84,15 @@ def test_rate_chain_survives_falsification_sweep():
         delta, trace = run
         if not gfix.verify_bound(trace, delta, TOL).holds:
             failures.append((i, "bound"))
-        errors, alphas = trace.true_errors, trace.alphas
-        for n in range(len(trace) - 1):
+        errors = trace.true_errors
+        e0 = errors[0]
+        for n, (error, alpha, later) in enumerate(
+                zip(errors, trace.alphas, errors[1:])):
             # below this the iterate sits within rounding of u
-            if errors[n] < 1e-9 * errors[0]:
+            if error < 1e-9 * e0:
                 continue
-            step = 1.0 - alphas[n] * (1.0 - delta)
-            if errors[n + 1] > (1.0 + 1e-9) * step * errors[n]:
+            step = 1.0 - alpha * (1.0 - delta)
+            if later > (1.0 + 1e-9) * step * error:
                 failures.append((i, f"step {n}"))
     assert kept >= MIN_KEPT
     assert failures == []

@@ -118,7 +118,8 @@ def test_packed_trace_points():
     trace = packed_run()
     want = reference_points(6)
     assert len(trace) == len(trace.points) == 7
-    assert len(trace.coords) == 14
+    assert len(trace.coords) == 2 and all(len(c) == 7 for c in trace.coords)
+    assert tuple(map(tuple, trace.coords)) == tuple(zip(*want))
     assert trace.points == want
     assert trace.points[0] == (3.0, 4.0) and trace.points[2] == want[2]
     assert trace.points[-1] == want[-1] and trace.points[-3] == want[4]

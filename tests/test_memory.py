@@ -7,9 +7,10 @@ hold one block of about 256 KB in memory and write the rest to an
 unlinked temporary file, and their columns are read back a block at a
 time.  The CSV's data rows are split into contiguous ranges: this
 process formats the first range row by row, and each forked worker
-writes its range to a temporary file that this process copies in 64 KB
-chunks.  So past the first blocks the peak does not grow with the steps,
-and one test reads the resident set of the command and its workers.
+writes its range to a temporary file that this process reads back in
+chunks of 512 rows, about 64 KB.  So past the first blocks the peak
+does not grow with the steps, and one test reads the resident set of
+the command and its workers.
 The CSV tests force two ranges.  The checks draw each witness tuple as
 they read it, so their peak does not grow with the samples.
 """

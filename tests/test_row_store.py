@@ -1,8 +1,8 @@
 """Row stores: the iterate and bound columns in constant memory.
 
-``core.Rows`` keeps the rows after its last full block in memory and
+``core.Rows.add`` keeps the rows after its last full block in memory and
 writes each full block to an unlinked temporary file; ``core.Columns``
-reads columns back as read-only sequences.  These tests force a block
+reads one column back as a read-only sequence.  These tests force a block
 of a row or two (``core._BLOCK_VALUES``) and a CSV range of one row
 (``cli.MIN_ROWS``), and check that every block size and range count
 writes the bytes of one range with the default block, that the library
@@ -132,8 +132,8 @@ def test_library_columns_equal_the_old_arrays(
         tx = T.apply(x)
         points.append(space.w.blend(x, tx, 1.0 - alpha))
     g = space.space.g
-    assert array("d", trace.coords) == array("d", (c for p in points
-                                                   for c in p))
+    assert [array("d", c) for c in trace.coords] == [
+        array("d", c) for c in zip(*points)]
     assert array("d", trace.residuals) == array(
         "d", (g(p, T.apply(p), T.apply(p)) for p in points))
     assert array("d", trace.true_errors) == array(
@@ -192,25 +192,26 @@ def test_a_chain_reads_its_step_sizes_once_unless_it_restarts(delta,
 def test_columns_read_as_a_sequence(monkeypatch):
     monkeypatch.setattr(core, "_BLOCK_VALUES", 9)
     rows = Rows(3)
-    rows.put(array("d", range(10)), array("d", range(10, 20)),
-             array("d", range(20, 30)))
+    rows.add(float(v) for i in range(10) for v in (i, 10 + i, 20 + i))
     assert rows.spilled == 27 and len(rows.tail) == 3 and len(rows) == 10
     reads = []
     real = core._pread
     monkeypatch.setattr(core, "_pread", lambda *a: reads.append(a) or real(*a))
-    middle, pairs = Columns(rows, 1), Columns(rows, 1, 2, 2, 9)
-    assert len(middle) == 10 and len(pairs) == 14 and reads == []
+    middle, part = Columns(rows, 1), Columns(rows, 2, 2, 9)
+    assert len(middle) == 10 and len(part) == 7 and reads == []
     assert list(middle) == [float(v) for v in range(10, 20)]
     assert middle[0] == 10.0 and middle[-1] == 19.0 and middle[3] == 13.0
-    assert pairs[0] == 12.0 and pairs[1] == 22.0 and pairs[-1] == 28.0
-    assert list(pairs[2:6]) == [13.0, 23.0, 14.0, 24.0]
-    assert list(pairs[1:4]) == [22.0, 13.0, 23.0]  # not on whole rows
+    assert part[0] == 22.0 and part[-1] == 28.0
+    assert list(part[2:6]) == [24.0, 25.0, 26.0, 27.0]
     assert list(middle[::-3]) == [19.0, 16.0, 13.0, 10.0]
-    assert middle[4:4:1] == Columns(rows, 1, 1, 4, 4)
+    assert middle[4:4:1] == Columns(rows, 1, 4, 4)
     reads.clear()
     assert list(middle[5:7]) == [15.0, 16.0]  # values 15..20, two blocks
     assert [(start, stop) for _, start, stop in reads] == [(15, 18), (18, 21)]
-    assert 17.0 in middle and middle.index(12.0) == 2
+    reads.clear()
+    assert middle[4] == 14.0 and middle[-8] == 12.0  # an index reads its row
+    assert [(start, stop) for _, start, stop in reads] == [(12, 15), (6, 9)]
+    assert 17.0 in middle
     assert middle == Columns(rows, 1) and middle != Columns(rows, 2)
     assert middle != array("d", middle)
     for i in (10, -11):
@@ -218,7 +219,7 @@ def test_columns_read_as_a_sequence(monkeypatch):
             middle[i]
 
 
-def test_an_index_loop_reads_each_block_once(monkeypatch):
+def test_a_pass_reads_each_block_once(monkeypatch):
     trace = gfix.run_mann(
         gfix.make_perimeter_space(1), gfix.make_affine_contraction((0.0,), 0.5),
         (1.0,), gfix.harmonic_schedule(),
@@ -229,11 +230,15 @@ def test_an_index_loop_reads_each_block_once(monkeypatch):
     reads = []
     real = core._pread
     monkeypatch.setattr(core, "_pread", lambda *a: reads.append(a) or real(*a))
-    values = [errors[n] for n in range(len(errors))]
+    values = list(errors)
     assert len(reads) == 12
-    assert values == list(errors)
+    assert list(errors[5000:]) == values[5000:] and len(reads) == 24
     reads.clear()
-    assert list(reversed(errors)) == values[::-1] and len(reads) == 12
+    # an index reads its own row; the last row is still in memory
+    assert [errors[n] for n in (0, 5000, -1)] == [values[0], values[5000],
+                                                  values[-1]]
+    assert [(start, stop) for _, start, stop in reads] == [
+        (0, 4), (20000, 20004)]
 
 
 def test_a_platform_without_pread_reads_the_same_rows(

@@ -86,7 +86,12 @@ def test_get_space_keys():
     assert isinstance(sign, gfix.GSpace)
 
 
-@pytest.mark.parametrize("key", ["nosuch", "perimeter-x", "perimeter-0", "max-"])
+# int() takes each of the last eight: a sign, underscores, blanks,
+# leading zeros and non-ASCII digits would alias a canonical key
+@pytest.mark.parametrize("key", [
+    "nosuch", "perimeter-x", "perimeter-0", "max-", "perimeter-+1",
+    "perimeter-0_1", "max- 2", "perimeter-\u0663", "perimeter-03",
+    "max-2 ", "perimeter-1_0", "max-\uff12"])
 def test_get_space_rejects_bad_keys(key):
     with pytest.raises(gfix.UnknownSpaceError):
         gfix.get_space(key)

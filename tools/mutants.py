@@ -54,6 +54,21 @@ MUTANTS = [
      "file.seek(8 * start + 8)",
      "the no-os.pread read starts one double late",
      ["tests/test_row_store.py"]),
+    ("src/gfix/core.py",
+     "run(at, stop)",
+     "run(stop, stop)",
+     "forked_ranges skips the rest of a range after a worker's chunks",
+     ["tests/test_csv_ranges.py", "tests/test_check_ranges.py"]),
+    ("src/gfix/core.py",
+     "Columns(self.rows, self.first, self.start + a,",
+     "Columns(self.rows, self.first, a,",
+     "a Columns slice drops the view's start",
+     ["tests/test_row_store.py"]),
+    ("src/gfix/core.py",
+     "i = range(len(self))[i]",
+     "i = i",
+     "a Columns index is not normalised, so a negative one breaks",
+     ["tests/test_cli.py", "tests/test_row_store.py"]),
     ("src/gfix/mann.py",
      "if residual <= stop.residual_tol:",
      "if residual < stop.residual_tol:",
