@@ -115,8 +115,11 @@ def verify_bound(trace: IterationTrace, delta: float,
     """Check the cumulative bound against a trace's true errors.
 
     Raises for delta >= 1: a non-contracting factor makes any `holds`
-    verdict meaningless.
+    verdict meaningless, and for a ``tol`` that is not finite and >= 0:
+    an infinite one passes any slack, a NaN one fails every slack.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if trace.true_errors is None:
         raise ValueError("trace has no true errors (fixed point unknown)")
     rows = _rate_chain(delta, lambda: trace.alphas[:len(trace) - 1],

@@ -286,7 +286,8 @@ def _pread(file, start: int, stop: int) -> memoryview:
 class Rows:
     """Rows of ``width`` doubles.  ``add`` appends to ``tail`` and moves
     each full block, about 256 KB at any width, to an unlinked temporary
-    file, made then and closed with the store."""
+    file, made then and closed with the store; ``read`` is the one way
+    rows leave it."""
 
     def __init__(self, width: int):
         self.width, self.file, self.spilled = width, None, 0
@@ -308,12 +309,24 @@ class Rows:
             self.spilled += self.block
             del self.tail[:self.block]
 
+    def read(self, start: int, stop: int, columns: Sequence[int]):
+        """Rows start..stop-1, one whole block at a time: for each block
+        read, a list of one array per index in ``columns``, copies."""
+        w, a, b = self.width, start * self.width, stop * self.width
+        for at in range(a - a % self.block, b, self.block):  # whole blocks
+            lo, hi, s = max(a, at), min(b, at + self.block), self.spilled
+            block = (_pread(self.file, lo, hi) if at < s
+                     else memoryview(self.tail)[lo - s:hi - s])
+            out = [array("d", block[j::w].tobytes()) for j in columns]
+            block.release()  # tail may grow again once no view holds it
+            yield out
+
 
 class Columns:
     """Read-only view of column ``first`` of rows start..stop-1 of a
     ``Rows``.  ``len()`` reads nothing; an index reads only its own row;
     a slice with step 1 is a view that reads only its rows, and a pass
-    reads one block at a time."""
+    reads one block at a time, all through ``Rows.read``."""
 
     def __init__(self, rows: Rows, first: int, start: int = 0,
                  stop: Optional[int] = None):
@@ -324,34 +337,20 @@ class Columns:
         return self.stop - self.start
 
     def __getitem__(self, i):
-        if not isinstance(i, slice):
-            i = range(len(self))[i]
-            return next(self[i:i + 1].arrays())[0]
-        a, b, step = i.indices(len(self))
-        if step != 1:
+        at = range(self.start, self.stop)[i]
+        if isinstance(at, int):
+            return next(self.rows.read(at, at + 1, (self.first,)))[0][0]
+        if at.step != 1:
             return array("d", self)[i]
-        return Columns(self.rows, self.first, self.start + a,
-                       self.start + max(a, b))
+        return Columns(self.rows, self.first, at.start, max(at.start, at.stop))
 
     def __iter__(self):
-        return itertools.chain.from_iterable(self.arrays())
+        blocks = self.rows.read(self.start, self.stop, (self.first,))
+        return itertools.chain.from_iterable(column for column, in blocks)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Columns) and len(self) == len(other)
                 and all(map(operator.eq, self, other)))
-
-    def arrays(self):
-        """This view's values as arrays, one per block of rows read."""
-        rows, w = self.rows, self.rows.width
-        a, b, s = self.start * w, self.stop * w, rows.spilled
-        for at in range(a - a % rows.block, b, rows.block):  # whole blocks
-            lo, hi = max(a, at), min(b, at + rows.block)
-            block = (_pread(rows.file, lo, hi) if at < s
-                     else memoryview(rows.tail)[lo - s:hi - s])
-            out = array("d", [0.0]) * ((hi - lo) // w)
-            memoryview(out)[:] = block[self.first::w]
-            block.release()  # tail may grow again once no view holds it
-            yield out
 
 
 def evaluate(items: Sized, inequalities: Callable, tol: float,

@@ -100,11 +100,10 @@ class IterationTrace:
     """Full record of one run: iterates, step sizes, residuals
     G(x_n, Tx_n, Tx_n) and, when the fixed point is known, true errors
     G(x_n, u, u).  The columns are parallel; entry n describes x_n.
-    ``coords`` holds one column per coordinate.  ``run_mann`` gives
-    read-only ``core.Columns`` over its row store."""
+    ``run_mann`` gives read-only ``core.Columns`` over its row store,
+    whose first ``space.dim`` columns hold the coordinates of x_n."""
 
     space: GSpace
-    coords: tuple
     alphas: Sequence[float]
     residuals: Sequence[float]
     true_errors: Optional[Sequence[float]]
@@ -115,15 +114,16 @@ class IterationTrace:
 
     @property
     def points(self) -> tuple:
-        """x_0, x_1, ... as point tuples, rebuilt from ``coords`` on each
+        """x_0, x_1, ... as point tuples, read from the row store on each
         read."""
         return self.last_points(len(self))
 
     def last_points(self, k: int) -> tuple:
-        """The last k iterates (all, if fewer) as point tuples, rebuilt
-        from ``coords``."""
+        """The last k iterates (all, if fewer) as point tuples, read in one
+        pass over the blocks of the store behind ``alphas``."""
         start = max(0, len(self) - k)
-        return tuple(zip(*(c[start:] for c in self.coords)))
+        blocks = self.alphas.rows.read(start, len(self), range(self.space.dim))
+        return tuple(p for block in blocks for p in zip(*block))
 
 
 def _overflowed(p: Point) -> bool:
@@ -174,7 +174,7 @@ def run_mann(cs: ConvexGSpace, T: Mapping, x0: Point, sched: StepSchedule,
         x = x_next
 
     return IterationTrace(
-        space=space, coords=tuple(Columns(rows, j) for j in range(dim)),
-        alphas=Columns(rows, dim), residuals=Columns(rows, dim + 1),
+        space=space, alphas=Columns(rows, dim),
+        residuals=Columns(rows, dim + 1),
         true_errors=Columns(rows, dim + 2) if u is not None else None,
         status=status)

@@ -1,7 +1,6 @@
 """Derived factors, product bounds, and trace verification."""
 
 import math
-from array import array
 
 import pytest
 
@@ -173,8 +172,8 @@ def test_verify_bound_requires_true_errors():
 
 @pytest.mark.parametrize("true_errors", [(1.0, math.nan), (math.nan, 1.0)])
 def test_verify_bound_fails_closed_on_nan_slack(true_errors):
-    trace = gfix.IterationTrace(space=PERIM1, coords=array("d", (1.0, 0.5)),
-                                alphas=(0.5, 0.5), residuals=(1.0, 0.5),
+    trace = gfix.IterationTrace(space=PERIM1, alphas=(0.5, 0.5),
+                                residuals=(1.0, 0.5),
                                 true_errors=true_errors, status="max-iters")
     report = gfix.verify_bound(trace, 0.5)
     assert not report.holds
@@ -185,8 +184,8 @@ def test_verify_bound_fails_closed_on_nan_slack(true_errors):
 def test_verify_bound_slack_on_its_tolerance(error, holds):
     # delta 0 and alpha 0 give B_n = 1 and a bound of G(x_0,u,u) = 0, so
     # the slack at step 1 is minus its true error: -tol itself holds
-    trace = gfix.IterationTrace(space=PERIM1, coords=array("d", (0.0, 0.0)),
-                                alphas=[0.0, 0.0], residuals=[0.0, 0.0],
+    trace = gfix.IterationTrace(space=PERIM1, alphas=[0.0, 0.0],
+                                residuals=[0.0, 0.0],
                                 true_errors=[0.0, error], status="max-iters")
     report = gfix.verify_bound(trace, 0.0)
     assert report.min_slack == -error
@@ -196,6 +195,17 @@ def test_verify_bound_slack_on_its_tolerance(error, holds):
 def test_verify_bound_refuses_vacuous_delta():
     with pytest.raises(ValueError):
         gfix.verify_bound(halving_trace(), 1.5)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-9, -math.inf])
+def test_verify_bound_refuses_a_tol_not_finite_and_nonnegative(tol):
+    # with delta 0 this run's min slack is -0.625, which an infinite tol
+    # would pass; a NaN tol would fail even the slack-0 delta-0.5 run
+    trace = halving_trace(20)
+    assert gfix.verify_bound(trace, 0.0).min_slack == -0.625
+    for delta in (0.0, 0.5):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            gfix.verify_bound(trace, delta, tol=tol)
 
 
 def test_trace_products_match_schedule_products():

@@ -88,7 +88,8 @@ def test_trace_reproducible():
     T = gfix.make_affine_contraction((0.3,), 0.6)
     args = (PERIM1, T, (2.0,), gfix.harmonic_schedule(),
             gfix.StoppingRule(max_iters=50, residual_tol=0.0))
-    assert gfix.run_mann(*args) == gfix.run_mann(*args)
+    a, b = gfix.run_mann(*args), gfix.run_mann(*args)
+    assert a == b and a.points == b.points
 
 
 # --- packed trace -------------------------------------------------------------
@@ -118,8 +119,8 @@ def test_packed_trace_points():
     trace = packed_run()
     want = reference_points(6)
     assert len(trace) == len(trace.points) == 7
-    assert len(trace.coords) == 2 and all(len(c) == 7 for c in trace.coords)
-    assert tuple(map(tuple, trace.coords)) == tuple(zip(*want))
+    assert [len(p) for p in trace.points] == [2] * 7
+    assert tuple(zip(*trace.points)) == tuple(zip(*want))
     assert trace.points == want
     assert trace.points[0] == (3.0, 4.0) and trace.points[2] == want[2]
     assert trace.points[-1] == want[-1] and trace.points[-3] == want[4]
@@ -146,7 +147,8 @@ def test_read_points_are_not_kept():
 
 
 def test_packed_traces_of_identical_runs_are_equal():
-    assert packed_run() == packed_run()
+    a, b = packed_run(), packed_run()
+    assert a == b and a.points == b.points
     assert packed_run() != packed_run(5)
 
 

@@ -1,8 +1,9 @@
 """Row stores: the iterate and bound columns in constant memory.
 
 ``core.Rows.add`` keeps the rows after its last full block in memory and
-writes each full block to an unlinked temporary file; ``core.Columns``
-reads one column back as a read-only sequence.  These tests force a block
+writes each full block to an unlinked temporary file; ``core.Rows.read``
+reads rows back a whole block at a time, and ``core.Columns`` is a
+read-only sequence over one column through it.  These tests force a block
 of a row or two (``core._BLOCK_VALUES``) and a CSV range of one row
 (``cli.MIN_ROWS``), and check that every block size and range count
 writes the bytes of one range with the default block, that the library
@@ -132,7 +133,7 @@ def test_library_columns_equal_the_old_arrays(
         tx = T.apply(x)
         points.append(space.w.blend(x, tx, 1.0 - alpha))
     g = space.space.g
-    assert [array("d", c) for c in trace.coords] == [
+    assert [array("d", c) for c in zip(*trace.points)] == [
         array("d", c) for c in zip(*points)]
     assert array("d", trace.residuals) == array(
         "d", (g(p, T.apply(p), T.apply(p)) for p in points))
@@ -239,6 +240,32 @@ def test_a_pass_reads_each_block_once(monkeypatch):
                                                   values[-1]]
     assert [(start, stop) for _, start, stop in reads] == [
         (0, 4), (20000, 20004)]
+
+
+def test_points_read_each_block_once(monkeypatch):
+    # 53 values a row, 10 rows a block: 100 rows spill 10 blocks, and a
+    # per-coordinate read would pread each block once per coordinate
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 530)
+    center = tuple(float(j) for j in range(50))
+    trace = gfix.run_mann(
+        gfix.get_space("perimeter-50"),
+        gfix.make_affine_contraction(center, 0.5), (0.0,) * 50,
+        gfix.constant_schedule(0.5),
+        gfix.StoppingRule(max_iters=99, residual_tol=0.0))
+    rows = trace.alphas.rows
+    assert len(rows) == 100 and rows.spilled == 53 * 100
+    reads = []
+    real = core._pread
+    monkeypatch.setattr(core, "_pread", lambda *a: reads.append(a) or real(*a))
+    points = trace.points
+    assert [(start, stop) for _, start, stop in reads] == [
+        (530 * n, 530 * (n + 1)) for n in range(10)]
+    assert len(points) == 100 and points[0] == (0.0,) * 50
+    assert points[1] == tuple(0.25 * c for c in center)
+    reads.clear()
+    assert trace.last_points(25) == points[75:]
+    assert [(start, stop) for _, start, stop in reads] == [
+        (53 * 75, 530 * 8), (530 * 8, 530 * 9), (530 * 9, 530 * 10)]
 
 
 def test_a_platform_without_pread_reads_the_same_rows(

@@ -60,15 +60,26 @@ MUTANTS = [
      "forked_ranges skips the rest of a range after a worker's chunks",
      ["tests/test_csv_ranges.py", "tests/test_check_ranges.py"]),
     ("src/gfix/core.py",
-     "Columns(self.rows, self.first, self.start + a,",
-     "Columns(self.rows, self.first, a,",
-     "a Columns slice drops the view's start",
+     "at = range(self.start, self.stop)[i]",
+     "at = range(len(self))[i]",
+     "a Columns slice or index drops the view's start",
      ["tests/test_row_store.py"]),
     ("src/gfix/core.py",
-     "i = range(len(self))[i]",
-     "i = i",
+     "at = range(self.start, self.stop)[i]",
+     "at = (range(self.start, self.stop)[i] if isinstance(i, slice)"
+     " else self.start + i)",
      "a Columns index is not normalised, so a negative one breaks",
      ["tests/test_cli.py", "tests/test_row_store.py"]),
+    ("src/gfix/core.py",
+     "range(a - a % self.block, b, self.block)",
+     "range(a, b, self.block)",
+     "Rows.read does not align its reads to whole blocks",
+     ["tests/test_row_store.py"]),
+    ("src/gfix/mann.py",
+     "start = max(0, len(self) - k)",
+     "start = max(0, len(self) - k) + 1",
+     "last_points starts one row late",
+     ["tests/test_mann.py"]),
     ("src/gfix/mann.py",
      "if residual <= stop.residual_tol:",
      "if residual < stop.residual_tol:",
@@ -78,6 +89,11 @@ MUTANTS = [
      "holds=min_slack >= -tol",
      "holds=min_slack >= -10 * tol",
      "verify_bound's tolerance x 10",
+     ["tests/test_analysis.py"]),
+    ("src/gfix/analysis.py",
+     "if not 0.0 <= tol < math.inf:",
+     "if False:",
+     "verify_bound accepts a tol that is not finite and >= 0",
      ["tests/test_analysis.py"]),
 ]
 
