@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from itertools import accumulate, islice, repeat
-from typing import Callable, Iterable, Optional, Sequence
 
 from .core import CheckReport, Columns, Point, Rows, Sized, evaluate, le
 from .mann import IterationTrace, StepSchedule, step_range
@@ -24,19 +24,14 @@ from .mann import IterationTrace, StepSchedule, step_range
 _LOGSPACE_TRIGGER = 1e-8  # switch to log accumulation below this factor
 
 
-@dataclass(frozen=True)
-class RateBound:
-    """Step sizes alpha_0 .. alpha_{n-1}, per-step factors
+RateBound = namedtuple("RateBound", "factors products alphas")
+RateBound.__doc__ = """Step sizes alpha_0 .. alpha_{n-1}, per-step factors
     1 - alpha_k*(1-delta) and cumulative products B_0 .. B_n, each a
     read-only ``core.Columns`` over the rate chain's rows."""
 
-    factors: Sequence[float]
-    products: Sequence[float]
-    alphas: Sequence[float]
-
 
 def _rate_chain(delta: float, step_sizes: Callable[[], Iterable[float]],
-                errors: Optional[Sequence[float]] = None) -> Rows:
+                errors: Sequence[float] | None = None) -> Rows:
     """Rows (alpha_{n-1}, factor_{n-1}, B_n) for n = 0 .. len(alphas),
     alpha and factor NaN in row 0, from delta and the alphas
     ``step_sizes()``.  With ``errors``, row n also holds
@@ -92,15 +87,10 @@ def product_bound(delta: float, sched: StepSchedule, n: int) -> RateBound:
                      alphas=Columns(rows, 0, start=1))
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Per-step bound B_n*G(x_0,u,u) and slack bound - G(x_n,u,u), each a
-    read-only ``core.Columns``; a NaN slack makes ``min_slack`` NaN."""
-
-    slacks: Sequence[float]
-    min_slack: float
-    holds: bool
-    bounds: Sequence[float]
+BoundReport = namedtuple("BoundReport", "slacks min_slack holds bounds")
+BoundReport.__doc__ = """Per-step bound B_n*G(x_0,u,u) and slack bound -
+    G(x_n,u,u), each a read-only ``core.Columns``; a NaN slack makes
+    ``min_slack`` NaN."""
 
 
 def trace_products(trace: IterationTrace, delta: float) -> Sequence[float]:

@@ -20,9 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from dataclasses import dataclass
 from itertools import islice
-from typing import Optional
 
 from . import analysis, contractions, convexity, core, mann, spaces
 from .core import CheckReport, SamplePlan
@@ -102,7 +100,7 @@ def parse_mapping(text: str, dim: int) -> contractions.Mapping:
 _CONDITIONS = {k.value: k for k in contractions.ConditionKind}
 
 
-def parse_condition(name: str, coeff: Optional[str]) -> contractions.ContractionSpec:
+def parse_condition(name: str, coeff: str | None) -> contractions.ContractionSpec:
     if name not in _CONDITIONS:
         raise ConfigError(f"unknown condition {name!r} "
                           f"(choose from {sorted(_CONDITIONS)})")
@@ -113,7 +111,7 @@ def parse_condition(name: str, coeff: Optional[str]) -> contractions.Contraction
     return contractions.ContractionSpec(_CONDITIONS[name], coeffs)
 
 
-def parse_schedule(text: str, alpha: Optional[float]) -> mann.StepSchedule:
+def parse_schedule(text: str, alpha: float | None) -> mann.StepSchedule:
     """``constant`` (at step ``alpha``), ``harmonic``, ``power:2`` or
     ``explicit:1;0.5;0.25``."""
     kind, _, param = text.partition(":")
@@ -195,16 +193,16 @@ class Settings:
             f"{k}={v}" for k, v in sorted(self.values.items()) if v is not None)
 
 
-@dataclass(frozen=True)
 class _Csv:
     """CSV lines: the preformatted ``head`` lines, then ``template % row``
     for each row of the zipped ``columns``.  Rows are formatted as they
     are read, so the whole text is never held at once; ``rows`` formats
     any range of the data rows, so ``_write_lines`` can split them."""
 
-    head: list
-    template: str
-    columns: tuple
+    __slots__ = ("head", "template", "columns")
+
+    def __init__(self, head: list, template: str, columns: tuple):
+        self.head, self.template, self.columns = head, template, columns
 
     def __len__(self) -> int:
         return len(self.head) + min(map(len, self.columns))
@@ -216,7 +214,7 @@ class _Csv:
                    zip(*(c[start:stop] for c in self.columns)))
 
 
-def _write_lines(path: Optional[str], lines) -> None:
+def _write_lines(path: str | None, lines) -> None:
     """Write ``lines``, each ended by a newline, to the file ``path`` or,
     without one, to stdout.
 

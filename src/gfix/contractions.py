@@ -14,12 +14,12 @@ flagged vacuous: the product bound no longer contracts.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 import operator
+from collections import namedtuple
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
 
 from .core import (CheckReport, DomainError, GSpace, Point, SamplePlan,
                    evaluate, le_tol, sample_quads)
@@ -34,18 +34,11 @@ class ConditionKind(enum.Enum):
     K_SUM = "k-sum"                  # k * sum of displacements
 
 
-@dataclass(frozen=True)
-class _Row:
-    """One condition kind.  ``w`` maps coefficient names to values;
-    ``rhs(w, g, x, y, z, dx, dy, dz)`` is the right-hand side from G and
-    the displacements; every ``region(w)`` residual must be > 0 for
-    ``delta(w)`` to be the per-step factor."""
-
-    names: Tuple[str, ...]
-    rhs: Callable[..., float]
-    region: Callable[[Dict[str, float]], Dict[str, float]]
-    delta: Callable[[Dict[str, float]], float]
-
+# One condition kind.  ``w`` maps coefficient names to values;
+# ``rhs(w, g, x, y, z, dx, dy, dz)`` is the right-hand side from G and
+# the displacements; every ``region(w)`` residual must be > 0 for
+# ``delta(w)`` to be the per-step factor.
+_Row = namedtuple("_Row", "names rhs region delta")
 
 _FOUR_TERM = _Row(
     ("a", "b", "c", "d"),
@@ -67,11 +60,11 @@ _ROWS = {
     ConditionKind.FOUR_TERM: _FOUR_TERM,
     # at the fixed point u, G(x,x,Tx) <= G(Tx,u,u) + G(u,x,x) (rectangle)
     # and G(u,x,x) <= 2 G(x,u,u); the same region gives delta < 1
-    ConditionKind.FOUR_TERM_ALT: dataclasses.replace(
-        _FOUR_TERM, delta=lambda w: (w["a"] + 2.0 * w["b"]) / (1.0 - w["b"])),
+    ConditionKind.FOUR_TERM_ALT: _FOUR_TERM._replace(
+        delta=lambda w: (w["a"] + 2.0 * w["b"]) / (1.0 - w["b"])),
     ConditionKind.SUM: _SUM,
-    ConditionKind.MAX: dataclasses.replace(
-        _SUM, rhs=lambda w, g, x, y, z, dx, dy, dz: (
+    ConditionKind.MAX: _SUM._replace(
+        rhs=lambda w, g, x, y, z, dx, dy, dz: (
             w["a"] * g(x, y, z) + w["b"] * max(dx, dy, dz))),
     ConditionKind.THREE_TERM: _Row(
         ("a", "b", "c"),
@@ -88,21 +81,22 @@ _ROWS = {
 }
 
 
-@dataclass(frozen=True)
 class ContractionSpec:
-    kind: ConditionKind
-    coefficients: Dict[str, float]
+    """A condition kind and its coefficients, each finite and >= 0."""
 
-    def __post_init__(self):
-        names = _ROWS[self.kind].names
-        got = tuple(sorted(self.coefficients))
+    __slots__ = ("kind", "coefficients")
+
+    def __init__(self, kind: ConditionKind, coefficients: dict[str, float]):
+        names = _ROWS[kind].names
+        got = tuple(sorted(coefficients))
         if got != tuple(sorted(names)):
             raise ValueError(
-                f"{self.kind.value} takes coefficients {names}, got {got}")
-        for name, value in self.coefficients.items():
+                f"{kind.value} takes coefficients {names}, got {got}")
+        for name, value in coefficients.items():
             if not 0 <= value < math.inf:
                 raise ValueError(
                     f"coefficient {name} must be finite and >= 0, got {value}")
+        self.kind, self.coefficients = kind, coefficients
 
 
 @dataclass(frozen=True)
@@ -111,19 +105,16 @@ class Mapping:
 
     name: str
     apply: Callable[[Point], Point]
-    fixed_point: Optional[Point] = None
+    fixed_point: Point | None = None
 
 
-@dataclass(frozen=True)
-class ApplicabilityVerdict:
-    """Whether coefficients admit a convergence rate; each residual must
-    be strictly positive.  When satisfied, ``delta`` is the per-step
-    factor and ``vacuous`` flags delta >= 1; otherwise delta is None."""
-
-    satisfied: bool
-    residuals: Dict[str, float]
-    delta: Optional[float] = None
-    vacuous: bool = False
+ApplicabilityVerdict = namedtuple(
+    "ApplicabilityVerdict", "satisfied residuals delta vacuous",
+    defaults=(None, False))
+ApplicabilityVerdict.__doc__ = """Whether coefficients admit a convergence
+    rate; each residual must be strictly positive.  When satisfied,
+    ``delta`` is the per-step factor and ``vacuous`` flags delta >= 1;
+    otherwise delta is None."""
 
 
 def _sides(spec: ContractionSpec, space: GSpace, T: Mapping) -> Callable:

@@ -11,8 +11,8 @@ derived, so the lam + beta = 1 constraint cannot be violated.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable
 
 from .core import (CheckReport, GSpace, Point, SamplePlan, evaluate, le_tol,
                    sample_tuples)

@@ -18,11 +18,11 @@ the tuples from ``sample_tuples``, turns each row into a signed margin
 through a margin form below, and records it in a Collector: one heap
 of the 10 worst, non-finite ones first.  Tuple i is drawn from its own
 stream, and the streams of a block of tuples side by side where the
-draw is ``box_draw``.  So ``evaluate`` splits the tuples into
-``forked_ranges``, one per usable CPU, the owner of the workers' chunk
-format and of the rerun of what a stopped worker left: this process
-records every row in index order, so a report, or an error, is the same
-on any number of CPUs.
+draw is ``box_draw`` or ``nonzero_draw``.  So ``evaluate`` splits the
+tuples into ``forked_ranges``, one per usable CPU, the owner of the
+workers' chunk format and of the rerun of what a stopped worker left:
+this process records every row in index order, so a report, or an
+error, is the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ import os
 import tempfile
 import weakref
 from array import array
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
 
 from .rng import Stream, lanes
 
@@ -74,50 +75,36 @@ class GSpace:
     default_box: Box
 
 
-@dataclass(frozen=True)
 class SamplePlan:
     """How to sample a space: seed, sample count, and the separation
     below which strict-inequality axioms are not checked.  Points are
     drawn from the space's ``default_box``."""
 
-    seed: int
-    count: int
-    min_separation: float = 1e-3
+    __slots__ = ("seed", "count", "min_separation")
 
-    def __post_init__(self):
-        if self.count < 1:
+    def __init__(self, seed: int, count: int,
+                 min_separation: float = 1e-3):
+        if count < 1:
             raise ValueError("count must be >= 1")
-        sep = self.min_separation
+        sep = min_separation
         if not math.isfinite(sep) or not 0.0 <= sep:
             raise ValueError(
                 f"min_separation must be finite and >= 0, got {sep}")
+        self.seed, self.count, self.min_separation = seed, count, sep
 
 
-@dataclass(frozen=True)
-class Violation:
-    check_id: str
-    witness: tuple
-    lhs: float
-    rhs: float
-    margin: float
+Violation = namedtuple("Violation", "check_id witness lhs rhs margin")
 
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Aggregate of one sampled verification run.
+CheckReport = namedtuple("CheckReport", "total_checks violation_count "
+                         "violations worst_margin passed worst_ratio",
+                         defaults=(None,))
+CheckReport.__doc__ = """Aggregate of one sampled verification run.
 
     ``violations`` keeps only the 10 worst offenders (sorted by margin,
     descending); ``violation_count`` is the full tally.  ``worst_margin``
     is the maximum signed margin over every check performed, so a passing
     report shows how close the worst sample came.
     """
-
-    total_checks: int
-    violation_count: int
-    violations: tuple
-    worst_margin: float
-    passed: bool
-    worst_ratio: Optional[float] = None
 
 
 _KEEP_WORST = 10
@@ -142,7 +129,7 @@ class Collector:
         self.total = self.count = 0
         self.worst = [(0.0, 0, "", (), 0.0, 0.0, 0.0)] * _KEEP_WORST
         self.worst_margin = -math.inf
-        self.worst_ratio: Optional[float] = None
+        self.worst_ratio: float | None = None
 
     def record(self, check_id: str, witness: tuple, lhs: float, rhs: float,
                margin: float) -> None:
@@ -329,7 +316,7 @@ class Columns:
     reads one block at a time, all through ``Rows.read``."""
 
     def __init__(self, rows: Rows, first: int, start: int = 0,
-                 stop: Optional[int] = None):
+                 stop: int | None = None):
         self.rows, self.first = rows, first
         self.start, self.stop = start, len(rows) if stop is None else stop
 
@@ -433,14 +420,15 @@ def structured_quads(pts: Sequence[Point]) -> list:
     return quads
 
 
-@dataclass(frozen=True)
 class Sized:
     """A re-iterable of known length: ``len()`` is ``size``,
     ``make(start, stop)`` gives items start..stop-1 afresh, and a pass is
     ``make(0, size)``, so nothing is held between passes."""
 
-    size: int
-    make: Callable[[int, int], Iterable]
+    __slots__ = ("size", "make")
+
+    def __init__(self, size: int, make: Callable[[int, int], Iterable]):
+        self.size, self.make = size, make
 
     def __len__(self) -> int:
         return self.size
@@ -454,9 +442,28 @@ def box_draw(stream: Stream, box: Box, min_separation: float) -> Point:
     return tuple(itertools.starmap(stream.uniform, box))
 
 
+_DRAW_ATTEMPTS = 10_000  # rejection budget of one nonzero_draw
+_ZERO_GAP = 1e-12  # nonzero_draw keeps |v| >= max(min_separation, this)
+_SPARE_DRAWS = 2  # lane columns past a tuple's points, for its rejections
+
+
+def nonzero_draw(stream: Stream, box: Box, min_separation: float) -> Point:
+    """One uniform of ``box``'s first coordinate with |v| >= the floor
+    max(min_separation, 1e-12), or DomainError after 10 000 draws: the
+    sign example's draw, away from its excluded 0 and its jump there."""
+    lo, hi = box[0]
+    floor = max(min_separation, _ZERO_GAP)
+    for _ in range(_DRAW_ATTEMPTS):
+        v = stream.uniform(lo, hi)
+        if abs(v) >= floor:
+            return (v,)
+    raise DomainError(f"no point of ({lo}, {hi}) with |v| >= {floor} "
+                      f"in {_DRAW_ATTEMPTS} draws")
+
+
 def sample_tuples(space: GSpace, plan: SamplePlan,
                   structured: Callable[[list], Iterable[tuple]],
-                  weights: Optional[Callable[[float], object]] = None,
+                  weights: Callable[[float], object] | None = None,
                   points: int = 4) -> Sized:
     """Witness tuples: ``plan.count`` random ones, then the structured pass.
 
@@ -465,26 +472,45 @@ def sample_tuples(space: GSpace, plan: SamplePlan,
     ``structured`` maps the box's structured points to further tuples of
     the same shape.  Random tuples are drawn as a pass reads them, and a
     range draws none before its start; ``len()`` draws nothing.  With
-    ``box_draw``, ``rng.lanes`` draws them in blocks of at most
-    ``MIN_TUPLES``, u as one more column, with the same values."""
+    ``box_draw`` or ``nonzero_draw``, ``rng.lanes`` draws them in blocks
+    of at most ``MIN_TUPLES``, u as one more column, with the same
+    values.  A ``nonzero_draw`` lane has ``_SPARE_DRAWS`` more values, or
+    none before a u, and keeps its first accepted ones; a tuple they
+    leave short is drawn from its stream, a draw call per point."""
     box, seed = space.default_box, plan.seed
     draw, sep, count = space.draw, plan.min_separation, plan.count
     extra = list(structured(structured_points(space)))
-    dim, bounds = len(box), box * points + ((0.0, 1.0),) * bool(weights)
+    dim = 1 if draw is nonzero_draw else len(box)
+    width = points + _SPARE_DRAWS * (draw is nonzero_draw and not weights)
+    bounds = box[:dim] * width + ((0.0, 1.0),) * bool(weights)
+    floor = max(sep, _ZERO_GAP)
+
+    def drawn(i):
+        s = Stream(seed, i)
+        t = tuple(draw(s, box, sep) for _ in range(points))
+        return t + (weights(s.uniform()),) if weights else t
+
+    def nonzero(i, lane):
+        kept = [(v,) for v in lane[:width] if abs(v) >= floor]
+        if len(kept) < points:
+            return drawn(i)
+        t = tuple(kept[:points])
+        return t + (weights(lane[-1]),) if weights else t
 
     def tuples(start, stop):
         end = min(stop, count)
-        if draw is box_draw:
+        if draw is box_draw or draw is nonzero_draw:
             for at in range(start, end, MIN_TUPLES):
                 cols = lanes(seed, at, min(at + MIN_TUPLES, end), bounds)
+                if draw is nonzero_draw:
+                    yield from map(nonzero, itertools.count(at), zip(*cols))
+                    continue
                 parts = [zip(*cols[j:j + dim]) for j in range(0, len(cols), dim)]
                 if weights:  # the last part is the u column alone
                     parts[-1] = map(weights, cols[-1])
                 yield from zip(*parts)
         else:
-            for s in map(Stream, itertools.repeat(seed), range(start, end)):
-                t = tuple(draw(s, box, sep) for _ in range(points))
-                yield t + (weights(s.uniform()),) if weights else t
+            yield from map(drawn, range(start, end))
         yield from extra[max(start - count, 0):max(stop - count, 0)]
     return Sized(count + len(extra), tuples)
 
@@ -495,9 +521,6 @@ def sample_quads(space: GSpace, plan: SamplePlan, points: int = 4) -> Sized:
     return sample_tuples(
         space, plan, lambda pts: [q[:points] for q in structured_quads(pts)],
         points=points)
-
-
-_PERMS = tuple(itertools.permutations((0, 1, 2)))
 
 
 def check_axioms(space: GSpace, plan: SamplePlan, tol: float = 1e-9) -> CheckReport:
@@ -514,17 +537,18 @@ def check_axioms(space: GSpace, plan: SamplePlan, tol: float = 1e-9) -> CheckRep
         # (i) vanishing on the diagonal
         yield abs_tol, "axiom-i", (x,), g(x, x, x), 0.0
         # (ii) strict positivity for separated points
+        gxxy = g(x, x, y)
         if dist(x, y) >= sep:
-            yield ge, "axiom-ii", (x, y), g(x, x, y), STRICT_FLOOR
+            yield ge, "axiom-ii", (x, y), gxxy, STRICT_FLOOR
+        # (iv) symmetry in all three arguments; vals[0] is G(x,y,z)
+        vals = [g(x, y, z), g(x, z, y), g(y, x, z), g(y, z, x), g(z, x, y),
+                g(z, y, x)]
         # (iii) G(x,x,y) <= G(x,y,z) when z is separated from y
         if dist(z, y) >= sep:
-            yield le_tol, "axiom-iii", (x, y, z), g(x, x, y), g(x, y, z)
-        # (iv) symmetry in all three arguments
-        args = (x, y, z)
-        vals = [g(args[i], args[j], args[k]) for i, j, k in _PERMS]
-        yield spread_tol, "axiom-iv", args, max(vals), min(vals)
+            yield le_tol, "axiom-iii", (x, y, z), gxxy, vals[0]
+        yield spread_tol, "axiom-iv", (x, y, z), max(vals), min(vals)
         # (v) rectangle inequality
-        yield (le_tol, "axiom-v", (x, y, z, a), g(x, y, z),
+        yield (le_tol, "axiom-v", (x, y, z, a), vals[0],
                g(x, a, a) + g(a, y, z))
 
     return evaluate(sample_quads(space, plan), axioms, tol)
@@ -552,11 +576,11 @@ def check_derived(space: GSpace, plan: SamplePlan, tol: float = 1e-9) -> CheckRe
         # (iii) G(x,y,y) <= 2 G(y,x,x)
         yield le_tol, "derived-iii", (x, y), g(x, y, y), 2.0 * g(y, x, x)
         # (iv) G(x,y,z) <= G(x,a,z) + G(a,y,z)
-        yield (le_tol, "derived-iv", (x, y, z, a), gxyz,
-               g(x, a, z) + g(a, y, z))
+        gxaz, gayz = g(x, a, z), g(a, y, z)
+        yield le_tol, "derived-iv", (x, y, z, a), gxyz, gxaz + gayz
         # (v) G(x,y,z) <= (2/3)(G(x,y,a) + G(x,a,z) + G(a,y,z))
         yield (le_tol, "derived-v", (x, y, z, a), gxyz,
-               (2.0 / 3.0) * (g(x, y, a) + g(x, a, z) + g(a, y, z)))
+               (2.0 / 3.0) * (g(x, y, a) + gxaz + gayz))
         # (vi) G(x,y,z) <= G(x,a,a) + G(y,a,a) + G(z,a,a)
         yield (le_tol, "derived-vi", (x, y, z, a), gxyz,
                g(x, a, a) + g(y, a, a) + g(z, a, a))

@@ -9,8 +9,8 @@ alpha = 1 is a pure T-step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .contractions import Mapping
 from .convexity import ConvexGSpace
@@ -23,8 +23,9 @@ STATUS_MAX_ITERS = "max-iters"
 STATUS_DIVERGED = "diverged"
 
 
-@dataclass(frozen=True)
-class StepSchedule:
+class StepSchedule(namedtuple("StepSchedule",
+                              "kind alpha_of divergent_sum limit",
+                              defaults=(None,))):
     """Step sizes alpha_n in [0,1]; build one with a ``*_schedule`` factory.
 
     ``alpha_of(n)`` is alpha_n.  ``divergent_sum`` is set analytically per
@@ -32,10 +33,7 @@ class StepSchedule:
     of steps an explicit schedule can drive; None if unbounded.
     """
 
-    kind: str
-    alpha_of: Callable[[int], float]
-    divergent_sum: Optional[bool]
-    limit: Optional[int] = None
+    __slots__ = ()
 
     def alpha_at(self, n: int) -> float:
         return self.alpha_of(n)
@@ -83,31 +81,40 @@ def step_range(sched: StepSchedule, n: int) -> range:
     return range(n)
 
 
-@dataclass(frozen=True)
 class StoppingRule:
-    max_iters: int = 10000
-    residual_tol: float = 1e-10
+    """Stop after max_iters >= 1 steps or at a residual <= residual_tol."""
 
-    def __post_init__(self):
-        if self.max_iters < 1:
+    __slots__ = ("max_iters", "residual_tol")
+
+    def __init__(self, max_iters: int = 10000, residual_tol: float = 1e-10):
+        if max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not 0 <= self.residual_tol < math.inf:
+        if not 0 <= residual_tol < math.inf:
             raise ValueError("residual_tol must be finite and >= 0")
+        self.max_iters, self.residual_tol = max_iters, residual_tol
 
 
-@dataclass(frozen=True)
 class IterationTrace:
     """Full record of one run: iterates, step sizes, residuals
     G(x_n, Tx_n, Tx_n) and, when the fixed point is known, true errors
     G(x_n, u, u).  The columns are parallel; entry n describes x_n.
     ``run_mann`` gives read-only ``core.Columns`` over its row store,
-    whose first ``space.dim`` columns hold the coordinates of x_n."""
+    whose first ``space.dim`` columns hold the coordinates of x_n.  Two
+    traces are equal when all five fields are."""
 
-    space: GSpace
-    alphas: Sequence[float]
-    residuals: Sequence[float]
-    true_errors: Optional[Sequence[float]]
-    status: str
+    __slots__ = ("space", "alphas", "residuals", "true_errors", "status")
+
+    def __init__(self, space: GSpace, alphas: Sequence[float],
+                 residuals: Sequence[float],
+                 true_errors: Sequence[float] | None, status: str):
+        self.space, self.alphas, self.residuals = space, alphas, residuals
+        self.true_errors, self.status = true_errors, status
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, f) for f in self.__slots__]
+                == [getattr(other, f) for f in self.__slots__])
 
     def __len__(self) -> int:
         return len(self.alphas)

@@ -15,11 +15,9 @@ from __future__ import annotations
 import math
 
 from .convexity import ConvexGSpace, linear_interpolation
-from .core import DomainError, GSpace, Point, box_draw
-from .rng import Stream
+from .core import GSpace, Point, box_draw, nonzero_draw
 
 _DEFAULT_HALF_WIDTH = 10.0
-_DRAW_ATTEMPTS = 10_000  # rejection budget of one sign-example draw
 
 
 def _euclid_contains(dim: int):
@@ -78,18 +76,7 @@ def make_sign_example_space() -> GSpace:
     def contains(p: Point) -> bool:
         return len(p) == 1 and math.isfinite(p[0]) and p[0] != 0
 
-    def draw(stream: Stream, box, min_separation: float) -> Point:
-        # stay away from the excluded point and the discontinuity at 0
-        lo, hi = box[0]
-        floor = max(min_separation, 1e-12)
-        for _ in range(_DRAW_ATTEMPTS):
-            v = stream.uniform(lo, hi)
-            if abs(v) >= floor:
-                return (v,)
-        raise DomainError(f"no point of ({lo}, {hi}) with |v| >= {floor} "
-                          f"in {_DRAW_ATTEMPTS} draws")
-
-    return GSpace(name="sign-example", dim=1, g=g, draw=draw,
+    return GSpace(name="sign-example", dim=1, g=g, draw=nonzero_draw,
                   contains=contains, default_box=_default_box(1))
 
 
@@ -99,8 +86,8 @@ class UnknownSpaceError(ValueError):
 
 def get_space(key: str):
     """Resolve a catalog key: ``perimeter-<dim>``, ``max-<dim>`` or
-    ``sign-example``, dim in ASCII digits without a leading zero.  Returns a ConvexGSpace, or a bare GSpace for the
-    sign example."""
+    ``sign-example``, dim in ASCII digits without a leading zero.  Returns
+    a ConvexGSpace, or a bare GSpace for the sign example."""
     if key == "sign-example":
         return make_sign_example_space()
     for prefix, maker in (("perimeter-", make_perimeter_space),

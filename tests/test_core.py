@@ -407,6 +407,20 @@ def test_collector_builds_violations_for_survivors_only(monkeypatch):
         (i,) for i in sorted(non_finite)[:10]]
 
 
+def worst_margins(monkeypatch, check, space, plan):
+    """The worst margin of each check id in ``check(space, plan)``, all
+    rows recorded in this process."""
+    worst, record = {}, core.Collector.record
+
+    def spy(self, check_id, witness, lhs, rhs, margin):
+        worst[check_id] = max(worst.get(check_id, -math.inf), margin)
+        record(self, check_id, witness, lhs, rhs, margin)
+    monkeypatch.setattr(core.Collector, "record", spy)
+    monkeypatch.setattr(core, "_cpus", lambda: 1)
+    check(space, plan)
+    return worst
+
+
 def test_derived_near_miss_margins(monkeypatch):
     # G is 0 on the diagonal, 1 with exactly two points equal and 5 with
     # all three distinct; the structured quad (p, q, r, p) puts a = x,
@@ -417,16 +431,58 @@ def test_derived_near_miss_margins(monkeypatch):
     space = gfix.GSpace(name="jump", dim=1, g=g, draw=core.box_draw,
                         contains=lambda p: 0.0 <= p[0] <= 3.0,
                         default_box=((0.0, 3.0),))
-    worst, record = {}, core.Collector.record
-
-    def spy(self, check_id, witness, lhs, rhs, margin):
-        worst[check_id] = max(worst.get(check_id, -math.inf), margin)
-        record(self, check_id, witness, lhs, rhs, margin)
-    monkeypatch.setattr(core.Collector, "record", spy)
-    gfix.check_derived(space, gfix.SamplePlan(seed=0, count=50))
+    worst = worst_margins(monkeypatch, gfix.check_derived, space,
+                          gfix.SamplePlan(seed=0, count=50))
     assert worst["derived-v"] == 5 - (2 / 3) * 7 - 1e-9 * (2 / 3) * 7
     assert worst["derived-v"] == 0.33333332866666726
     assert worst["derived-vi"] == 3 - 1e-9 * 2
+
+
+def skew_g(x, y, z):
+    """Not a G-metric: each argument slot weighs its distances apart, so
+    G(x,y,z) != G(x,z,y) and G(x,x,y) != G(x,y,y) off the diagonal."""
+    a, b, c = x[0], y[0], z[0]
+    return abs(a - b) + 2.0 * abs(b - c) + 4.0 * abs(a - c)
+
+
+def test_each_check_reads_the_permutation_it_names(monkeypatch):
+    # a check that reads a G value computed for another row must read
+    # the same permutation: here a swapped one moves the worst margin
+    assert skew_g((0.0,), (1.0,), (3.0,)) != skew_g((0.0,), (3.0,), (1.0,))
+    skew = dataclasses.replace(PERIM1, name="skew", g=skew_g)
+    plan = gfix.SamplePlan(seed=3, count=300)
+    g, le, tol = skew_g, core.le_tol, 1e-9
+    quads = list(sample_quads(skew, plan))
+    expected = {
+        "axiom-iii": max(le(g(x, x, y), g(x, y, z), tol)
+                         for x, y, z, _ in quads
+                         if math.dist(z, y) >= plan.min_separation),
+        "axiom-v": max(le(g(x, y, z), g(x, a, a) + g(a, y, z), tol)
+                       for x, y, z, a in quads),
+        "derived-iv": max(le(g(x, y, z), g(x, a, z) + g(a, y, z), tol)
+                          for x, y, z, a in quads),
+        "derived-v": max(le(g(x, y, z), (2.0 / 3.0) * (
+            g(x, y, a) + g(x, a, z) + g(a, y, z)), tol)
+            for x, y, z, a in quads),
+    }
+    worst = {**worst_margins(monkeypatch, gfix.check_axioms, skew, plan),
+             **worst_margins(monkeypatch, gfix.check_derived, skew, plan)}
+    assert {k: worst[k] for k in expected} == expected
+
+
+@pytest.mark.parametrize("check, per_quad", [(gfix.check_axioms, 10),
+                                             (gfix.check_derived, 12)])
+def test_each_g_value_is_computed_once_per_witness(check, per_quad,
+                                                   monkeypatch):
+    base, calls = gfix.make_perimeter_space(3).space, []
+
+    def g(x, y, z):
+        calls.append(1)
+        return base.g(x, y, z)
+    monkeypatch.setattr(core, "_cpus", lambda: 1)  # every call counted here
+    plan = gfix.SamplePlan(seed=1, count=200)
+    assert check(dataclasses.replace(base, g=g), plan).passed
+    assert len(calls) == per_quad * len(sample_quads(base, plan))
 
 
 def test_nan_evaluator_fails_axioms():

@@ -2,9 +2,12 @@
 
 ``rng.lanes`` runs the splitmix64 streams of an index range side by side,
 one state per 128-bit lane of one Python int, and ``core.sample_tuples``
-uses it where a space's draw is ``core.box_draw``.  Any other draw,
-including a wrapped ``box_draw``, takes one ``Stream`` per tuple and one
-draw call per point; these tests hold the two paths to the same tuples.
+uses it where a space's draw is ``core.box_draw`` or the sign example's
+rejection draw ``core.nonzero_draw``, whose lanes keep their first
+accepted values and fall back to a stream for a tuple they leave short.
+Any other draw, including a wrapped ``box_draw`` or ``nonzero_draw``,
+takes one ``Stream`` per tuple and one draw call per point; these tests
+hold the two paths to the same tuples and the same errors.
 """
 
 import dataclasses
@@ -16,9 +19,10 @@ from hypothesis import strategies as st
 
 import gfix
 from gfix import core
-from gfix.core import box_draw, sample_tuples
+from gfix.core import sample_tuples
 from gfix.rng import Stream, lanes
 
+SIGN = gfix.make_sign_example_space()
 BOUNDS = [(-10.0, 10.0), (0.0, 1.0), (-1000.0, 5.0)]
 # Stream(seed, i).uniform over BOUNDS for i = 3..6
 EXPECTED = {
@@ -72,8 +76,9 @@ def test_an_empty_range_has_no_lanes():
 
 def per_point(space):
     """``space`` with its draw wrapped, so ``sample_tuples`` calls it."""
+    draw = space.draw
     return dataclasses.replace(
-        space, draw=lambda stream, box, sep: box_draw(stream, box, sep))
+        space, draw=lambda stream, box, sep: draw(stream, box, sep))
 
 
 def one_weight(u):
@@ -130,8 +135,79 @@ def test_a_range_builds_lanes_for_its_own_indices(monkeypatch):
 def test_other_draws_take_a_stream_per_tuple(monkeypatch):
     plan = gfix.SamplePlan(seed=5, count=30, min_separation=0.5)
     perimeter = gfix.make_perimeter_space(2).space
-    expected = list(core.sample_quads(perimeter, plan))
+    expected = [list(core.sample_quads(space, plan))
+                for space in (perimeter, SIGN)]
     monkeypatch.setattr(core, "lanes", None)  # any use would raise
-    assert list(core.sample_quads(per_point(perimeter), plan)) == expected
-    sign = core.sample_quads(gfix.make_sign_example_space(), plan)
-    assert len(list(sign)) == len(sign)
+    assert [list(core.sample_quads(per_point(space), plan))
+            for space in (perimeter, SIGN)] == expected
+
+    def away_from_one(stream, box, min_separation):  # a rejection draw
+        while abs((v := stream.uniform(*box[0])) - 1.0) < min_separation:
+            pass
+        return (v,)
+    custom = core.sample_quads(dataclasses.replace(SIGN, draw=away_from_one),
+                               plan)
+    quads = list(custom)
+    assert len(quads) == len(custom)
+    assert all(abs(p[0] - 1.0) >= 0.5 for q in quads[:30] for p in q)
+
+
+# min_separation 1 leaves about one lane in 70 with three of its six
+# values, 9.99 nearly every lane with none
+@pytest.mark.parametrize("sep, points", [(1.0, 4), (9.99, 1)])
+def test_a_short_lane_falls_back_to_its_stream(sep, points):
+    plan = gfix.SamplePlan(seed=2, count=200, min_separation=sep)
+    tuples = list(core.sample_quads(SIGN, plan, points))
+    assert all(len(t) == points and min(abs(p[0]) for p in t) >= sep
+               for t in tuples[:200])
+    assert tuples == list(core.sample_quads(per_point(SIGN), plan, points))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(points=st.integers(1, 4), weighted=st.booleans(),
+       seed=st.one_of(st.integers(-2**70, -1), st.just(0),
+                      st.integers(2**64, 2**70)),
+       sep=st.sampled_from([0.0, 1e-3, 1.0, 9.99]),
+       count=st.integers(1, 40), block=st.integers(1, 12),
+       start=st.integers(0, 50), length=st.integers(0, 30))
+def test_rejection_lanes_equal_the_per_point_draw(points, weighted, seed, sep,
+                                                  count, block, start,
+                                                  length):
+    # 9.99 accepts one value in 1000: nearly every tuple falls back
+    plan = gfix.SamplePlan(seed=seed, count=count, min_separation=sep)
+    weights = one_weight if weighted else None
+
+    def structured(pts):
+        return [(p,) * points + ((0.5, 0.5),) * weighted for p in pts]
+
+    fast = sample_tuples(SIGN, plan, structured, weights, points)
+    slow = sample_tuples(per_point(SIGN), plan, structured, weights, points)
+    with mock.patch.object(core, "MIN_TUPLES", block):
+        assert (list(fast.make(start, start + length))
+                == list(slow.make(start, start + length)))
+        assert list(fast) == list(slow)
+
+
+def test_a_value_on_the_floor_is_accepted():
+    # the first uniform of Stream(7, 0) over (-10, 10) is -0.373...; with
+    # that as min_separation, every path keeps it as the first point
+    v = Stream(7, 0).uniform(-10.0, 10.0)
+    plan = gfix.SamplePlan(seed=7, count=5, min_separation=abs(v))
+    quads = list(core.sample_quads(SIGN, plan))
+    assert quads[0][0] == (v,) and abs(v) < 1.0
+    assert quads == list(core.sample_quads(per_point(SIGN), plan))
+
+
+def test_an_empty_floor_raises_one_error_on_both_paths(monkeypatch):
+    # no value of [-10, 10) but -10 itself has |v| >= 10
+    monkeypatch.setattr(core, "MIN_TUPLES", 100)
+    plan = gfix.SamplePlan(seed=0, count=300, min_separation=10.0)
+    messages = []
+    for space in (SIGN, per_point(SIGN)):
+        for cpus in (1, 2, 3):  # 336 tuples make 1, 2 and 3 ranges
+            monkeypatch.setattr(core, "_cpus", lambda: cpus)
+            with pytest.raises(gfix.DomainError) as raised:
+                gfix.check_axioms(space, plan)
+            messages.append(str(raised.value))
+    assert messages == ["no point of (-10.0, 10.0) with |v| >= 10.0 "
+                        "in 10000 draws"] * 6

@@ -40,8 +40,8 @@ MUTANTS = [
      "a row that ties the 10th place displaces the one seen first",
      ["tests/test_core.py"]),
     ("src/gfix/core.py",
-     "(2.0 / 3.0) * (g(x, y, a)",
-     "1.0 * (g(x, y, a)",
+     "(2.0 / 3.0) * (g(x, y, a) + gxaz + gayz)",
+     "1.0 * (g(x, y, a) + gxaz + gayz)",
      "derived-v's factor 2/3 weakened to 1",
      ["tests/test_core.py"]),
     ("src/gfix/core.py",
@@ -49,6 +49,31 @@ MUTANTS = [
      "g(x, a, a) + g(y, a, a) + g(z, a, a) + 1.0)",
      "derived-vi's right side + 1",
      ["tests/test_core.py"]),
+    ("src/gfix/core.py",
+     'yield le_tol, "axiom-iii", (x, y, z), gxxy, vals[0]',
+     'yield le_tol, "axiom-iii", (x, y, z), gxxy, vals[1]',
+     "axiom-iii reads G(x,z,y) for G(x,y,z)",
+     ["tests/test_core.py"]),
+    ("src/gfix/core.py",
+     'yield (le_tol, "axiom-v", (x, y, z, a), vals[0],',
+     'yield (le_tol, "axiom-v", (x, y, z, a), vals[1],',
+     "axiom-v reads G(x,z,y) for G(x,y,z)",
+     ["tests/test_core.py"]),
+    ("src/gfix/core.py",
+     "for v in lane[:width] if abs(v) >= floor]",
+     "for v in lane[:width] if abs(v) > floor]",
+     "a nonzero_draw lane rejects a value on the floor",
+     ["tests/test_lanes.py"]),
+    ("src/gfix/core.py",
+     "if len(kept) < points:",
+     "if len(kept) < points - 1:",
+     "a nonzero_draw lane one value short gives a short tuple",
+     ["tests/test_lanes.py"]),
+    ("src/gfix/core.py",
+     "if count < 1:",
+     "if False:",
+     "SamplePlan takes a count below 1",
+     ["tests/test_records.py"]),
     ("src/gfix/core.py",
      "file.seek(8 * start)",
      "file.seek(8 * start + 8)",
