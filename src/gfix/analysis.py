@@ -18,7 +18,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from itertools import accumulate, islice, repeat
 
-from .core import CheckReport, Columns, Point, Rows, Sized, evaluate, le
+from .core import CheckReport, Point, Rows, evaluate, le
 from .mann import IterationTrace, StepSchedule, step_range
 
 _LOGSPACE_TRIGGER = 1e-8  # switch to log accumulation below this factor
@@ -27,7 +27,7 @@ _LOGSPACE_TRIGGER = 1e-8  # switch to log accumulation below this factor
 RateBound = namedtuple("RateBound", "factors products alphas")
 RateBound.__doc__ = """Step sizes alpha_0 .. alpha_{n-1}, per-step factors
     1 - alpha_k*(1-delta) and cumulative products B_0 .. B_n, each a
-    read-only ``core.Columns`` over the rate chain's rows."""
+    ``core.Sized`` over the rate chain's rows."""
 
 
 def _rate_chain(delta: float, step_sizes: Callable[[], Iterable[float]],
@@ -39,14 +39,17 @@ def _rate_chain(delta: float, step_sizes: Callable[[], Iterable[float]],
     ``step_sizes`` is called once delta has passed, so a bad delta is
     reported ahead of any schedule error, and again, to rebuild the
     chain in log space, at the first factor below 1e-8.  Rounded,
-    1 - a*c never rises with a: that is when 1 - max(alphas)*c < 1e-8."""
+    1 - a*c never rises with a: that is when 1 - max(alphas)*c < 1e-8.
+    errors[0] is read once: an index of a spilled column reads its own
+    row from the file."""
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must be in [0, 1), got {delta}")
     c = 1.0 - delta
+    e0 = errors[0] if errors is not None else None
 
     def put(*columns):
         if errors is not None:
-            at, e0 = len(rows), errors[0]
+            at = len(rows)
             bounds = array("d", map(operator.mul, columns[2], repeat(e0)))
             columns += (bounds, array("d", map(operator.sub, bounds,
                                                errors[at:at + len(bounds)])))
@@ -82,22 +85,20 @@ def product_bound(delta: float, sched: StepSchedule, n: int) -> RateBound:
     space when some factor drops below 1e-8."""
     rows = _rate_chain(delta, lambda: map(sched.alpha_at,
                                           step_range(sched, n)))
-    return RateBound(factors=Columns(rows, 1, start=1),
-                     products=Columns(rows, 2),
-                     alphas=Columns(rows, 0, start=1))
+    return RateBound(factors=rows.column(1, start=1),
+                     products=rows.column(2), alphas=rows.column(0, start=1))
 
 
 BoundReport = namedtuple("BoundReport", "slacks min_slack holds bounds")
 BoundReport.__doc__ = """Per-step bound B_n*G(x_0,u,u) and slack bound -
-    G(x_n,u,u), each a read-only ``core.Columns``; a NaN slack makes
-    ``min_slack`` NaN."""
+    G(x_n,u,u), each a ``core.Sized`` over the rate chain's rows; a NaN
+    slack makes ``min_slack`` NaN."""
 
 
 def trace_products(trace: IterationTrace, delta: float) -> Sequence[float]:
     """B_0 .. B_{len(trace)-1} recomputed from the trace's own recorded
     step sizes, so B_n pairs with the recorded x_n."""
-    return Columns(_rate_chain(delta, lambda: trace.alphas[:len(trace) - 1]),
-                   2)
+    return _rate_chain(delta, lambda: trace.alphas[:len(trace) - 1]).column(2)
 
 
 def verify_bound(trace: IterationTrace, delta: float,
@@ -114,11 +115,11 @@ def verify_bound(trace: IterationTrace, delta: float,
         raise ValueError("trace has no true errors (fixed point unknown)")
     rows = _rate_chain(delta, lambda: trace.alphas[:len(trace) - 1],
                        trace.true_errors)
-    slacks = Columns(rows, 4)
+    slacks = rows.column(4)
     # min() passes over a NaN slack; a NaN must fail the bound instead
     min_slack = math.nan if any(map(math.isnan, slacks)) else min(slacks)
     return BoundReport(slacks=slacks, min_slack=min_slack,
-                       holds=min_slack >= -tol, bounds=Columns(rows, 3))
+                       holds=min_slack >= -tol, bounds=rows.column(3))
 
 
 def diagnostics_maxima(trace: IterationTrace, limit: Point,
@@ -143,5 +144,5 @@ def convergence_diagnostics(trace: IterationTrace, limit: Point, tail: int,
     def criterion(family, value):
         yield le, f"conv-{family}", (limit,), value, tol
 
-    items = list(diagnostics_maxima(trace, limit, tail).items())
-    return evaluate(Sized(3, lambda a, b: items[a:b]), criterion, tol)
+    return evaluate(list(diagnostics_maxima(trace, limit, tail).items()),
+                    criterion, tol)

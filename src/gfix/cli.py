@@ -8,11 +8,12 @@ All reals are serialized with 17 significant digits so outputs
 round-trip exactly; reruns with an identical configuration are
 byte-identical.  The sampled checks and the CSVs of iterate and bound
 run in ``core.forked_ranges``, one per usable CPU, of at least
-``core.MIN_TUPLES`` witness tuples or ``MIN_ROWS`` CSV rows; the bytes
+``core.MIN_TUPLES`` witness tuples or ``MIN_ROWS`` CSV lines; the bytes
 are the same on any number of CPUs, and so is an error.  Workers send
-their ranges in chunks through temporary files, and iterate and bound
-keep their columns in ``core.Rows``, so no process holds a whole column
-or range.
+their ranges in chunks through temporary files, iterate and bound keep
+their columns in ``core.Rows``, and a CSV is a ``core.Sized`` of lines
+formatted as they are read, so no process holds a whole column or
+range.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 from . import analysis, contractions, convexity, core, mann, spaces
 from .core import CheckReport, SamplePlan
 
 CSV_HEADER = "n,alpha_n,residual,true_error,bound,slack"
-MIN_ROWS = 10000  # fewest CSV data rows a range gets; a fork costs ~2 ms
+MIN_ROWS = 10000  # fewest CSV lines a range gets; a fork costs ~2 ms
 
 
 class ConfigError(ValueError):
@@ -193,53 +194,46 @@ class Settings:
             f"{k}={v}" for k, v in sorted(self.values.items()) if v is not None)
 
 
-class _Csv:
-    """CSV lines: the preformatted ``head`` lines, then ``template % row``
-    for each row of the zipped ``columns``.  Rows are formatted as they
-    are read, so the whole text is never held at once; ``rows`` formats
-    any range of the data rows, so ``_write_lines`` can split them."""
+def _csv(head: list, template: str, columns: tuple) -> core.Sized:
+    """CSV lines, each ended by a newline: the preformatted ``head``
+    lines, then ``template % row`` for each row of the zipped
+    ``columns``.  Lines are formatted as they are read, so the whole text
+    is never held at once; a range of them formats only its rows, each
+    column sliced to them, and the head lines lie in the range from 0."""
+    h, head = len(head), [line + "\n" for line in head]
+    row = (template + "\n").__mod__
 
-    __slots__ = ("head", "template", "columns")
-
-    def __init__(self, head: list, template: str, columns: tuple):
-        self.head, self.template, self.columns = head, template, columns
-
-    def __len__(self) -> int:
-        return len(self.head) + min(map(len, self.columns))
-
-    def rows(self, start: int, stop: int):
-        """Data rows ``start`` to ``stop - 1``, each ended by a newline;
-        a column view sliced to the range reads only its rows."""
-        return map((self.template + "\n").__mod__,
-                   zip(*(c[start:stop] for c in self.columns)))
+    def lines(start, stop):
+        lo, hi = max(start - h, 0), max(stop - h, 0)
+        return chain(head[start:stop],
+                     map(row, zip(*(c[lo:hi] for c in columns))))
+    return core.Sized(h + min(map(len, columns)), lines)
 
 
 def _write_lines(path: str | None, lines) -> None:
-    """Write ``lines``, each ended by a newline, to the file ``path`` or,
-    without one, to stdout.
+    """Write ``lines`` to the file ``path`` or, without one, to stdout:
+    a list's lines each with a newline added, a ``_csv``'s as they are.
 
-    A ``_Csv``'s data rows run in ``core.forked_ranges`` of ``MIN_ROWS``
-    or more.  A worker sends its range's text 512 rows, about 64 KB, at
-    a time, and this process writes each as it reads it, so no process
-    holds a range's text."""
+    A ``_csv``'s lines run in ``core.forked_ranges`` of ``MIN_ROWS`` or
+    more, the head in the first.  A worker sends its range's text 512
+    lines, about 64 KB, at a time, and this process writes each as it
+    reads it, so no process holds a range's text."""
     with (open(path, "w", newline="") if path
           else contextlib.nullcontext(sys.stdout)) as fh:
-        if not isinstance(lines, _Csv):
+        if isinstance(lines, list):
             fh.writelines(line + "\n" for line in lines)
             return
-        fh.writelines(line + "\n" for line in lines.head)
         fh.flush()  # a worker must never hold unwritten output
 
         def work(start, stop):
-            rows = lines.rows(start, stop)
+            text = iter(lines[start:stop])
             for at in range(start, stop, 512):
-                yield min(at + 512, stop), "".join(islice(rows, 512))
+                yield min(at + 512, stop), "".join(islice(text, 512))
 
         def own(start, stop):
-            fh.writelines(lines.rows(start, stop))
+            fh.writelines(lines[start:stop])
 
-        core.forked_ranges(len(lines) - len(lines.head), MIN_ROWS, work,
-                           own, fh.write)
+        core.forked_ranges(len(lines), MIN_ROWS, work, own, fh.write)
 
 
 def _report_lines(cmd: str, settings: Settings, report: CheckReport) -> list:
@@ -342,7 +336,7 @@ def _cmd_iterate(args: argparse.Namespace, settings: Settings) -> int:
     if bound_report is not None:
         columns += [bound_report.bounds, bound_report.slacks]
     template = "%d" + ",%.17g" * len(columns) + "," * (5 - len(columns))
-    _write_lines(args.out, _Csv([CSV_HEADER], template,
+    _write_lines(args.out, _csv([CSV_HEADER], template,
                                 (range(len(trace)), *columns)))
 
     summary = ["# gfix iterate",
@@ -365,7 +359,7 @@ def _cmd_bound(args: argparse.Namespace, settings: Settings) -> int:
     delta = settings.get("delta")
     sched = _schedule(settings)
     rb = analysis.product_bound(delta, sched, settings.get("max-iters"))
-    _write_lines(args.out, _Csv(
+    _write_lines(args.out, _csv(
         ["n,alpha_n,factor,B_n", "0,,,%.17g" % rb.products[0]],
         "%d,%.17g,%.17g,%.17g", (range(1, len(rb.products)), rb.alphas,
                                  rb.factors, rb.products[1:])))

@@ -14,15 +14,17 @@ Every check, here and in the convexity and contraction modules, is a
 named inequality between G-values at a witness tuple.  A check family
 only states its inequalities: a function from one witness tuple to
 ``(form, check_id, witness, lhs, rhs)`` rows.  ``evaluate`` runs it over
-the tuples from ``sample_tuples``, turns each row into a signed margin
-through a margin form below, and records it in a Collector: one heap
-of the 10 worst, non-finite ones first.  Tuple i is drawn from its own
-stream, and the streams of a block of tuples side by side where the
-draw is ``box_draw`` or ``nonzero_draw``.  So ``evaluate`` splits the
-tuples into ``forked_ranges``, one per usable CPU, the owner of the
-workers' chunk format and of the rerun of what a stopped worker left:
-this process records every row in index order, so a report, or an
-error, is the same on any number of CPUs.
+the tuples from ``sample_tuples``, a ``Sized``: the one lazy sequence
+type, which also views a column of a ``Rows`` store and a CSV's lines.
+It turns each row into a signed margin through a margin form below, and
+records it in a Collector: one heap of the 10 worst, non-finite ones
+first.  Tuple i is drawn from its own stream, and the streams of a
+block of tuples side by side where the draw is ``box_draw`` or
+``nonzero_draw``.  So ``evaluate`` splits the tuples into
+``forked_ranges``, one per usable CPU, the owner of the workers' chunk
+format and of the rerun of what a stopped worker left: this process
+records every row in index order, so a report, or an error, is the
+same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -274,7 +276,7 @@ class Rows:
     """Rows of ``width`` doubles.  ``add`` appends to ``tail`` and moves
     each full block, about 256 KB at any width, to an unlinked temporary
     file, made then and closed with the store; ``read`` is the one way
-    rows leave it."""
+    rows leave it, and ``column`` views one column through it."""
 
     def __init__(self, width: int):
         self.width, self.file, self.spilled = width, None, 0
@@ -308,41 +310,53 @@ class Rows:
             block.release()  # tail may grow again once no view holds it
             yield out
 
+    def column(self, j: int, start: int = 0) -> Sized:
+        """Column ``j`` of rows start..len(self)-1 as a ``Sized`` read
+        through ``read``: an index reads only its own row, and a pass one
+        block at a time."""
+        def values(a, b):
+            return itertools.chain.from_iterable(
+                c for c, in self.read(a, b, (j,)))
+        return Sized(len(self) - start, values, start)
 
-class Columns:
-    """Read-only view of column ``first`` of rows start..stop-1 of a
-    ``Rows``.  ``len()`` reads nothing; an index reads only its own row;
-    a slice with step 1 is a view that reads only its rows, and a pass
-    reads one block at a time, all through ``Rows.read``."""
 
-    def __init__(self, rows: Rows, first: int, start: int = 0,
-                 stop: int | None = None):
-        self.rows, self.first = rows, first
-        self.start, self.stop = start, len(rows) if stop is None else stop
+class Sized:
+    """A lazy sequence: items start..start+size-1 of ``make``, where
+    ``make(a, b)`` gives items a..b-1 afresh, so nothing is held between
+    passes.  ``len()`` makes nothing, a pass is one ``make`` call, an
+    index makes only its own item, and a slice with step 1 is another
+    view; a strided slice is a list, made from one pass.  A ``Sized``
+    equals only another ``Sized`` with equal items."""
+
+    __slots__ = ("size", "make", "start")
+
+    def __init__(self, size: int, make: Callable[[int, int], Iterable],
+                 start: int = 0):
+        self.size, self.make, self.start = size, make, start
 
     def __len__(self) -> int:
-        return self.stop - self.start
-
-    def __getitem__(self, i):
-        at = range(self.start, self.stop)[i]
-        if isinstance(at, int):
-            return next(self.rows.read(at, at + 1, (self.first,)))[0][0]
-        if at.step != 1:
-            return array("d", self)[i]
-        return Columns(self.rows, self.first, at.start, max(at.start, at.stop))
+        return self.size
 
     def __iter__(self):
-        blocks = self.rows.read(self.start, self.stop, (self.first,))
-        return itertools.chain.from_iterable(column for column, in blocks)
+        return iter(self.make(self.start, self.start + self.size))
+
+    def __getitem__(self, i):
+        at = range(self.start, self.start + self.size)[i]
+        if isinstance(at, int):
+            return next(iter(self.make(at, at + 1)))
+        if at.step != 1:
+            return list(self)[i]
+        return Sized(len(at), self.make, at.start)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Columns) and len(self) == len(other)
+        return (isinstance(other, Sized) and len(self) == len(other)
                 and all(map(operator.eq, self, other)))
 
 
-def evaluate(items: Sized, inequalities: Callable, tol: float,
+def evaluate(items: Sequence, inequalities: Callable, tol: float,
              ratio: bool = False) -> CheckReport:
-    """Record every inequality at every witness tuple ``t`` of ``items``.
+    """Record every inequality at every witness tuple ``t`` of ``items``,
+    a ``Sized`` or a list, of which a range reads ``items[start:stop]``.
 
     ``inequalities(*t)`` returns or yields ``(form, check_id, witness,
     lhs, rhs)`` rows; a row's margin is ``form(lhs, rhs, tol)``.  With
@@ -380,7 +394,7 @@ def evaluate(items: Sized, inequalities: Callable, tol: float,
                      lhs, rhs, margin))
 
     def work(start, stop):
-        witnesses = iter(items.make(start, stop))  # drawn a block at a time
+        witnesses = iter(items[start:stop])  # drawn a block at a time
         for i in range(start, stop, _CHUNK_TUPLES):
             run(itertools.islice(witnesses, _CHUNK_TUPLES), send)
             yield min(i + _CHUNK_TUPLES, stop), rows
@@ -391,7 +405,7 @@ def evaluate(items: Sized, inequalities: Callable, tol: float,
             keep(*row)
 
     forked_ranges(len(items), MIN_TUPLES, work,
-                  lambda start, stop: run(items.make(start, stop)), take)
+                  lambda start, stop: run(items[start:stop]), take)
     return col.report()
 
 
@@ -418,23 +432,6 @@ def structured_quads(pts: Sequence[Point]) -> list:
     for p, q, r in zip(pts, pts[1:], pts[2:]):
         quads.append((p, q, r, p))
     return quads
-
-
-class Sized:
-    """A re-iterable of known length: ``len()`` is ``size``,
-    ``make(start, stop)`` gives items start..stop-1 afresh, and a pass is
-    ``make(0, size)``, so nothing is held between passes."""
-
-    __slots__ = ("size", "make")
-
-    def __init__(self, size: int, make: Callable[[int, int], Iterable]):
-        self.size, self.make = size, make
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __iter__(self):
-        return iter(self.make(0, self.size))
 
 
 def box_draw(stream: Stream, box: Box, min_separation: float) -> Point:

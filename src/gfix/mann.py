@@ -14,7 +14,7 @@ from collections.abc import Sequence
 
 from .contractions import Mapping
 from .convexity import ConvexGSpace
-from .core import Columns, DomainError, GSpace, Point, Rows
+from .core import DomainError, GSpace, Point, Rows
 
 OVERFLOW_GUARD = 1e150
 
@@ -98,23 +98,27 @@ class IterationTrace:
     """Full record of one run: iterates, step sizes, residuals
     G(x_n, Tx_n, Tx_n) and, when the fixed point is known, true errors
     G(x_n, u, u).  The columns are parallel; entry n describes x_n.
-    ``run_mann`` gives read-only ``core.Columns`` over its row store,
-    whose first ``space.dim`` columns hold the coordinates of x_n.  Two
-    traces are equal when all five fields are."""
+    ``run_mann`` gives each column as a ``core.Sized`` over its row
+    store ``rows``, whose first ``space.dim`` columns hold the
+    coordinates of x_n.  Two traces are equal when their first five
+    fields are."""
 
-    __slots__ = ("space", "alphas", "residuals", "true_errors", "status")
+    __slots__ = ("space", "alphas", "residuals", "true_errors", "status",
+                 "rows")
 
     def __init__(self, space: GSpace, alphas: Sequence[float],
                  residuals: Sequence[float],
-                 true_errors: Sequence[float] | None, status: str):
+                 true_errors: Sequence[float] | None, status: str,
+                 rows: Rows | None = None):
         self.space, self.alphas, self.residuals = space, alphas, residuals
-        self.true_errors, self.status = true_errors, status
+        self.true_errors, self.status, self.rows = true_errors, status, rows
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ([getattr(self, f) for f in self.__slots__]
-                == [getattr(other, f) for f in self.__slots__])
+        fields = self.__slots__[:5]
+        return ([getattr(self, f) for f in fields]
+                == [getattr(other, f) for f in fields])
 
     def __len__(self) -> int:
         return len(self.alphas)
@@ -127,9 +131,9 @@ class IterationTrace:
 
     def last_points(self, k: int) -> tuple:
         """The last k iterates (all, if fewer) as point tuples, read in one
-        pass over the blocks of the store behind ``alphas``."""
+        pass over the blocks of ``rows``."""
         start = max(0, len(self) - k)
-        blocks = self.alphas.rows.read(start, len(self), range(self.space.dim))
+        blocks = self.rows.read(start, len(self), range(self.space.dim))
         return tuple(p for block in blocks for p in zip(*block))
 
 
@@ -181,7 +185,6 @@ def run_mann(cs: ConvexGSpace, T: Mapping, x0: Point, sched: StepSchedule,
         x = x_next
 
     return IterationTrace(
-        space=space, alphas=Columns(rows, dim),
-        residuals=Columns(rows, dim + 1),
-        true_errors=Columns(rows, dim + 2) if u is not None else None,
-        status=status)
+        space=space, alphas=rows.column(dim), residuals=rows.column(dim + 1),
+        true_errors=rows.column(dim + 2) if u is not None else None,
+        status=status, rows=rows)

@@ -11,7 +11,7 @@ from array import array
 import pytest
 
 import gfix
-from gfix.cli import (CSV_HEADER, _Csv, _fmt, main, parse_mapping,
+from gfix.cli import (CSV_HEADER, _csv, _fmt, main, parse_mapping,
                       parse_schedule)
 
 
@@ -450,13 +450,17 @@ def test_row_template_matches_fmt():
 
 
 def test_csv_rows_formatted_as_read():
-    csv = _Csv(["n,a,b", "0,,"], "%d,%.17g,%.17g", (
+    csv = _csv(["n,a,b", "0,,"], "%d,%.17g,%.17g", (
         range(1, 4), array("d", [0.5, -0.0, math.inf]),
         array("d", [1e-320, 2.0, 3.0, 4.0])))
+    rows = ["1,0.5,9.9998886718268301e-321\n", "2,-0,2\n", "3,inf,3\n"]
     assert len(csv) == 5
-    assert csv.head + list(csv.rows(0, 3)) == [
-        "n,a,b", "0,,", "1,0.5,9.9998886718268301e-321\n", "2,-0,2\n",
-        "3,inf,3\n"]
+    assert list(csv) == ["n,a,b\n", "0,,\n", *rows]
+    # a range past the head formats only its data rows
+    assert list(csv[2:]) == rows and list(csv[3:4]) == rows[1:2]
+    assert list(csv[1:3]) == ["0,,\n", rows[0]]
+    assert list(csv[:1]) == ["n,a,b\n"]
+    assert csv[2] == rows[0] and csv[-1] == rows[2] and csv[0] == "n,a,b\n"
 
 
 def test_iterate_power_schedule_summary(tmp_path, capsys):

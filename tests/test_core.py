@@ -485,6 +485,57 @@ def test_each_g_value_is_computed_once_per_witness(check, per_quad,
     assert len(calls) == per_quad * len(sample_quads(base, plan))
 
 
+# --- Sized: the one lazy sequence, held to list semantics ----------------
+
+def sized_and_list(backing, monkeypatch):
+    """A ``Sized`` and the list of its items."""
+    if backing == "list":
+        xs = [0.5 * v for v in range(23)]
+        return core.Sized(len(xs), lambda a, b: xs[a:b]), xs
+    if backing == "rows":  # 3 rows a block: 7 spilled, 2 in memory
+        monkeypatch.setattr(core, "_BLOCK_VALUES", 9)
+        rows = core.Rows(3)
+        rows.add(float(v) for i in range(23) for v in (i, 100 + i, 200 + i))
+        assert rows.spilled == 63
+        return rows.column(1), [100.0 + i for i in range(23)]
+    # 12 random tuples drawn on lanes, then the structured tail
+    quads = sample_quads(PERIM2, gfix.SamplePlan(seed=5, count=12))
+    assert len(quads) > 24
+    return quads, list(quads)
+
+
+def outcome(get):
+    """``get()``'s items as a list, or the type of what it raised."""
+    try:
+        value = get()
+    except (IndexError, ValueError) as exc:
+        return type(exc)
+    return value if isinstance(value, tuple | float) else list(value)
+
+
+@pytest.mark.parametrize("backing", ["list", "rows", "quads"])
+def test_sized_indexes_and_slices_like_a_list(backing, monkeypatch):
+    items, want = sized_and_list(backing, monkeypatch)
+    n = len(want)
+    assert len(items) == n and list(items) == want
+    for i in range(-n - 2, n + 2):  # negative and out of range too
+        assert outcome(lambda: items[i]) == outcome(lambda: want[i])
+    bounds = (None, 0, 1, 3, 11, 13, -1, -4, n - 1, n, n + 5, -n, -n - 5)
+    for start, stop, step in itertools.product(bounds, bounds,
+                                               (None, 1, 2, -1, -3, 0)):
+        cut = slice(start, stop, step)
+        got = outcome(lambda: items[cut])
+        assert got == outcome(lambda: want[cut]), cut
+        if step in (None, 1):  # a view, which slices and indexes again
+            view, part = items[cut], want[cut]
+            assert isinstance(view, core.Sized) and len(view) == len(part)
+            assert view == items[cut] and view != part
+            for again in (slice(1, -1), slice(None, None, -2), -1, 0, 2):
+                assert outcome(lambda: view[again]) == outcome(
+                    lambda: part[again]), (cut, again)
+    assert items[2:5] != items[3:6] and items != want
+
+
 def test_nan_evaluator_fails_axioms():
     nan_space = gfix.GSpace(
         name="nan", dim=2, g=lambda x, y, z: math.nan,

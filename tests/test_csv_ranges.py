@@ -1,12 +1,13 @@
 """CSV rows split into ranges formatted by forked workers.
 
-``cli._write_lines`` splits a CSV's data rows into k contiguous ranges,
-k = max(1, min(usable CPUs, rows // MIN_ROWS)), through
-``core.forked_ranges``.  These tests force k by replacing the CPU count
-(``core._cpus``) and ``cli.MIN_ROWS``, and check that every k writes the
-same bytes as one range, that an error in any range fails the command
-with the error line of one range and exit 2, and that no child process
-is left behind.
+``cli._write_lines`` splits a CSV's lines into k contiguous ranges,
+k = max(1, min(usable CPUs, lines // MIN_ROWS)), through
+``core.forked_ranges``; the head lines lie in the first.  These tests
+force k by replacing the CPU count (``core._cpus``) and
+``cli.MIN_ROWS``, and check that every k writes the same bytes as one
+range, a cut right after the head included, that an error in any range
+fails the command with the error line of one range and exit 2, and that
+no child process is left behind.
 """
 
 import os
@@ -82,11 +83,12 @@ def test_range_count_follows_rows_and_cpus(
     args = ["bound", "--delta", "0.3", "--schedule", "harmonic",
             "--max-iters", str(rows)]
     one = run(monkeypatch, capsys, tmp_path, args, 1)
-    assert one[1].count(b"\n") == rows + 2  # the header and row 0 first
+    lines = rows + 2  # the header and row 0 first
+    assert one[1].count(b"\n") == lines
     for cpus in (2, 3):
         forks.clear()
         assert run(monkeypatch, capsys, tmp_path, args, cpus) == one
-        assert len(forks) == max(1, min(cpus, rows // MIN_ROWS)) - 1
+        assert len(forks) == max(1, min(cpus, lines // MIN_ROWS)) - 1
 
 
 def test_no_fork_means_one_range(monkeypatch, capsys, tmp_path):
@@ -98,10 +100,26 @@ def test_no_fork_means_one_range(monkeypatch, capsys, tmp_path):
 
 
 def test_row_ranges_zip_the_columns():
-    csv = cli._Csv(["n,a"], "%d,%.17g", (range(5), [0.5, 1.5, 2.5, 3.5, 4.5]))
-    assert list(csv.rows(0, 2)) == ["0,0.5\n", "1,1.5\n"]
-    assert list(csv.rows(2, 5)) == ["2,2.5\n", "3,3.5\n", "4,4.5\n"]
-    assert list(csv.rows(5, 5)) == []
+    # line 0 is the head, so data rows start..stop-1 are lines start+1..
+    csv = cli._csv(["n,a"], "%d,%.17g", (range(5), [0.5, 1.5, 2.5, 3.5, 4.5]))
+    assert list(csv[1:3]) == ["0,0.5\n", "1,1.5\n"]
+    assert list(csv[3:6]) == ["2,2.5\n", "3,3.5\n", "4,4.5\n"]
+    assert list(csv[6:6]) == []
+
+
+# bound's head is two lines, the header and row 0; with one line a range,
+# rows + 2 lines in k ranges cut at (rows + 2) * i // k, and each case has
+# a cut at line 2 for k = 2 or 3: a range that starts right after the head
+@pytest.mark.parametrize("rows", [2, 3, 4, 6])
+def test_a_cut_right_after_the_head(rows, monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(cli, "MIN_ROWS", 1)
+    assert any(2 in [(rows + 2) * i // k for i in range(1, k)] for k in (2, 3))
+    args = ["bound", "--delta", "0.3", "--schedule", "harmonic",
+            "--max-iters", str(rows)]
+    one = run(monkeypatch, capsys, tmp_path, args, 1)
+    assert one[0] == 0 and one[1].count(b"\n") == rows + 2
+    for cpus in (2, 3):
+        assert run(monkeypatch, capsys, tmp_path, args, cpus) == one
 
 
 class Poisoned:
@@ -125,15 +143,14 @@ class Poisoned:
             yield v
 
 
-# 41 rows in two ranges: range 0 is rows 0-19, formatted in this process
+# 42 lines in two ranges: range 0 is the header and rows 0-19, formatted
+# in this process
 @pytest.mark.parametrize("at", [30, 5], ids=["in-worker", "in-parent"])
 def test_failing_range_exits_two_and_leaves_no_child(
         at, forks, monkeypatch, capsys, tmp_path):
-    class Csv(cli._Csv):
-        def __init__(self, head, template, columns):
-            super().__init__(head, template,
-                             (*columns[:-1], Poisoned(columns[-1], at)))
-    monkeypatch.setattr(cli, "_Csv", Csv)
+    csv = cli._csv
+    monkeypatch.setattr(cli, "_csv", lambda head, template, columns: csv(
+        head, template, (*columns[:-1], Poisoned(columns[-1], at))))
     errors = []
     for cpus in (1, 2):
         monkeypatch.setattr(core, "_cpus", lambda: cpus)

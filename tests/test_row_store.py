@@ -2,8 +2,8 @@
 
 ``core.Rows.add`` keeps the rows after its last full block in memory and
 writes each full block to an unlinked temporary file; ``core.Rows.read``
-reads rows back a whole block at a time, and ``core.Columns`` is a
-read-only sequence over one column through it.  These tests force a block
+reads rows back a whole block at a time, and ``Rows.column`` views one
+column through it as a ``core.Sized``.  These tests force a block
 of a row or two (``core._BLOCK_VALUES``) and a CSV range of one row
 (``cli.MIN_ROWS``), and check that every block size and range count
 writes the bytes of one range with the default block, that the library
@@ -22,7 +22,7 @@ import pytest
 
 import gfix
 from gfix import analysis, cli, core, mann
-from gfix.core import Columns, Rows
+from gfix.core import Rows
 
 ITERATE = ["iterate", "--space", "perimeter-3", "--mapping", "affine:k=0.5",
            "--schedule", "harmonic", "--x0", "1,2,3", "--max-iters", "40"]
@@ -170,8 +170,8 @@ def test_a_chain_restarted_mid_way_equals_the_old_arrays(delta):
     errors = [0.5 ** (n % 7) for n in range(len(MID_CHAIN) + 1)]
     rows = analysis._rate_chain(delta, lambda: iter(MID_CHAIN), errors)
     bounds = array("d", (b * errors[0] for b in products))
-    assert array("d", Columns(rows, 3)) == bounds
-    assert array("d", Columns(rows, 4)) == array(
+    assert array("d", rows.column(3)) == bounds
+    assert array("d", rows.column(4)) == array(
         "d", map(operator.sub, bounds, errors))
 
 
@@ -198,14 +198,14 @@ def test_columns_read_as_a_sequence(monkeypatch):
     reads = []
     real = core._pread
     monkeypatch.setattr(core, "_pread", lambda *a: reads.append(a) or real(*a))
-    middle, part = Columns(rows, 1), Columns(rows, 2, 2, 9)
+    middle, part = rows.column(1), rows.column(2, start=2)[:7]
     assert len(middle) == 10 and len(part) == 7 and reads == []
     assert list(middle) == [float(v) for v in range(10, 20)]
     assert middle[0] == 10.0 and middle[-1] == 19.0 and middle[3] == 13.0
     assert part[0] == 22.0 and part[-1] == 28.0
     assert list(part[2:6]) == [24.0, 25.0, 26.0, 27.0]
     assert list(middle[::-3]) == [19.0, 16.0, 13.0, 10.0]
-    assert middle[4:4:1] == Columns(rows, 1, 4, 4)
+    assert middle[4:4:1] == rows.column(1, start=4)[:0]
     reads.clear()
     assert list(middle[5:7]) == [15.0, 16.0]  # values 15..20, two blocks
     assert [(start, stop) for _, start, stop in reads] == [(15, 18), (18, 21)]
@@ -213,20 +213,25 @@ def test_columns_read_as_a_sequence(monkeypatch):
     assert middle[4] == 14.0 and middle[-8] == 12.0  # an index reads its row
     assert [(start, stop) for _, start, stop in reads] == [(12, 15), (6, 9)]
     assert 17.0 in middle
-    assert middle == Columns(rows, 1) and middle != Columns(rows, 2)
+    assert middle == rows.column(1) and middle != rows.column(2)
     assert middle != array("d", middle)
     for i in (10, -11):
         with pytest.raises(IndexError):
             middle[i]
 
 
-def test_a_pass_reads_each_block_once(monkeypatch):
-    trace = gfix.run_mann(
+@pytest.fixture(scope="module")
+def long_trace():
+    """A 1e5-step run of width 4: 12 blocks of 8192 rows spilled."""
+    return gfix.run_mann(
         gfix.make_perimeter_space(1), gfix.make_affine_contraction((0.0,), 0.5),
         (1.0,), gfix.harmonic_schedule(),
         gfix.StoppingRule(max_iters=100000, residual_tol=0.0))
-    errors = trace.true_errors
-    rows = errors.rows
+
+
+def test_a_pass_reads_each_block_once(long_trace, monkeypatch):
+    trace = long_trace
+    errors, rows = trace.true_errors, trace.rows
     assert len(errors) == 100001 and rows.spilled // rows.block == 12
     reads = []
     real = core._pread
@@ -242,6 +247,22 @@ def test_a_pass_reads_each_block_once(monkeypatch):
         (0, 4), (20000, 20004)]
 
 
+# delta 0.5 stays linear; delta 0 meets the zero factor 1 - 1.0 at step
+# 0, so the chain is built twice, the second time in log space
+@pytest.mark.parametrize("delta, chains", [(0.5, 1), (0.0, 2)])
+def test_a_bound_reads_the_first_error_once(long_trace, delta, chains,
+                                            monkeypatch):
+    trace, rows = long_trace, long_trace.rows
+    reads = []
+    real = core._pread
+    monkeypatch.setattr(core, "_pread", lambda *a: reads.append(a) or real(*a))
+    report = gfix.verify_bound(trace, delta)
+    assert len(report.slacks) == len(trace)
+    # row 0 alone is read for errors[0], once in all, and for row 0's
+    # slack, once a chain; errors[0] once a 1024-row chunk would make 100
+    assert reads.count((rows.file, 0, rows.width)) == 1 + chains
+
+
 def test_points_read_each_block_once(monkeypatch):
     # 53 values a row, 10 rows a block: 100 rows spill 10 blocks, and a
     # per-coordinate read would pread each block once per coordinate
@@ -252,7 +273,7 @@ def test_points_read_each_block_once(monkeypatch):
         gfix.make_affine_contraction(center, 0.5), (0.0,) * 50,
         gfix.constant_schedule(0.5),
         gfix.StoppingRule(max_iters=99, residual_tol=0.0))
-    rows = trace.alphas.rows
+    rows = trace.rows
     assert len(rows) == 100 and rows.spilled == 53 * 100
     reads = []
     real = core._pread

@@ -85,21 +85,26 @@ MUTANTS = [
      "forked_ranges skips the rest of a range after a worker's chunks",
      ["tests/test_csv_ranges.py", "tests/test_check_ranges.py"]),
     ("src/gfix/core.py",
-     "at = range(self.start, self.stop)[i]",
-     "at = range(len(self))[i]",
-     "a Columns slice or index drops the view's start",
+     "at = range(self.start, self.start + self.size)[i]",
+     "at = range(self.size)[i]",
+     "a Sized slice or index drops the view's start",
      ["tests/test_row_store.py"]),
     ("src/gfix/core.py",
-     "at = range(self.start, self.stop)[i]",
-     "at = (range(self.start, self.stop)[i] if isinstance(i, slice)"
-     " else self.start + i)",
-     "a Columns index is not normalised, so a negative one breaks",
+     "at = range(self.start, self.start + self.size)[i]",
+     "at = (range(self.start, self.start + self.size)[i]"
+     " if isinstance(i, slice) else self.start + i)",
+     "a Sized index is not normalised, so a negative one breaks",
      ["tests/test_cli.py", "tests/test_row_store.py"]),
     ("src/gfix/core.py",
      "range(a - a % self.block, b, self.block)",
      "range(a, b, self.block)",
      "Rows.read does not align its reads to whole blocks",
      ["tests/test_row_store.py"]),
+    ("src/gfix/cli.py",
+     "lo, hi = max(start - h, 0), max(stop - h, 0)",
+     "lo, hi = start, max(stop - h, 0)",
+     "a CSV range's data rows start at its line index, not past the head",
+     ["tests/test_csv_ranges.py"]),
     ("src/gfix/mann.py",
      "start = max(0, len(self) - k)",
      "start = max(0, len(self) - k) + 1",
