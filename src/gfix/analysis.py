@@ -18,7 +18,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from itertools import accumulate, islice, repeat
 
-from .core import CheckReport, Point, Rows, evaluate, le
+from .core import CheckReport, Point, Rows, Sized, evaluate, le, le_tol
 from .mann import IterationTrace, StepSchedule, step_range
 
 _LOGSPACE_TRIGGER = 1e-8  # switch to log accumulation below this factor
@@ -30,36 +30,27 @@ RateBound.__doc__ = """Step sizes alpha_0 .. alpha_{n-1}, per-step factors
     ``core.Sized`` over the rate chain's rows."""
 
 
-def _rate_chain(delta: float, step_sizes: Callable[[], Iterable[float]],
-                errors: Sequence[float] | None = None) -> Rows:
+def _rate_chain(delta: float,
+                step_sizes: Callable[[], Iterable[float]]) -> Rows:
     """Rows (alpha_{n-1}, factor_{n-1}, B_n) for n = 0 .. len(alphas),
     alpha and factor NaN in row 0, from delta and the alphas
-    ``step_sizes()``.  With ``errors``, row n also holds
-    bound_n = B_n*errors[0] and the slack bound_n - errors[n].
-    ``step_sizes`` is called once delta has passed, so a bad delta is
-    reported ahead of any schedule error, and again, to rebuild the
-    chain in log space, at the first factor below 1e-8.  Rounded,
-    1 - a*c never rises with a: that is when 1 - max(alphas)*c < 1e-8.
-    errors[0] is read once: an index of a spilled column reads its own
-    row from the file."""
+    ``step_sizes()``.  ``step_sizes`` is called once delta has passed,
+    so a bad delta is reported ahead of any schedule error, and again,
+    to rebuild the chain in log space, at the first factor below 1e-8.
+    Rounded, 1 - a*c never rises with a: that is when
+    1 - max(alphas)*c < 1e-8."""
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must be in [0, 1), got {delta}")
     c = 1.0 - delta
-    e0 = errors[0] if errors is not None else None
 
     def put(*columns):
-        if errors is not None:
-            at = len(rows)
-            bounds = array("d", map(operator.mul, columns[2], repeat(e0)))
-            columns += (bounds, array("d", map(operator.sub, bounds,
-                                               errors[at:at + len(bounds)])))
-        values = array("d", [0.0]) * (rows.width * len(columns[0]))
+        values = array("d", [0.0]) * (3 * len(columns[0]))
         for j, column in enumerate(columns):
-            values[j::rows.width] = column
+            values[j::3] = column
         rows.add(values)
 
     for log_space in (False, True):
-        alphas, rows = iter(step_sizes()), Rows(3 if errors is None else 5)
+        alphas, rows = iter(step_sizes()), Rows(3)
         log_b, b = 0.0, 1.0
         put(*(array("d", [v]) for v in (math.nan, math.nan, 1.0)))
         while chunk := array("d", islice(alphas, 1024)):
@@ -91,8 +82,8 @@ def product_bound(delta: float, sched: StepSchedule, n: int) -> RateBound:
 
 BoundReport = namedtuple("BoundReport", "slacks min_slack holds bounds")
 BoundReport.__doc__ = """Per-step bound B_n*G(x_0,u,u) and slack bound -
-    G(x_n,u,u), each a ``core.Sized`` over the rate chain's rows; a NaN
-    slack makes ``min_slack`` NaN."""
+    G(x_n,u,u), each a ``core.Sized`` view that multiplies and subtracts
+    as it is read; a NaN slack makes ``min_slack`` NaN and fails."""
 
 
 def trace_products(trace: IterationTrace, delta: float) -> Sequence[float]:
@@ -103,7 +94,11 @@ def trace_products(trace: IterationTrace, delta: float) -> Sequence[float]:
 
 def verify_bound(trace: IterationTrace, delta: float,
                  tol: float = 1e-9) -> BoundReport:
-    """Check the cumulative bound against a trace's true errors.
+    """Check the cumulative bound against a trace's true errors e_n.
+
+    A step fails where its slack is NaN or below -tol*max(1, bound_n):
+    ``core.le_tol``'s rule for e_n <= bound_n, as rounding in B_n*e_0
+    grows with the bound.  Only a ``min_slack`` below -tol reads it.
 
     Raises for delta >= 1: a non-contracting factor makes any `holds`
     verdict meaningless, and for a ``tol`` that is not finite and >= 0:
@@ -111,15 +106,19 @@ def verify_bound(trace: IterationTrace, delta: float,
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    if trace.true_errors is None:
+    errors = trace.true_errors
+    if errors is None:
         raise ValueError("trace has no true errors (fixed point unknown)")
-    rows = _rate_chain(delta, lambda: trace.alphas[:len(trace) - 1],
-                       trace.true_errors)
-    slacks = rows.column(4)
+    products, e0 = trace_products(trace, delta), errors[0]
+    bounds = Sized(len(products), lambda a, b: map(
+        operator.mul, products[a:b], repeat(e0)))
+    slacks = Sized(len(products), lambda a, b: map(
+        operator.sub, bounds[a:b], errors[a:b]))
     # min() passes over a NaN slack; a NaN must fail the bound instead
     min_slack = math.nan if any(map(math.isnan, slacks)) else min(slacks)
-    return BoundReport(slacks=slacks, min_slack=min_slack,
-                       holds=min_slack >= -tol, bounds=rows.column(3))
+    holds = min_slack >= -tol or (min_slack < -tol and max(
+        map(le_tol, errors, bounds, repeat(tol))) <= 0.0)
+    return BoundReport(slacks, min_slack, holds, bounds)
 
 
 def diagnostics_maxima(trace: IterationTrace, limit: Point,

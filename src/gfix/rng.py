@@ -35,11 +35,9 @@ class Stream:
         return _mix(self._state)
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        # next_u64 inlined, one frame per draw; its top 53 bits -> [0, 1)
-        z = self._state = (self._state + _GAMMA) & _MASK
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        u = ((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53))
+        """low + (high - low)*u, u the top 53 bits of ``next_u64`` as a
+        double in [0, 1)."""
+        u = (self.next_u64() >> 11) * (1.0 / (1 << 53))
         return low + (high - low) * u
 
 

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import gfix
+from gfix.cli import main
 
 PERIM1 = gfix.make_perimeter_space(1)
 
@@ -190,6 +191,43 @@ def test_verify_bound_slack_on_its_tolerance(error, holds):
     report = gfix.verify_bound(trace, 0.0)
     assert report.min_slack == -error
     assert report.holds is holds
+
+
+# with delta 0.5 the bound is tight in real arithmetic, so the true slack
+# is 0 at every step; rounding in B_n*e_0 grows with e_0, and on these
+# runs min_slack falls below -tol, which only the term relative to the
+# bound allows
+TIGHT = ["iterate", "--space", "perimeter-1", "--mapping", "affine:k=0.5",
+         "--condition", "four-term", "--coeff", "a=0.5,b=0,c=0,d=0",
+         "--max-iters", "2000"]
+
+
+@pytest.mark.parametrize("x0, schedule, min_slack", [
+    ("1e9", "harmonic", "-1.6391277313232422e-07"),
+    ("1e12", "constant", "-2.9802322387695312e-08"),
+    ("1e12", "harmonic", "-0.0002288818359375"),
+])
+def test_a_tight_bound_holds_far_from_its_fixed_point(
+        x0, schedule, min_slack, tmp_path, capsys):
+    code = main([*TIGHT, f"--x0={x0}", "--schedule", schedule,
+                 "--out", str(tmp_path / "t.csv")])
+    out = capsys.readouterr().out.splitlines()
+    assert "bound_holds: true" in out and f"min_slack: {min_slack}" in out
+    assert code == 0
+
+
+def test_a_false_premise_still_fails_the_bound(tmp_path, capsys):
+    # the map contracts at its k = 0.12, not at the claimed delta 0.102,
+    # and the slack falls to -0.276, far below the relative allowance
+    code = main(["iterate", "--space", "perimeter-2", "--mapping",
+                 "affine:k=0.12,center=3;-2", "--condition", "four-term-alt",
+                 "--coeff", "a=0.079,b=0.011,c=0.381,d=0.345",
+                 "--x0=10,10", "--max-iters", "50",
+                 "--out", str(tmp_path / "t.csv")])
+    out = capsys.readouterr().out.splitlines()
+    assert "bound_holds: false" in out
+    assert "min_slack: -0.27593245963590007" in out
+    assert code == 1
 
 
 def test_verify_bound_refuses_vacuous_delta():

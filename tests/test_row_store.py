@@ -167,11 +167,16 @@ def test_a_chain_restarted_mid_way_equals_the_old_arrays(delta):
                             len(MID_CHAIN))
     assert (array("d", rb.alphas), array("d", rb.factors),
             array("d", rb.products)) == (alphas, factors, products)
+    rows = analysis._rate_chain(delta, lambda: iter(MID_CHAIN))
+    assert rows.width == 3 and array("d", rows.column(2)) == products
+    # a trace of these step sizes: its bound and slack views over the chain
     errors = [0.5 ** (n % 7) for n in range(len(MID_CHAIN) + 1)]
-    rows = analysis._rate_chain(delta, lambda: iter(MID_CHAIN), errors)
+    report = gfix.verify_bound(mann.IterationTrace(
+        gfix.make_perimeter_space(1), MID_CHAIN + [0.5], errors, errors,
+        "max-iters"), delta)
     bounds = array("d", (b * errors[0] for b in products))
-    assert array("d", rows.column(3)) == bounds
-    assert array("d", rows.column(4)) == array(
+    assert array("d", report.bounds) == bounds
+    assert array("d", report.slacks) == array(
         "d", map(operator.sub, bounds, errors))
 
 
@@ -190,14 +195,20 @@ def test_a_chain_reads_its_step_sizes_once_unless_it_restarts(delta,
         assert calls == list(range(n))
 
 
+def spy_reads(monkeypatch):
+    """A list that gains (file, start, stop) for every ``core._pread``."""
+    reads = []
+    real = core._pread
+    monkeypatch.setattr(core, "_pread", lambda *a: reads.append(a) or real(*a))
+    return reads
+
+
 def test_columns_read_as_a_sequence(monkeypatch):
     monkeypatch.setattr(core, "_BLOCK_VALUES", 9)
     rows = Rows(3)
     rows.add(float(v) for i in range(10) for v in (i, 10 + i, 20 + i))
     assert rows.spilled == 27 and len(rows.tail) == 3 and len(rows) == 10
-    reads = []
-    real = core._pread
-    monkeypatch.setattr(core, "_pread", lambda *a: reads.append(a) or real(*a))
+    reads = spy_reads(monkeypatch)
     middle, part = rows.column(1), rows.column(2, start=2)[:7]
     assert len(middle) == 10 and len(part) == 7 and reads == []
     assert list(middle) == [float(v) for v in range(10, 20)]
@@ -233,9 +244,7 @@ def test_a_pass_reads_each_block_once(long_trace, monkeypatch):
     trace = long_trace
     errors, rows = trace.true_errors, trace.rows
     assert len(errors) == 100001 and rows.spilled // rows.block == 12
-    reads = []
-    real = core._pread
-    monkeypatch.setattr(core, "_pread", lambda *a: reads.append(a) or real(*a))
+    reads = spy_reads(monkeypatch)
     values = list(errors)
     assert len(reads) == 12
     assert list(errors[5000:]) == values[5000:] and len(reads) == 24
@@ -249,18 +258,28 @@ def test_a_pass_reads_each_block_once(long_trace, monkeypatch):
 
 # delta 0.5 stays linear; delta 0 meets the zero factor 1 - 1.0 at step
 # 0, so the chain is built twice, the second time in log space
-@pytest.mark.parametrize("delta, chains", [(0.5, 1), (0.0, 2)])
-def test_a_bound_reads_the_first_error_once(long_trace, delta, chains,
-                                            monkeypatch):
+@pytest.mark.parametrize("delta", [0.5, 0.0], ids=["linear", "log-space"])
+def test_a_bound_reads_the_first_error_once(long_trace, delta, monkeypatch):
     trace, rows = long_trace, long_trace.rows
-    reads = []
-    real = core._pread
-    monkeypatch.setattr(core, "_pread", lambda *a: reads.append(a) or real(*a))
+    reads = spy_reads(monkeypatch)
     report = gfix.verify_bound(trace, delta)
     assert len(report.slacks) == len(trace)
-    # row 0 alone is read for errors[0], once in all, and for row 0's
-    # slack, once a chain; errors[0] once a 1024-row chunk would make 100
-    assert reads.count((rows.file, 0, rows.width)) == 1 + chains
+    # row 0 alone is read for errors[0], once in all: the chain holds no
+    # errors, and the bound and slack views read theirs by whole blocks
+    assert reads.count((rows.file, 0, rows.width)) == 1
+
+
+def test_a_bound_reads_each_store_about_once_a_pass(long_trace, monkeypatch):
+    # the trace's 12 spilled blocks: a pass for the alphas, two for the
+    # slacks' errors (the NaN test and the minimum) and row 0 for e_0;
+    # the chain's 9: two passes over B_n; the rows in memory read none
+    trace = long_trace
+    reads = spy_reads(monkeypatch)
+    report = gfix.verify_bound(trace, 0.5)
+    assert report.holds
+    files = [file for file, _, _ in reads]
+    assert files.count(trace.rows.file) <= 40
+    assert len(files) - files.count(trace.rows.file) <= 20
 
 
 def test_points_read_each_block_once(monkeypatch):
@@ -275,9 +294,7 @@ def test_points_read_each_block_once(monkeypatch):
         gfix.StoppingRule(max_iters=99, residual_tol=0.0))
     rows = trace.rows
     assert len(rows) == 100 and rows.spilled == 53 * 100
-    reads = []
-    real = core._pread
-    monkeypatch.setattr(core, "_pread", lambda *a: reads.append(a) or real(*a))
+    reads = spy_reads(monkeypatch)
     points = trace.points
     assert [(start, stop) for _, start, stop in reads] == [
         (530 * n, 530 * (n + 1)) for n in range(10)]

@@ -70,6 +70,11 @@ MUTANTS = [
      "a nonzero_draw lane one value short gives a short tuple",
      ["tests/test_lanes.py"]),
     ("src/gfix/core.py",
+     "tol * max(1.0, abs(rhs))",
+     "tol * 1.0",
+     "le_tol's slack drops its term relative to the right side",
+     ["tests/test_analysis.py"]),
+    ("src/gfix/core.py",
      "if count < 1:",
      "if False:",
      "SamplePlan takes a count below 1",
@@ -105,6 +110,11 @@ MUTANTS = [
      "lo, hi = start, max(stop - h, 0)",
      "a CSV range's data rows start at its line index, not past the head",
      ["tests/test_csv_ranges.py"]),
+    ("src/gfix/rng.py",
+     "(self.next_u64() >> 11)",
+     "(self.next_u64() >> 12)",
+     "Stream.uniform keeps the top 52 bits, not 53",
+     ["tests/test_lanes.py"]),
     ("src/gfix/mann.py",
      "start = max(0, len(self) - k)",
      "start = max(0, len(self) - k) + 1",
@@ -116,9 +126,19 @@ MUTANTS = [
      "a residual exactly on --residual-tol does not stop the run",
      ["tests/test_cli.py"]),
     ("src/gfix/analysis.py",
-     "holds=min_slack >= -tol",
-     "holds=min_slack >= -10 * tol",
+     "map(le_tol, errors, bounds, repeat(tol))",
+     "map(le_tol, errors, bounds, repeat(10 * tol))",
      "verify_bound's tolerance x 10",
+     ["tests/test_analysis.py"]),
+    ("src/gfix/analysis.py",
+     "operator.sub, bounds[a:b], errors[a:b]",
+     "operator.sub, bounds[a:b], errors[a + 1:b + 1]",
+     "the slack view reads the errors one row late",
+     ["tests/test_analysis.py"]),
+    ("src/gfix/analysis.py",
+     "trace_products(trace, delta), errors[0]",
+     "trace_products(trace, delta), errors[1]",
+     "verify_bound takes e_0 from errors[1]",
      ["tests/test_analysis.py"]),
     ("src/gfix/analysis.py",
      "if not 0.0 <= tol < math.inf:",
