@@ -76,8 +76,8 @@ def product_bound(delta: float, sched: StepSchedule, n: int) -> RateBound:
     space when some factor drops below 1e-8."""
     rows = _rate_chain(delta, lambda: map(sched.alpha_at,
                                           step_range(sched, n)))
-    return RateBound(factors=rows.column(1, start=1),
-                     products=rows.column(2), alphas=rows.column(0, start=1))
+    return RateBound(factors=rows.column(1)[1:], products=rows.column(2),
+                     alphas=rows.column(0)[1:])
 
 
 BoundReport = namedtuple("BoundReport", "slacks min_slack holds bounds")
@@ -123,12 +123,14 @@ def verify_bound(trace: IterationTrace, delta: float,
 
 def diagnostics_maxima(trace: IterationTrace, limit: Point,
                        tail: int) -> dict:
-    """Maxima of the three convergence criteria families over the last
-    ``tail`` iterates: G(x_n,x_n,x), G(x_n,x,x) and pairwise G(x_m,x_n,x)."""
+    """Maxima of G(x_n,x_n,x), G(x_n,x,x) and G(x_m,x_n,x) over the last
+    ``tail`` of ``trace.points``, read once: a view reads only their rows."""
     if tail < 1 or tail > len(trace):
         raise ValueError("tail must be in 1..len(trace)")
+    if trace.points is None:
+        raise ValueError("trace has no points")
     g = trace.space.g
-    pts = trace.last_points(tail)
+    pts = tuple(trace.points[-tail:])
     return {
         "self-pair": max(g(p, p, limit) for p in pts),
         "limit-pair": max(g(p, limit, limit) for p in pts),

@@ -161,8 +161,8 @@ _TYPES = {name: kind for name, kind, _ in _OPTIONS}
 
 class Settings:
     """One command's option values: explicit flags win over the config
-    file, which wins over the command's defaults.  Values keep the form
-    they were given in, so the config line echoes file values verbatim.
+    file, which wins over the command's defaults.  Each is converted once,
+    read or not; ``values`` keep their given form for the config line.
     The config file is flat ``key=value`` lines of the command's own
     option names; '#' starts a comment.  ``given`` holds the names that a
     flag or the file set."""
@@ -179,15 +179,16 @@ class Settings:
         flags = {name: value for name in own if
                  (value := getattr(args, name.replace("-", "_"))) is not None}
         self.values = {**own, **file, **flags}
-        self.given = {*file, *flags}
-        for name, value in self.values.items():
+        self.given, self.typed = {*file, *flags}, {}
+        for name, value in self.values.items():  # in _OPTIONS order
             if own[name] is _REQUIRED and value in (_REQUIRED, ""):
                 raise ConfigError(f"--{name} is required")
+            self.typed[name] = (None if value is None
+                                else _number(value, name, _TYPES[name]))
 
     def get(self, name: str):
         """The value converted to the option's type; None when unset."""
-        value = self.values[name]
-        return None if value is None else _number(value, name, _TYPES[name])
+        return self.typed[name]
 
     def config_line(self) -> str:
         return "# config: " + " ".join(

@@ -310,14 +310,14 @@ class Rows:
             block.release()  # tail may grow again once no view holds it
             yield out
 
-    def column(self, j: int, start: int = 0) -> Sized:
-        """Column ``j`` of rows start..len(self)-1 as a ``Sized`` read
-        through ``read``: an index reads only its own row, and a pass one
+    def column(self, j: int) -> Sized:
+        """Column ``j`` as a ``Sized`` read through ``read``: an index
+        reads only its own row, a slice only its rows, and a pass one
         block at a time."""
         def values(a, b):
             return itertools.chain.from_iterable(
                 c for c, in self.read(a, b, (j,)))
-        return Sized(len(self) - start, values, start)
+        return Sized(len(self), values)
 
 
 class Sized:

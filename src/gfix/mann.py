@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Sequence
+from itertools import chain
 
 from .contractions import Mapping
 from .convexity import ConvexGSpace
-from .core import DomainError, GSpace, Point, Rows
+from .core import DomainError, GSpace, Point, Rows, Sized
 
 OVERFLOW_GUARD = 1e150
 
@@ -95,46 +96,32 @@ class StoppingRule:
 
 
 class IterationTrace:
-    """Full record of one run: iterates, step sizes, residuals
+    """Full record of one run: iterates ``points``, step sizes, residuals
     G(x_n, Tx_n, Tx_n) and, when the fixed point is known, true errors
     G(x_n, u, u).  The columns are parallel; entry n describes x_n.
-    ``run_mann`` gives each column as a ``core.Sized`` over its row
-    store ``rows``, whose first ``space.dim`` columns hold the
-    coordinates of x_n.  Two traces are equal when their first five
-    fields are."""
+    ``run_mann`` gives each as a ``core.Sized`` over one row store, the
+    points read from its first ``space.dim`` columns; a hand-built trace
+    may leave them None.  Two traces are equal when all fields are."""
 
     __slots__ = ("space", "alphas", "residuals", "true_errors", "status",
-                 "rows")
+                 "points")
 
     def __init__(self, space: GSpace, alphas: Sequence[float],
                  residuals: Sequence[float],
                  true_errors: Sequence[float] | None, status: str,
-                 rows: Rows | None = None):
+                 points: Sequence[Point] | None = None):
         self.space, self.alphas, self.residuals = space, alphas, residuals
-        self.true_errors, self.status, self.rows = true_errors, status, rows
+        self.true_errors, self.status = true_errors, status
+        self.points = points
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        fields = self.__slots__[:5]
-        return ([getattr(self, f) for f in fields]
-                == [getattr(other, f) for f in fields])
+        return ([getattr(self, f) for f in self.__slots__]
+                == [getattr(other, f) for f in self.__slots__])
 
     def __len__(self) -> int:
         return len(self.alphas)
-
-    @property
-    def points(self) -> tuple:
-        """x_0, x_1, ... as point tuples, read from the row store on each
-        read."""
-        return self.last_points(len(self))
-
-    def last_points(self, k: int) -> tuple:
-        """The last k iterates (all, if fewer) as point tuples, read in one
-        pass over the blocks of ``rows``."""
-        start = max(0, len(self) - k)
-        blocks = self.rows.read(start, len(self), range(self.space.dim))
-        return tuple(p for block in blocks for p in zip(*block))
 
 
 def _overflowed(p: Point) -> bool:
@@ -185,6 +172,7 @@ def run_mann(cs: ConvexGSpace, T: Mapping, x0: Point, sched: StepSchedule,
         x = x_next
 
     return IterationTrace(
-        space=space, alphas=rows.column(dim), residuals=rows.column(dim + 1),
-        true_errors=rows.column(dim + 2) if u is not None else None,
-        status=status, rows=rows)
+        space, rows.column(dim), rows.column(dim + 1),
+        rows.column(dim + 2) if u is not None else None, status,
+        Sized(len(rows), lambda a, b: chain.from_iterable(
+            zip(*block) for block in rows.read(a, b, range(dim)))))

@@ -123,6 +123,10 @@ def test_nan_min_separation_exits_two_promptly():
      "error: --x0: expected float, got 'x'"),
     ("check-axioms --space perimeter-1 --config cfg:samples=1e3",
      "error: samples: expected int, got '1e3'"),
+    # iterate reads no seed, yet a file value is checked like a flag's
+    ("iterate --space perimeter-1 --mapping affine:k=0.5 "
+     "--config cfg:seed=abc",
+     "error: seed: expected int, got 'abc'"),
     # --alpha is the one source of a constant step, read by constant only
     ("iterate --space perimeter-1 --mapping affine:k=0.5 "
      "--schedule constant:0.3 --alpha 0.9",

@@ -438,6 +438,44 @@ def test_derived_near_miss_margins(monkeypatch):
     assert worst["derived-vi"] == 3 - 1e-9 * 2
 
 
+def test_axiom_near_miss_margins(monkeypatch):
+    # G(x,x,x) = -0.5 misses 0 from below, by 0.5; G(x,x,y) lies on
+    # axiom-ii's floor; the six orders of three distinct points give 4 or
+    # 2, so axiom-iv's spread 2 has the slack of 4, the larger value
+    def g(x, y, z):
+        if len({x, y, z}) == 1:
+            return -0.5
+        if len({x, y, z}) == 2:
+            return core.STRICT_FLOOR
+        return 4.0 if x < y else 2.0
+    space = gfix.GSpace(name="near", dim=1, g=g, draw=core.box_draw,
+                        contains=lambda p: 0.0 <= p[0] <= 3.0,
+                        default_box=((0.0, 3.0),))
+    plan = gfix.SamplePlan(seed=0, count=50)
+    worst = worst_margins(monkeypatch, gfix.check_axioms, space, plan)
+    assert worst["axiom-i"] == 0.5 - 1e-9
+    assert worst["axiom-ii"] == 0.0
+    assert worst["axiom-iv"] == 4.0 - 2.0 - 1e-9 * 4.0
+    assert worst["axiom-iv"] == 1.999999996
+    worst = worst_margins(monkeypatch, gfix.check_derived, space, plan)
+    assert worst["derived-i"] == 0.5 - 1e-9
+
+
+@pytest.mark.parametrize("form, lhs, rhs, margin", [
+    # at tol 0.125 the margin is 0 exactly on each form's boundary, and
+    # past it the distance to the boundary, the slack scaled by |rhs| for
+    # le_tol and by |lhs| for spread_tol
+    (core.le, 2.0, 2.0, 0.0), (core.le, 2.5, 2.0, 0.5),
+    (core.ge, 2.0, 2.0, 0.0), (core.ge, 1.5, 2.0, 0.5),
+    (core.abs_tol, 0.125, 0.0, 0.0), (core.abs_tol, -0.125, 0.0, 0.0),
+    (core.abs_tol, -0.5, 0.0, 0.375),
+    (core.le_tol, 4.5, 4.0, 0.0), (core.le_tol, 2.0, -4.0, 5.5),
+    (core.spread_tol, 4.0, 3.5, 0.0), (core.spread_tol, 3.0, -8.0, 10.625),
+])
+def test_margin_forms_at_their_boundaries(form, lhs, rhs, margin):
+    assert form(lhs, rhs, 0.125) == margin
+
+
 def skew_g(x, y, z):
     """Not a G-metric: each argument slot weighs its distances apart, so
     G(x,y,z) != G(x,z,y) and G(x,x,y) != G(x,y,y) off the diagonal."""

@@ -121,12 +121,11 @@ def test_packed_trace_points():
     assert len(trace) == len(trace.points) == 7
     assert [len(p) for p in trace.points] == [2] * 7
     assert tuple(zip(*trace.points)) == tuple(zip(*want))
-    assert trace.points == want
+    assert tuple(trace.points) == want
     assert trace.points[0] == (3.0, 4.0) and trace.points[2] == want[2]
     assert trace.points[-1] == want[-1] and trace.points[-3] == want[4]
-    assert trace.points[-3:] == want[4:]
-    assert trace.last_points(3) == want[4:] and trace.last_points(0) == ()
-    assert trace.last_points(9) == want
+    assert tuple(trace.points[-3:]) == want[4:]
+    assert tuple(trace.points[7:]) == () and tuple(trace.points[-9:]) == want
     assert all(type(c) is float for p in trace.points for c in p)
 
 
@@ -138,12 +137,15 @@ def test_read_points_are_not_kept():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        assert len(trace.points) == 20001  # about 2.7 MB of tuples
+        assert sum(1 for _ in trace.points) == 20001  # len() reads nothing
         gc.collect()  # empties the free lists, which keep 2000 3-tuples
-        after = tracemalloc.get_traced_memory()[0]
+        after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert after - before < 0.1 * 2**20
+    # a pass holds one block of rows, about 0.6 MB; a tuple of all 20 001
+    # points would take about 2.9 MB
+    assert peak - before < 2**20
 
 
 def test_packed_traces_of_identical_runs_are_equal():
@@ -164,6 +166,29 @@ def test_diagnostics_on_packed_trace():
     assert gfix.convergence_diagnostics(trace, CENTER2, 4, 1e-6).passed
     assert not gfix.convergence_diagnostics(packed_run(), CENTER2, 4,
                                             1e-6).passed
+
+
+def test_diagnostics_margin_is_exact_at_the_tolerance():
+    # the largest maximum, as tol, is met with equality: margin 0, a pass;
+    # one ulp below it, the margin is exactly the difference
+    trace = packed_run(60)
+    top = max(gfix.diagnostics_maxima(trace, CENTER2, 4).values())
+    at = gfix.convergence_diagnostics(trace, CENTER2, 4, top)
+    assert at.passed and at.worst_margin == 0.0
+    below = math.nextafter(top, 0.0)
+    past = gfix.convergence_diagnostics(trace, CENTER2, 4, below)
+    assert not past.passed and past.worst_margin == top - below > 0.0
+
+
+def test_diagnostics_need_the_trace_points():
+    trace = packed_run()
+    bare = gfix.IterationTrace(trace.space, trace.alphas, trace.residuals,
+                               trace.true_errors, trace.status)
+    assert bare != trace
+    with pytest.raises(ValueError, match="trace has no points"):
+        gfix.diagnostics_maxima(bare, CENTER2, 4)
+    with pytest.raises(ValueError, match="trace has no points"):
+        gfix.convergence_diagnostics(bare, CENTER2, 4, 1e-6)
 
 
 def ref_overflowed(p):

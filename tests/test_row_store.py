@@ -203,20 +203,29 @@ def spy_reads(monkeypatch):
     return reads
 
 
+def store_file(trace, reads):
+    """The file of ``trace``'s row store: the one that reading
+    ``trace.alphas[0]`` preads, a spilled row; ``reads`` is then cleared."""
+    trace.alphas[0]
+    (file, _, _), = reads
+    reads.clear()
+    return file
+
+
 def test_columns_read_as_a_sequence(monkeypatch):
     monkeypatch.setattr(core, "_BLOCK_VALUES", 9)
     rows = Rows(3)
     rows.add(float(v) for i in range(10) for v in (i, 10 + i, 20 + i))
     assert rows.spilled == 27 and len(rows.tail) == 3 and len(rows) == 10
     reads = spy_reads(monkeypatch)
-    middle, part = rows.column(1), rows.column(2, start=2)[:7]
+    middle, part = rows.column(1), rows.column(2)[2:9]
     assert len(middle) == 10 and len(part) == 7 and reads == []
     assert list(middle) == [float(v) for v in range(10, 20)]
     assert middle[0] == 10.0 and middle[-1] == 19.0 and middle[3] == 13.0
     assert part[0] == 22.0 and part[-1] == 28.0
     assert list(part[2:6]) == [24.0, 25.0, 26.0, 27.0]
     assert list(middle[::-3]) == [19.0, 16.0, 13.0, 10.0]
-    assert middle[4:4:1] == rows.column(1, start=4)[:0]
+    assert middle[4:4:1] == rows.column(1)[4:][:0]
     reads.clear()
     assert list(middle[5:7]) == [15.0, 16.0]  # values 15..20, two blocks
     assert [(start, stop) for _, start, stop in reads] == [(15, 18), (18, 21)]
@@ -241,10 +250,12 @@ def long_trace():
 
 
 def test_a_pass_reads_each_block_once(long_trace, monkeypatch):
-    trace = long_trace
-    errors, rows = trace.true_errors, trace.rows
-    assert len(errors) == 100001 and rows.spilled // rows.block == 12
+    trace, errors = long_trace, long_trace.true_errors
     reads = spy_reads(monkeypatch)
+    file = store_file(trace, reads)
+    # 12 blocks spilled: a block is 8192 rows of width 4
+    assert len(errors) == 100001
+    assert os.fstat(file.fileno()).st_size == 12 * 8 * core._BLOCK_VALUES
     values = list(errors)
     assert len(reads) == 12
     assert list(errors[5000:]) == values[5000:] and len(reads) == 24
@@ -260,13 +271,15 @@ def test_a_pass_reads_each_block_once(long_trace, monkeypatch):
 # 0, so the chain is built twice, the second time in log space
 @pytest.mark.parametrize("delta", [0.5, 0.0], ids=["linear", "log-space"])
 def test_a_bound_reads_the_first_error_once(long_trace, delta, monkeypatch):
-    trace, rows = long_trace, long_trace.rows
+    trace = long_trace
     reads = spy_reads(monkeypatch)
+    file = store_file(trace, reads)
     report = gfix.verify_bound(trace, delta)
     assert len(report.slacks) == len(trace)
-    # row 0 alone is read for errors[0], once in all: the chain holds no
-    # errors, and the bound and slack views read theirs by whole blocks
-    assert reads.count((rows.file, 0, rows.width)) == 1
+    # row 0, 4 values wide, alone is read for errors[0], once in all: the
+    # chain holds no errors, and the bound and slack views read theirs by
+    # whole blocks
+    assert reads.count((file, 0, 4)) == 1
 
 
 def test_a_bound_reads_each_store_about_once_a_pass(long_trace, monkeypatch):
@@ -275,11 +288,12 @@ def test_a_bound_reads_each_store_about_once_a_pass(long_trace, monkeypatch):
     # the chain's 9: two passes over B_n; the rows in memory read none
     trace = long_trace
     reads = spy_reads(monkeypatch)
+    file = store_file(trace, reads)
     report = gfix.verify_bound(trace, 0.5)
     assert report.holds
-    files = [file for file, _, _ in reads]
-    assert files.count(trace.rows.file) <= 40
-    assert len(files) - files.count(trace.rows.file) <= 20
+    files = [f for f, _, _ in reads]
+    assert files.count(file) <= 40
+    assert len(files) - files.count(file) <= 20
 
 
 def test_points_read_each_block_once(monkeypatch):
@@ -292,16 +306,17 @@ def test_points_read_each_block_once(monkeypatch):
         gfix.make_affine_contraction(center, 0.5), (0.0,) * 50,
         gfix.constant_schedule(0.5),
         gfix.StoppingRule(max_iters=99, residual_tol=0.0))
-    rows = trace.rows
-    assert len(rows) == 100 and rows.spilled == 53 * 100
     reads = spy_reads(monkeypatch)
-    points = trace.points
+    file = store_file(trace, reads)
+    assert len(trace) == 100  # all 100 rows spilled
+    assert os.fstat(file.fileno()).st_size == 8 * 53 * 100
+    points = tuple(trace.points)
     assert [(start, stop) for _, start, stop in reads] == [
         (530 * n, 530 * (n + 1)) for n in range(10)]
     assert len(points) == 100 and points[0] == (0.0,) * 50
     assert points[1] == tuple(0.25 * c for c in center)
     reads.clear()
-    assert trace.last_points(25) == points[75:]
+    assert tuple(trace.points[-25:]) == points[75:]
     assert [(start, stop) for _, start, stop in reads] == [
         (53 * 75, 530 * 8), (530 * 8, 530 * 9), (530 * 9, 530 * 10)]
 

@@ -75,6 +75,26 @@ MUTANTS = [
      "le_tol's slack drops its term relative to the right side",
      ["tests/test_analysis.py"]),
     ("src/gfix/core.py",
+     "return abs(lhs) - tol",
+     "return lhs - tol",
+     "abs_tol drops the abs, so a negative G(x,x,x) passes",
+     ["tests/test_core.py"]),
+    ("src/gfix/core.py",
+     "lhs - rhs - tol * max(1.0, abs(lhs))",
+     "lhs - rhs - tol * max(1.0, abs(rhs))",
+     "spread_tol scales its slack by the smallest value, not the largest",
+     ["tests/test_core.py"]),
+    ("src/gfix/core.py",
+     "return lhs - rhs\n",
+     "return lhs - rhs - 1e-12\n",
+     "le passes a value 1e-12 past its bound",
+     ["tests/test_core.py", "tests/test_mann.py"]),
+    ("src/gfix/core.py",
+     "return rhs - lhs\n",
+     "return rhs - lhs - 1e-12\n",
+     "ge passes a value 1e-12 short of its bound",
+     ["tests/test_core.py"]),
+    ("src/gfix/core.py",
      "if count < 1:",
      "if False:",
      "SamplePlan takes a count below 1",
@@ -116,9 +136,9 @@ MUTANTS = [
      "Stream.uniform keeps the top 52 bits, not 53",
      ["tests/test_lanes.py"]),
     ("src/gfix/mann.py",
-     "start = max(0, len(self) - k)",
-     "start = max(0, len(self) - k) + 1",
-     "last_points starts one row late",
+     "rows.read(a, b, range(dim))",
+     "rows.read(a + 1, b, range(dim))",
+     "the points view reads one row late",
      ["tests/test_mann.py"]),
     ("src/gfix/mann.py",
      "if residual <= stop.residual_tol:",
