@@ -31,12 +31,13 @@ RateBound.__doc__ = """Step sizes alpha_0 .. alpha_{n-1}, per-step factors
 
 
 def _rate_chain(delta: float,
-                step_sizes: Callable[[], Iterable[float]]) -> Rows:
+                step_sizes: Callable[[], Iterable[float]]) -> tuple:
     """Rows (alpha_{n-1}, factor_{n-1}, B_n) for n = 0 .. len(alphas),
     alpha and factor NaN in row 0, from delta and the alphas
-    ``step_sizes()``.  ``step_sizes`` is called once delta has passed,
-    so a bad delta is reported ahead of any schedule error, and again,
-    to rebuild the chain in log space, at the first factor below 1e-8.
+    ``step_sizes()``, and whether they went to log space.  ``step_sizes``
+    is called once delta has passed, so a bad delta is reported ahead of
+    any schedule error, and again, to rebuild the chain in log space, at
+    the first factor below 1e-8.
     Rounded, 1 - a*c never rises with a: that is when
     1 - max(alphas)*c < 1e-8."""
     if not 0.0 <= delta < 1.0:
@@ -68,28 +69,41 @@ def _rate_chain(delta: float,
                 b = products[-1]
             put(chunk, factors, products)
         else:
-            return rows
+            return rows, log_space
 
 
 def product_bound(delta: float, sched: StepSchedule, n: int) -> RateBound:
     """B_0 .. B_n for the given factor and schedule, accumulated in log
     space when some factor drops below 1e-8."""
-    rows = _rate_chain(delta, lambda: map(sched.alpha_at,
-                                          step_range(sched, n)))
+    rows, _ = _rate_chain(delta, lambda: map(sched.alpha_at,
+                                             step_range(sched, n)))
     return RateBound(factors=rows.column(1)[1:], products=rows.column(2),
                      alphas=rows.column(0)[1:])
 
 
-BoundReport = namedtuple("BoundReport", "slacks min_slack holds bounds")
+BoundReport = namedtuple("BoundReport",
+                         "slacks min_slack holds bounds log_space")
 BoundReport.__doc__ = """Per-step bound B_n*G(x_0,u,u) and slack bound -
     G(x_n,u,u), each a ``core.Sized`` view that multiplies and subtracts
-    as it is read; a NaN slack makes ``min_slack`` NaN and fails."""
+    as it is read; a NaN slack makes ``min_slack`` NaN and fails, and
+    ``log_space`` is true when the chain went to log space."""
+
+
+class _Products(Sized):
+    """B_0 .. B_n of a chain's rows, and whether it went to log space."""
+
+    __slots__ = ("log_space",)
+
+    def __init__(self, chain: tuple):
+        rows, self.log_space = chain
+        super().__init__(len(rows), rows.column(2).make)
 
 
 def trace_products(trace: IterationTrace, delta: float) -> Sequence[float]:
     """B_0 .. B_{len(trace)-1} recomputed from the trace's own recorded
-    step sizes, so B_n pairs with the recorded x_n."""
-    return _rate_chain(delta, lambda: trace.alphas[:len(trace) - 1]).column(2)
+    step sizes, so B_n pairs with the recorded x_n, as ``_Products``."""
+    return _Products(_rate_chain(delta,
+                                 lambda: trace.alphas[:len(trace) - 1]))
 
 
 def verify_bound(trace: IterationTrace, delta: float,
@@ -118,7 +132,7 @@ def verify_bound(trace: IterationTrace, delta: float,
     min_slack = math.nan if any(map(math.isnan, slacks)) else min(slacks)
     holds = min_slack >= -tol or (min_slack < -tol and max(
         map(le_tol, errors, bounds, repeat(tol))) <= 0.0)
-    return BoundReport(slacks, min_slack, holds, bounds)
+    return BoundReport(slacks, min_slack, holds, bounds, products.log_space)
 
 
 def diagnostics_maxima(trace: IterationTrace, limit: Point,

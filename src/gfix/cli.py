@@ -6,22 +6,24 @@ divergence found, 2 = configuration or file error.
 
 All reals are serialized with 17 significant digits so outputs
 round-trip exactly; reruns with an identical configuration are
-byte-identical.  The sampled checks and the CSVs of iterate and bound
-run in ``core.forked_ranges``, one per usable CPU, of at least
-``core.MIN_TUPLES`` witness tuples or ``MIN_ROWS`` CSV lines; the bytes
-are the same on any number of CPUs, and so is an error.  Workers send
-their ranges in chunks through temporary files, iterate and bound keep
-their columns in ``core.Rows``, and a CSV is a ``core.Sized`` of lines
-formatted as they are read, so no process holds a whole column or
-range.
+byte-identical, on any number of CPUs.  The sampled checks and the CSVs
+run in ``core.forked_ranges`` of at least ``core.MIN_TUPLES`` witness
+tuples or ``MIN_ROWS`` lines; iterate and bound keep their columns in
+``core.Rows``, and a CSV is a ``core.Sized`` of lines formatted as they
+are read.  Where ranges would fork, iterate's ``_Writer`` formats the
+lines of the rows its store spills while the run goes on.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import operator
+import os
 import sys
-from itertools import chain, islice
+import tempfile
+from functools import partial
+from itertools import accumulate, chain, islice
 
 from . import analysis, contractions, convexity, core, mann, spaces
 from .core import CheckReport, SamplePlan
@@ -200,7 +202,8 @@ def _csv(head: list, template: str, columns: tuple) -> core.Sized:
     lines, then ``template % row`` for each row of the zipped
     ``columns``.  Lines are formatted as they are read, so the whole text
     is never held at once; a range of them formats only its rows, each
-    column sliced to them, and the head lines lie in the range from 0."""
+    column sliced to them, and the head lines lie in the range from 0.
+    A ``_Writer`` formats its blocks of rows through this too."""
     h, head = len(head), [line + "\n" for line in head]
     row = (template + "\n").__mod__
 
@@ -211,30 +214,110 @@ def _csv(head: list, template: str, columns: tuple) -> core.Sized:
     return core.Sized(h + min(map(len, columns)), lines)
 
 
+def _pieces(lines: core.Sized, start: int, stop: int):
+    """Lines start..stop-1 of ``lines`` joined 512, about 64 KB, at a
+    time: ``(lines done, text)`` pairs."""
+    text = iter(lines[start:stop])
+    for at in range(start, stop, 512):
+        yield min(at + 512, stop), "".join(islice(text, 512))
+
+
+class _Written(core.Sized):
+    """A ``_csv`` whose first lines ``file`` holds as chunks of text."""
+
+    __slots__ = ("file",)
+
+
+class _Writer:
+    """One process that formats iterate's CSV lines during the run.
+
+    Called by the run's ``core.Rows`` after each spilled block, it forks
+    at the first, where ``core.forked_ranges`` would fork, and sends the
+    spilled row count through a pipe.  The writer reads the rows by those
+    counts (its copy of the store counts those of the fork), runs its own
+    linear chain, ``analysis._rate_chain``'s factors 1 - a*c in its
+    ``accumulate`` order from e_0 of row 0, and writes ``_csv``'s lines
+    as ``core.fork_chunks`` of ``_pieces``, whose lines done index them.
+    ``lines`` reaps it, ``close`` kills it."""
+
+    def __init__(self, template, dim, errors, delta):
+        self.spec = template, dim, errors, delta
+        self.file = self.pipe = self.pid = None
+
+    def __call__(self, rows: core.Rows) -> None:
+        if self.file is None and core._cpus() > 1 and hasattr(os, "fork"):
+            self.file, (read, self.pipe) = tempfile.TemporaryFile(), os.pipe()
+            self.pid = core.fork_chunks(self.file,
+                                        lambda: self._texts(rows, read))
+            os.close(read)
+        if self.pipe is not None:
+            with contextlib.suppress(BrokenPipeError):  # it stopped early
+                os.write(self.pipe,
+                         (rows.spilled // rows.width).to_bytes(8, "little"))
+
+    def _texts(self, rows: core.Rows, pipe: int):
+        os.close(self.pipe)  # so that the parent's close ends the loop
+        template, dim, errors, delta = self.spec
+        at, b = 0, 1.0
+        while len(count := os.read(pipe, 8)) == 8:
+            rows.spilled = int.from_bytes(count, "little") * rows.width
+            for alphas, residuals, e in rows.read(
+                    at, rows.spilled // rows.width, range(dim, dim + 3)):
+                columns = [range(at, at + len(alphas)), alphas, residuals]
+                columns += [e] * errors
+                if delta is not None:
+                    e0 = e[0] if at == 0 else e0
+                    products = list(accumulate(
+                        (1.0 - a * (1.0 - delta) for a in alphas),
+                        operator.mul, initial=b))
+                    b = products.pop()
+                    bounds = [p * e0 for p in products]
+                    columns += [bounds, [x - y for x, y in zip(bounds, e)]]
+                csv = _csv([CSV_HEADER] * (at == 0), template, columns)
+                for done, text in _pieces(csv, 0, len(csv)):
+                    yield (at + 1 if at else 0) + done, text  # 1 header
+                at += len(alphas)
+
+    def lines(self, csv: core.Sized, usable: bool) -> core.Sized:
+        """``csv``, as a ``_Written`` if the writer exited 0 and its text
+        is ``usable``."""
+        if self.pid is not None:
+            os.close(self.pipe)
+            self.pipe = None
+            failed, self.pid = os.waitpid(self.pid, 0)[1], None
+            if not failed and usable:
+                csv = _Written(len(csv), csv.make)
+                csv.file = self.file
+        return csv
+
+    def close(self) -> None:
+        if self.pipe is not None:
+            os.close(self.pipe)
+        if self.pid is not None:  # the run failed: no text is needed
+            os.kill(self.pid, 9)
+            os.waitpid(self.pid, 0)
+        if self.file is not None:
+            self.file.close()
+
+
 def _write_lines(path: str | None, lines) -> None:
     """Write ``lines`` to the file ``path`` or, without one, to stdout:
     a list's lines each with a newline added, a ``_csv``'s as they are.
 
-    A ``_csv``'s lines run in ``core.forked_ranges`` of ``MIN_ROWS`` or
-    more, the head in the first.  A worker sends its range's text 512
-    lines, about 64 KB, at a time, and this process writes each as it
-    reads it, so no process holds a range's text."""
+    A ``_Written``'s text comes first, a chunk at a time.  The rest of a
+    ``_csv``'s lines run in ``core.forked_ranges`` of ``MIN_ROWS`` or
+    more, the head in the first, whose workers send ``_pieces``: no
+    process holds a range's text."""
     with (open(path, "w", newline="") if path
           else contextlib.nullcontext(sys.stdout)) as fh:
         if isinstance(lines, list):
             fh.writelines(line + "\n" for line in lines)
             return
+        if isinstance(lines, _Written):
+            lines = lines[core.read_chunks(lines.file, fh.write):]
         fh.flush()  # a worker must never hold unwritten output
-
-        def work(start, stop):
-            text = iter(lines[start:stop])
-            for at in range(start, stop, 512):
-                yield min(at + 512, stop), "".join(islice(text, 512))
-
-        def own(start, stop):
-            fh.writelines(lines[start:stop])
-
-        core.forked_ranges(len(lines), MIN_ROWS, work, own, fh.write)
+        core.forked_ranges(len(lines), MIN_ROWS, partial(_pieces, lines),
+                           lambda a, b: fh.writelines(lines[a:b]), fh.write)
 
 
 def _report_lines(cmd: str, settings: Settings, report: CheckReport) -> list:
@@ -305,17 +388,13 @@ def _cmd_iterate(args: argparse.Namespace, settings: Settings) -> int:
     stop = mann.StoppingRule(max_iters=settings.get("max-iters"),
                              residual_tol=settings.get("residual-tol"))
 
-    warnings = []
+    warnings, delta = [], None
     condition, coeff = settings.get("condition"), settings.get("coeff")
     if coeff and not condition:
         raise ConfigError("--coeff needs --condition")
-    spec = parse_condition(condition, coeff) if condition else None
-
-    trace = mann.run_mann(target, mapping, x0, sched, stop)
-
-    bound_report = None
-    if spec is not None:
-        verdict = contractions.check_applicability(spec)
+    if condition:
+        verdict = contractions.check_applicability(
+            parse_condition(condition, coeff))
         if not verdict.satisfied:
             failing = ", ".join(f"{k} <= 0" for k, r in
                                 verdict.residuals.items() if not r > 0)
@@ -328,17 +407,24 @@ def _cmd_iterate(args: argparse.Namespace, settings: Settings) -> int:
             warnings.append(f"delta={_fmt(verdict.delta)} >= 1: bound is "
                             "vacuous; bound columns omitted")
         else:
-            bound_report = analysis.verify_bound(trace, verdict.delta)
+            delta = verdict.delta
 
     # "%.17g" writes a double as _fmt does; absent columns stay blank
-    columns = [trace.alphas, trace.residuals]
-    if trace.true_errors is not None:
-        columns.append(trace.true_errors)
-    if bound_report is not None:
-        columns += [bound_report.bounds, bound_report.slacks]
-    template = "%d" + ",%.17g" * len(columns) + "," * (5 - len(columns))
-    _write_lines(args.out, _csv([CSV_HEADER], template,
-                                (range(len(trace)), *columns)))
+    errors = mapping.fixed_point is not None
+    values = 2 + errors + 2 * (delta is not None)
+    template = "%d" + ",%.17g" * values + "," * (5 - values)
+    writer = _Writer(template, space.dim, errors, delta)
+    with contextlib.closing(writer):
+        trace = mann.run_mann(target, mapping, x0, sched, stop, writer)
+        columns = [trace.alphas, trace.residuals]
+        columns += [trace.true_errors] * errors
+        report = (None if delta is None
+                  else analysis.verify_bound(trace, delta))
+        if report is not None:
+            columns += [report.bounds, report.slacks]
+        csv = _csv([CSV_HEADER], template, (range(len(trace)), *columns))
+        _write_lines(args.out, writer.lines(csv, report is None or
+                                            not report.log_space))
 
     summary = ["# gfix iterate",
                settings.config_line(),
@@ -346,13 +432,13 @@ def _cmd_iterate(args: argparse.Namespace, settings: Settings) -> int:
                f"steps: {len(trace) - 1}",
                f"final_residual: {_fmt(trace.residuals[-1])}",
                f"divergent_sum: {sched.divergent_sum}"]
-    if bound_report is not None:
-        summary.append(f"delta: {_fmt(verdict.delta)}")
-        summary.append(f"bound_holds: {str(bound_report.holds).lower()}")
-        summary.append(f"min_slack: {_fmt(bound_report.min_slack)}")
+    if report is not None:
+        summary.append(f"delta: {_fmt(delta)}")
+        summary.append(f"bound_holds: {str(report.holds).lower()}")
+        summary.append(f"min_slack: {_fmt(report.min_slack)}")
     summary += [f"warning: {w}" for w in warnings]
     _write_lines(None, summary)
-    failed = bound_report is not None and not bound_report.holds
+    failed = report is not None and not report.holds
     return 1 if failed or trace.status == mann.STATUS_DIVERGED else 0
 
 

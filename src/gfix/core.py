@@ -21,18 +21,18 @@ records it in a Collector: one heap of the 10 worst, non-finite ones
 first.  Tuple i is drawn from its own stream, and the streams of a
 block of tuples side by side where the draw is ``box_draw`` or
 ``nonzero_draw``.  So ``evaluate`` splits the tuples into
-``forked_ranges``, one per usable CPU, the owner of the workers' chunk
-format and of the rerun of what a stopped worker left: this process
-records every row in index order, so a report, or an error, is the
-same on any number of CPUs.
+``forked_ranges``, one per usable CPU, the owner of the rerun of what a
+stopped worker left, whose workers write ``fork_chunks`` and this
+process takes them with ``read_chunks``: it records every row in index
+order, so a report, or an error, is the same on any number of CPUs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import marshal
 import math
-import operator
 import os
 import tempfile
 import weakref
@@ -206,49 +206,26 @@ def forked_ranges(size: int, minimum: int, work: Callable, run: Callable,
                   take: Callable) -> None:
     """Run items 0..size-1 in k contiguous ranges, k = max(1, min(usable
     CPUs, size // minimum)), and k = 1 where there is no ``os.fork``.
-    A worker forked per range 1..k-1 writes each ``(at, payload)`` of
-    ``work(start, stop)``, items start..at-1 done, as a length-prefixed
-    ``marshal`` chunk to its own unlinked temporary file until one
-    raises, and leaves through ``os._exit``, flushing no inherited
-    buffer.  This process runs ``run(0, stop)``, then, as each worker
-    ends, in order, ``take(payload)`` for each whole chunk of its file
-    and ``run`` on the rest of its range, so an error is the one a
-    single range raises.  It reaps every worker, killing them first when
-    it raises; a worker that failed raises ``OSError``."""
+    A worker forked per range 1..k-1 writes the ``(at, payload)`` items
+    of ``work(start, stop)``, items start..at-1 done, to its own
+    unlinked temporary file through ``fork_chunks``.  This process runs
+    ``run(0, stop)``, then, as each worker ends, in order,
+    ``read_chunks`` of its file and ``run`` on the rest of its range, so
+    an error is the one a single range raises.  It reaps every worker,
+    killing them first when it raises; a worker that failed raises
+    ``OSError``."""
     k = max(1, min(_cpus(), size // minimum)) if hasattr(os, "fork") else 1
     cuts = [size * i // k for i in range(k + 1)]
     files, pids, failed = [], [], 0
-
-    def chunks(start, stop):
-        try:
-            for item in work(start, stop):
-                chunk = marshal.dumps(item)
-                yield len(chunk).to_bytes(4, "little") + chunk
-        except Exception:
-            pass  # this process runs the rest and meets the error there
-
     try:
         for start, stop in zip(cuts[1:-1], cuts[2:]):
             files.append(out := tempfile.TemporaryFile())
-            if (pid := os.fork()) == 0:
-                try:
-                    out.writelines(chunks(start, stop))
-                    out.flush()
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            pids.append(pid)
+            pids.append(fork_chunks(out, lambda: work(start, stop)))
         run(0, cuts[1])
         for out, at, stop in zip(files, cuts[1:], cuts[2:]):
             failed += os.waitpid(pids[0], 0)[1] != 0
             del pids[0]
-            out.seek(0)
-            while len(head := out.read(4)) == 4:
-                n = int.from_bytes(head, "little")
-                if len(chunk := out.read(n)) < n:
-                    break
-                at, payload = marshal.loads(chunk)
-                take(payload)
+            at = read_chunks(out, take, at)
             run(at, stop)
     except BaseException:
         for pid in pids:
@@ -260,6 +237,41 @@ def forked_ranges(size: int, minimum: int, work: Callable, run: Callable,
         failed += sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
     if failed:
         raise OSError(f"{failed} of {k - 1} forked workers failed")
+
+
+def fork_chunks(out, items: Callable[[], Iterable]) -> int:
+    """Fork a process that writes each ``(at, payload)`` of ``items()`` to
+    ``out`` as a length-prefixed ``marshal`` chunk until one raises (the
+    reader runs the rest and meets the error), then leaves through
+    ``os._exit``, flushing no inherited buffer: 0, or 1 when a write
+    failed.  Return its pid."""
+    def chunks():
+        with contextlib.suppress(Exception):  # raised by items, not writes
+            for item in items():
+                chunk = marshal.dumps(item)
+                yield len(chunk).to_bytes(4, "little") + chunk
+
+    if (pid := os.fork()) == 0:
+        try:
+            out.writelines(chunks())
+            out.flush()
+            os._exit(0)
+        finally:
+            os._exit(1)
+    return pid
+
+
+def read_chunks(file, take: Callable, at: int = 0) -> int:
+    """``take(payload)`` for each whole chunk of ``file``; the last
+    chunk's ``at``, or ``at`` without one."""
+    file.seek(0)
+    while len(head := file.read(4)) == 4:
+        n = int.from_bytes(head, "little")
+        if len(chunk := file.read(n)) < n:
+            break
+        at, payload = marshal.loads(chunk)
+        take(payload)
+    return at
 
 
 def _pread(file, start: int, stop: int) -> memoryview:
@@ -275,11 +287,13 @@ def _pread(file, start: int, stop: int) -> memoryview:
 class Rows:
     """Rows of ``width`` doubles.  ``add`` appends to ``tail`` and moves
     each full block, about 256 KB at any width, to an unlinked temporary
-    file, made then and closed with the store; ``read`` is the one way
-    rows leave it, and ``column`` views one column through it."""
+    file, made then and closed with the store, then calls ``on_spill``
+    with the store, when given; ``read`` is the one way rows leave it,
+    and ``column`` views one column through it."""
 
-    def __init__(self, width: int):
+    def __init__(self, width: int, on_spill: Callable | None = None):
         self.width, self.file, self.spilled = width, None, 0
+        self.on_spill = on_spill
         self.block = max(1, _BLOCK_VALUES // width) * width  # values
         self.tail = array("d")
 
@@ -297,6 +311,8 @@ class Rows:
             self.file.flush()  # _pread reads what the kernel holds
             self.spilled += self.block
             del self.tail[:self.block]
+            if self.on_spill:
+                self.on_spill(self)
 
     def read(self, start: int, stop: int, columns: Sequence[int]):
         """Rows start..stop-1, one whole block at a time: for each block
@@ -326,7 +342,8 @@ class Sized:
     passes.  ``len()`` makes nothing, a pass is one ``make`` call, an
     index makes only its own item, and a slice with step 1 is another
     view; a strided slice is a list, made from one pass.  A ``Sized``
-    equals only another ``Sized`` with equal items."""
+    equals only another ``Sized`` with equal items, a NaN item equal to
+    a NaN item."""
 
     __slots__ = ("size", "make", "start")
 
@@ -350,7 +367,8 @@ class Sized:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Sized) and len(self) == len(other)
-                and all(map(operator.eq, self, other)))
+                and all(a == b or a != a and b != b
+                        for a, b in zip(self, other)))
 
 
 def evaluate(items: Sequence, inequalities: Callable, tol: float,

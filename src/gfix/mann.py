@@ -130,12 +130,14 @@ def _overflowed(p: Point) -> bool:
 
 
 def run_mann(cs: ConvexGSpace, T: Mapping, x0: Point, sched: StepSchedule,
-             stop: StoppingRule) -> IterationTrace:
+             stop: StoppingRule, on_spill=None) -> IterationTrace:
     """Iterate until a stopping criterion fires; fully deterministic.
 
     A diverging iterate (any coordinate beyond the overflow guard) or a
     non-finite residual or true error ends the run with a divergence
-    status instead of raising; that row is still recorded.
+    status instead of raising; that row is still recorded.  Rows of
+    x_n, alpha_n, the residual and the true error (0 when the fixed point
+    is unknown) go to one ``core.Rows``, with ``on_spill`` when given.
     """
     space = cs.space
     if not space.contains(x0):
@@ -147,7 +149,7 @@ def run_mann(cs: ConvexGSpace, T: Mapping, x0: Point, sched: StepSchedule,
         max_iters = min(max_iters, sched.limit)
 
     dim = space.dim
-    rows = Rows(dim + 3)  # x_n, alpha_n, residual, true error (0 unknown)
+    rows = Rows(dim + 3, on_spill)
     apply, blend, add = T.apply, cs.w.blend, rows.add
     x = tuple(float(c) for c in x0)
     for n in range(max_iters + 1):

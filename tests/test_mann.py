@@ -1,5 +1,6 @@
 """Averaged iteration: steps, schedules, stopping, and traces."""
 
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -90,6 +91,27 @@ def test_trace_reproducible():
             gfix.StoppingRule(max_iters=50, residual_tol=0.0))
     a, b = gfix.run_mann(*args), gfix.run_mann(*args)
     assert a == b and a.points == b.points
+
+
+def test_traces_ending_on_a_nan_compare_equal():
+    # G is NaN below 0.6, so the residual of x_2 = 0.5625 is NaN
+    g = PERIM1.space.g
+    space = dataclasses.replace(PERIM1, space=dataclasses.replace(
+        PERIM1.space, g=lambda x, y, z: v if (v := g(x, y, z)) >= 0.6
+        else math.nan))
+    args = (space, gfix.make_affine_contraction((0.0,), 0.5), (1.0,),
+            gfix.constant_schedule(0.5),
+            gfix.StoppingRule(max_iters=10, residual_tol=0.0))
+    a, b = gfix.run_mann(*args), gfix.run_mann(*args)
+    assert a.status == "diverged"
+    assert list(a.residuals)[:2] == [1.0, 0.75]
+    assert math.isnan(a.residuals[2]) and len(a) == 3
+    assert a == b and a.residuals == b.residuals
+    # a trace that differs in one value is still unequal
+    other = gfix.run_mann(*args[:2], (1.0 + 2 ** -52,), *args[3:])
+    assert other.residuals[2] != other.residuals[2]
+    assert a != other and a.residuals != other.residuals
+    assert a.residuals[:2] != b.residuals[1:]
 
 
 # --- packed trace -------------------------------------------------------------

@@ -11,6 +11,7 @@ columns equal the arrays the former array-based code built, and that
 the store's files never outlive it or show up in the temporary folder.
 """
 
+import gc
 import math
 import operator
 import os
@@ -33,6 +34,12 @@ PAST_STOP = ["iterate", "--space", "perimeter-1", "--mapping", "affine:k=0",
              "--schedule", "explicit:0.5;0.5;0.5;1;0.5", "--x0", "1",
              "--residual-tol", "0.3", "--condition", "four-term",
              "--coeff", "a=0,b=0,c=0,d=0"]
+# delta 0 again: the alpha 1 of step 30 makes a zero factor, so the chain
+# goes to log space after the writer has covered blocks; x_31 = 0 stops
+LATE_LOG = ["iterate", "--space", "perimeter-1", "--mapping", "affine:k=0",
+            "--schedule", "explicit:" + ";".join(["0.3"] * 30 + ["1", "0.3"]),
+            "--x0", "1", "--max-iters", "40", "--condition", "four-term",
+            "--coeff", "a=0,b=0,c=0,d=0"]
 
 CASES = {
     "iterate": (ITERATE + BOUNDS, 0),
@@ -47,6 +54,7 @@ CASES = {
     "bound-zero-factor": (["bound", "--delta", "0", "--schedule", "constant",
                            "--alpha", "1", "--max-iters", "41"], 0),
     "explicit-past-stop": (PAST_STOP, 0),
+    "explicit-late-log-space": (LATE_LOG, 0),
 }
 
 
@@ -91,6 +99,113 @@ def test_every_block_and_range_count_writes_the_same_bytes(
             assert run(monkeypatch, capsys, tmp_path, args, cpus,
                        block) == one
     assert spills and all(f.closed for f in spills)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The forks made while the test runs."""
+    made = []
+    real = os.fork
+    monkeypatch.setattr(os, "fork", lambda: made.append(1) or real())
+    return made
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_an_iterate_forks_one_writer_at_most(cpus, forks, monkeypatch,
+                                             capsys, tmp_path):
+    # every row spills, and the few rows a block leaves need no range
+    code, _, _ = run(monkeypatch, capsys, tmp_path, ITERATE + BOUNDS, cpus, 7)
+    assert code == 0 and len(forks) == (cpus > 1)
+
+
+@pytest.mark.parametrize("args, written", [(ITERATE + BOUNDS, True),
+                                           (ITERATE, True),
+                                           (LATE_LOG, False)])
+def test_the_writer_text_is_dropped_after_log_space(
+        args, written, monkeypatch, capsys, tmp_path):
+    kinds = []
+    real = cli._write_lines
+    monkeypatch.setattr(cli, "_write_lines", lambda path, lines: kinds.append(
+        type(lines)) or real(path, lines))
+    assert run(monkeypatch, capsys, tmp_path, args, 2, 64)[0] == 0
+    assert kinds[0] is (cli._Written if written else core.Sized)
+
+
+class PoisonedRows:
+    """Row numbers that raise at row ``n``, sliced as a CSV range reads
+    them: in any process and any block, the same row fails."""
+
+    def __init__(self, rows, n):
+        self.rows, self.n = rows, n
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, rows):
+        return PoisonedRows(self.rows[rows], self.n)
+
+    def __iter__(self):
+        for row in self.rows:
+            if row == self.n:
+                raise ValueError(f"poisoned row {row}")
+            yield row
+
+
+def fail_in_run(monkeypatch, error, *args):
+    """``error(*args)`` raised by the overflow test of step 20, after the
+    writer forks; a new one each time, so the test holds no traceback."""
+    calls = []
+
+    def overflowed(p):
+        if len(calls) == 20:
+            raise error(*args)
+        calls.append(p)
+        return False
+    monkeypatch.setattr(mann, "_overflowed", overflowed)
+
+
+def poison_row_30(monkeypatch):
+    csv = cli._csv
+    monkeypatch.setattr(cli, "_csv", lambda head, template, columns: csv(
+        head, template, (PoisonedRows(columns[0], 30), *columns[1:])))
+
+
+@pytest.mark.parametrize("path, code, error", [
+    ("success", 0, ""),
+    ("diverges", 1, ""),
+    ("error-in-run", 2, "error: stop at step 20\n"),
+    ("error-in-a-row", 2, "error: poisoned row 30\n"),
+])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_every_path_closes_its_files_and_reaps_the_writer(
+        path, code, error, cpus, spills, monkeypatch, capsys, tmp_path):
+    args = (CASES["iterate-diverges"][0] if path == "diverges"
+            else ITERATE + BOUNDS)
+    if path == "error-in-run":
+        fail_in_run(monkeypatch, ValueError, "stop at step 20")
+    if path == "error-in-a-row":
+        poison_row_30(monkeypatch)
+    monkeypatch.setattr(core, "_cpus", lambda: cpus)
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 7)
+    assert cli.main([*args, "--out", str(tmp_path / "t.csv")]) == code
+    assert capsys.readouterr().err == error
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert spills and all(f.closed for f in spills)
+
+
+def test_an_interrupted_run_closes_its_files_and_reaps_the_writer(
+        spills, forks, monkeypatch, tmp_path):
+    fail_in_run(monkeypatch, KeyboardInterrupt)
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 7)
+    with pytest.raises(KeyboardInterrupt) as interrupt:
+        cli.main([*ITERATE, *BOUNDS, "--out", str(tmp_path / "t.csv")])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    del interrupt  # its traceback holds the run's row store
+    gc.collect()
+    assert len(forks) == 1 and all(f.closed for f in spills)
 
 
 def old_chain(delta, alphas):
@@ -167,8 +282,9 @@ def test_a_chain_restarted_mid_way_equals_the_old_arrays(delta):
                             len(MID_CHAIN))
     assert (array("d", rb.alphas), array("d", rb.factors),
             array("d", rb.products)) == (alphas, factors, products)
-    rows = analysis._rate_chain(delta, lambda: iter(MID_CHAIN))
-    assert rows.width == 3 and array("d", rows.column(2)) == products
+    rows, log_space = analysis._rate_chain(delta, lambda: iter(MID_CHAIN))
+    assert log_space == (delta != 0.5) and rows.width == 3
+    assert array("d", rows.column(2)) == products
     # a trace of these step sizes: its bound and slack views over the chain
     errors = [0.5 ** (n % 7) for n in range(len(MID_CHAIN) + 1)]
     report = gfix.verify_bound(mann.IterationTrace(

@@ -130,6 +130,21 @@ MUTANTS = [
      "lo, hi = start, max(stop - h, 0)",
      "a CSV range's data rows start at its line index, not past the head",
      ["tests/test_csv_ranges.py"]),
+    ("src/gfix/cli.py",
+     "not report.log_space",
+     "True",
+     "iterate keeps the writer's text after the chain goes to log space",
+     ["tests/test_row_store.py"]),
+    ("src/gfix/cli.py",
+     "e0 = e[0] if at == 0 else e0",
+     "e0 = e[1] if at == 0 else e0",
+     "the writer takes e_0 from row 1",
+     ["tests/test_row_store.py"]),
+    ("src/gfix/cli.py",
+     "lines[core.read_chunks(lines.file, fh.write):]",
+     "lines[core.read_chunks(lines.file, fh.write) + 1:]",
+     "the lines the writer covered are counted one too high",
+     ["tests/test_row_store.py"]),
     ("src/gfix/rng.py",
      "(self.next_u64() >> 11)",
      "(self.next_u64() >> 12)",
