@@ -15,7 +15,7 @@ import math
 import operator
 from array import array
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from itertools import accumulate, islice, repeat
 
 from .core import CheckReport, Point, Rows, Sized, evaluate, le, le_tol
@@ -30,19 +30,30 @@ RateBound.__doc__ = """Step sizes alpha_0 .. alpha_{n-1}, per-step factors
     ``core.Sized`` over the rate chain's rows."""
 
 
+def stays_linear(delta: float) -> bool:
+    """Whether the rate chain of ``delta`` stays linear for any step sizes
+    in [0, 1]: a rounded 1 - a*c, c = 1 - delta, is never below 1 - c."""
+    return 1.0 - (1.0 - delta) >= _LOGSPACE_TRIGGER
+
+
+def _chain(alphas, delta: float, b: float) -> tuple:
+    """Factors 1 - a*(1-delta) of ``alphas``, and b, b*f_0, b*f_0*f_1, ...
+    lazily: a block of the linear chain, as ``_rate_chain`` multiplies."""
+    c = 1.0 - delta
+    factors = array("d", (1.0 - a * c for a in alphas))
+    return factors, accumulate(factors, operator.mul, initial=b)
+
+
 def _rate_chain(delta: float,
-                step_sizes: Callable[[], Iterable[float]]) -> tuple:
+                step_sizes: Callable[[], Iterable[float]]) -> Rows:
     """Rows (alpha_{n-1}, factor_{n-1}, B_n) for n = 0 .. len(alphas),
     alpha and factor NaN in row 0, from delta and the alphas
-    ``step_sizes()``, and whether they went to log space.  ``step_sizes``
-    is called once delta has passed, so a bad delta is reported ahead of
-    any schedule error, and again, to rebuild the chain in log space, at
-    the first factor below 1e-8.
-    Rounded, 1 - a*c never rises with a: that is when
-    1 - max(alphas)*c < 1e-8."""
+    ``step_sizes()``.  ``step_sizes`` is called once delta has passed, so
+    a bad delta is reported ahead of any schedule error, and again, to
+    rebuild the chain in log space, at the first factor below 1e-8; that
+    never happens where ``stays_linear(delta)``."""
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must be in [0, 1), got {delta}")
-    c = 1.0 - delta
 
     def put(*columns):
         values = array("d", [0.0]) * (3 * len(columns[0]))
@@ -55,7 +66,7 @@ def _rate_chain(delta: float,
         log_b, b = 0.0, 1.0
         put(*(array("d", [v]) for v in (math.nan, math.nan, 1.0)))
         while chunk := array("d", islice(alphas, 1024)):
-            factors = array("d", (1.0 - a * c for a in chunk))
+            factors, linear = _chain(chunk, delta, b)
             if log_space:  # survives underflow; a zero factor makes B 0
                 products = array("d")
                 for f in factors:
@@ -64,46 +75,32 @@ def _rate_chain(delta: float,
             elif min(factors) < _LOGSPACE_TRIGGER:
                 break
             else:
-                products = array("d", accumulate(factors, operator.mul,
-                                                 initial=b))[1:]
+                products = array("d", linear)[1:]
                 b = products[-1]
             put(chunk, factors, products)
         else:
-            return rows, log_space
+            return rows
 
 
 def product_bound(delta: float, sched: StepSchedule, n: int) -> RateBound:
     """B_0 .. B_n for the given factor and schedule, accumulated in log
     space when some factor drops below 1e-8."""
-    rows, _ = _rate_chain(delta, lambda: map(sched.alpha_at,
-                                             step_range(sched, n)))
+    rows = _rate_chain(delta, lambda: map(sched.alpha_at,
+                                          step_range(sched, n)))
     return RateBound(factors=rows.column(1)[1:], products=rows.column(2),
                      alphas=rows.column(0)[1:])
 
 
-BoundReport = namedtuple("BoundReport",
-                         "slacks min_slack holds bounds log_space")
+BoundReport = namedtuple("BoundReport", "slacks min_slack holds bounds")
 BoundReport.__doc__ = """Per-step bound B_n*G(x_0,u,u) and slack bound -
     G(x_n,u,u), each a ``core.Sized`` view that multiplies and subtracts
-    as it is read; a NaN slack makes ``min_slack`` NaN and fails, and
-    ``log_space`` is true when the chain went to log space."""
+    as it is read; a NaN slack makes ``min_slack`` NaN and fails."""
 
 
-class _Products(Sized):
-    """B_0 .. B_n of a chain's rows, and whether it went to log space."""
-
-    __slots__ = ("log_space",)
-
-    def __init__(self, chain: tuple):
-        rows, self.log_space = chain
-        super().__init__(len(rows), rows.column(2).make)
-
-
-def trace_products(trace: IterationTrace, delta: float) -> Sequence[float]:
-    """B_0 .. B_{len(trace)-1} recomputed from the trace's own recorded
-    step sizes, so B_n pairs with the recorded x_n, as ``_Products``."""
-    return _Products(_rate_chain(delta,
-                                 lambda: trace.alphas[:len(trace) - 1]))
+def trace_products(trace: IterationTrace, delta: float) -> Sized:
+    """The chain's B_0 .. B_{len(trace)-1}, from the trace's own recorded
+    step sizes, so B_n pairs with the recorded x_n."""
+    return _rate_chain(delta, lambda: trace.alphas[:len(trace) - 1]).column(2)
 
 
 def verify_bound(trace: IterationTrace, delta: float,
@@ -132,7 +129,7 @@ def verify_bound(trace: IterationTrace, delta: float,
     min_slack = math.nan if any(map(math.isnan, slacks)) else min(slacks)
     holds = min_slack >= -tol or (min_slack < -tol and max(
         map(le_tol, errors, bounds, repeat(tol))) <= 0.0)
-    return BoundReport(slacks, min_slack, holds, bounds, products.log_space)
+    return BoundReport(slacks, min_slack, holds, bounds)
 
 
 def diagnostics_maxima(trace: IterationTrace, limit: Point,

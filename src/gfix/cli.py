@@ -10,20 +10,18 @@ byte-identical, on any number of CPUs.  The sampled checks and the CSVs
 run in ``core.forked_ranges`` of at least ``core.MIN_TUPLES`` witness
 tuples or ``MIN_ROWS`` lines; iterate and bound keep their columns in
 ``core.Rows``, and a CSV is a ``core.Sized`` of lines formatted as they
-are read.  Where ranges would fork, iterate's ``_Writer`` formats the
-lines of the rows its store spills while the run goes on.
+are read.  Where a ``core.Worker`` is spare and ``analysis.stays_linear``,
+iterate's ``_Writer`` formats the spilled rows' lines during the run.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import operator
 import os
 import sys
-import tempfile
 from functools import partial
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 
 from . import analysis, contractions, convexity, core, mann, spaces
 from .core import CheckReport, SamplePlan
@@ -202,8 +200,7 @@ def _csv(head: list, template: str, columns: tuple) -> core.Sized:
     lines, then ``template % row`` for each row of the zipped
     ``columns``.  Lines are formatted as they are read, so the whole text
     is never held at once; a range of them formats only its rows, each
-    column sliced to them, and the head lines lie in the range from 0.
-    A ``_Writer`` formats its blocks of rows through this too."""
+    column sliced to them, and the head lines lie in the range from 0."""
     h, head = len(head), [line + "\n" for line in head]
     row = (template + "\n").__mod__
 
@@ -223,33 +220,32 @@ def _pieces(lines: core.Sized, start: int, stop: int):
 
 
 class _Written(core.Sized):
-    """A ``_csv`` whose first lines ``file`` holds as chunks of text."""
+    """A ``_csv`` whose first lines ``worker`` holds as chunks of text."""
 
-    __slots__ = ("file",)
+    __slots__ = ("worker",)
 
 
 class _Writer:
     """One process that formats iterate's CSV lines during the run.
 
-    Called by the run's ``core.Rows`` after each spilled block, it forks
-    at the first, where ``core.forked_ranges`` would fork, and sends the
-    spilled row count through a pipe.  The writer reads the rows by those
-    counts (its copy of the store counts those of the fork), runs its own
-    linear chain, ``analysis._rate_chain``'s factors 1 - a*c in its
-    ``accumulate`` order from e_0 of row 0, and writes ``_csv``'s lines
-    as ``core.fork_chunks`` of ``_pieces``, whose lines done index them.
-    ``lines`` reaps it, ``close`` kills it."""
+    Called by the run's ``core.Rows`` after each spilled block, it starts
+    a ``core.Worker`` at the first, where one is spare, then sends each
+    spilled row count through a pipe.  The worker reads the rows by those
+    counts (its copy of the store counts those of the fork), takes its
+    bounds from ``analysis._chain``'s products and e_0 of row 0, and
+    writes ``_csv``'s lines as ``_pieces``, whose lines done index them."""
 
     def __init__(self, template, dim, errors, delta):
         self.spec = template, dim, errors, delta
-        self.file = self.pipe = self.pid = None
+        self.worker = self.pipe = None
 
     def __call__(self, rows: core.Rows) -> None:
-        if self.file is None and core._cpus() > 1 and hasattr(os, "fork"):
-            self.file, (read, self.pipe) = tempfile.TemporaryFile(), os.pipe()
-            self.pid = core.fork_chunks(self.file,
-                                        lambda: self._texts(rows, read))
-            os.close(read)
+        if self.worker is None and core.Worker.spare():
+            read, self.pipe = os.pipe()
+            try:
+                self.worker = core.Worker(lambda: self._texts(rows, read))
+            finally:
+                os.close(read)
         if self.pipe is not None:
             with contextlib.suppress(BrokenPipeError):  # it stopped early
                 os.write(self.pipe,
@@ -267,10 +263,7 @@ class _Writer:
                 columns += [e] * errors
                 if delta is not None:
                     e0 = e[0] if at == 0 else e0
-                    products = list(accumulate(
-                        (1.0 - a * (1.0 - delta) for a in alphas),
-                        operator.mul, initial=b))
-                    b = products.pop()
+                    *products, b = analysis._chain(alphas, delta, b)[1]
                     bounds = [p * e0 for p in products]
                     columns += [bounds, [x - y for x, y in zip(bounds, e)]]
                 csv = _csv([CSV_HEADER] * (at == 0), template, columns)
@@ -278,26 +271,21 @@ class _Writer:
                     yield (at + 1 if at else 0) + done, text  # 1 header
                 at += len(alphas)
 
-    def lines(self, csv: core.Sized, usable: bool) -> core.Sized:
-        """``csv``, as a ``_Written`` if the writer exited 0 and its text
-        is ``usable``."""
-        if self.pid is not None:
+    def lines(self, csv: core.Sized) -> core.Sized:
+        """``csv``, as a ``_Written`` if the writer exited 0."""
+        if self.worker is not None:
             os.close(self.pipe)
             self.pipe = None
-            failed, self.pid = os.waitpid(self.pid, 0)[1], None
-            if not failed and usable:
+            if self.worker.wait():
                 csv = _Written(len(csv), csv.make)
-                csv.file = self.file
+                csv.worker = self.worker
         return csv
 
     def close(self) -> None:
         if self.pipe is not None:
             os.close(self.pipe)
-        if self.pid is not None:  # the run failed: no text is needed
-            os.kill(self.pid, 9)
-            os.waitpid(self.pid, 0)
-        if self.file is not None:
-            self.file.close()
+        if self.worker is not None:  # killed if the run failed
+            self.worker.close()
 
 
 def _write_lines(path: str | None, lines) -> None:
@@ -314,7 +302,7 @@ def _write_lines(path: str | None, lines) -> None:
             fh.writelines(line + "\n" for line in lines)
             return
         if isinstance(lines, _Written):
-            lines = lines[core.read_chunks(lines.file, fh.write):]
+            lines = lines[lines.worker.read(fh.write):]
         fh.flush()  # a worker must never hold unwritten output
         core.forked_ranges(len(lines), MIN_ROWS, partial(_pieces, lines),
                            lambda a, b: fh.writelines(lines[a:b]), fh.write)
@@ -415,7 +403,9 @@ def _cmd_iterate(args: argparse.Namespace, settings: Settings) -> int:
     template = "%d" + ",%.17g" * values + "," * (5 - values)
     writer = _Writer(template, space.dim, errors, delta)
     with contextlib.closing(writer):
-        trace = mann.run_mann(target, mapping, x0, sched, stop, writer)
+        # the writer's bounds are linear: no writer if they may not be
+        trace = mann.run_mann(target, mapping, x0, sched, stop, writer if (
+            delta is None or analysis.stays_linear(delta)) else None)
         columns = [trace.alphas, trace.residuals]
         columns += [trace.true_errors] * errors
         report = (None if delta is None
@@ -423,8 +413,7 @@ def _cmd_iterate(args: argparse.Namespace, settings: Settings) -> int:
         if report is not None:
             columns += [report.bounds, report.slacks]
         csv = _csv([CSV_HEADER], template, (range(len(trace)), *columns))
-        _write_lines(args.out, writer.lines(csv, report is None or
-                                            not report.log_space))
+        _write_lines(args.out, writer.lines(csv))
 
     summary = ["# gfix iterate",
                settings.config_line(),

@@ -22,9 +22,9 @@ first.  Tuple i is drawn from its own stream, and the streams of a
 block of tuples side by side where the draw is ``box_draw`` or
 ``nonzero_draw``.  So ``evaluate`` splits the tuples into
 ``forked_ranges``, one per usable CPU, the owner of the rerun of what a
-stopped worker left, whose workers write ``fork_chunks`` and this
-process takes them with ``read_chunks``: it records every row in index
-order, so a report, or an error, is the same on any number of CPUs.
+stopped worker left, each range past the first in a ``Worker``, whose
+chunks this process takes: it records every row in index order, so a
+report, or an error, is the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import itertools
 import marshal
 import math
 import os
+import sys
 import tempfile
 import weakref
 from array import array
@@ -204,74 +205,84 @@ def _cpus() -> int:
 
 def forked_ranges(size: int, minimum: int, work: Callable, run: Callable,
                   take: Callable) -> None:
-    """Run items 0..size-1 in k contiguous ranges, k = max(1, min(usable
-    CPUs, size // minimum)), and k = 1 where there is no ``os.fork``.
-    A worker forked per range 1..k-1 writes the ``(at, payload)`` items
-    of ``work(start, stop)``, items start..at-1 done, to its own
-    unlinked temporary file through ``fork_chunks``.  This process runs
-    ``run(0, stop)``, then, as each worker ends, in order,
-    ``read_chunks`` of its file and ``run`` on the rest of its range, so
-    an error is the one a single range raises.  It reaps every worker,
-    killing them first when it raises; a worker that failed raises
-    ``OSError``."""
-    k = max(1, min(_cpus(), size // minimum)) if hasattr(os, "fork") else 1
+    """Run items 0..size-1 in k = max(1, min(1 + ``Worker.spare()``,
+    size // minimum)) ranges, each past the first a ``Worker`` of the
+    ``(at, payload)`` items of ``work(start, stop)``, items start..at-1
+    done.  This process runs ``run(0, stop)``, then, as each worker ends,
+    in order, takes its chunks and runs the rest of its range, so an
+    error is the one a single range raises.  Every worker is closed, so
+    killed when this raises; one that failed raises ``OSError``."""
+    k = max(1, min(1 + Worker.spare(), size // minimum))
     cuts = [size * i // k for i in range(k + 1)]
-    files, pids, failed = [], [], 0
+    workers, failed = [], 0
     try:
         for start, stop in zip(cuts[1:-1], cuts[2:]):
-            files.append(out := tempfile.TemporaryFile())
-            pids.append(fork_chunks(out, lambda: work(start, stop)))
+            workers.append(Worker(lambda: work(start, stop)))
         run(0, cuts[1])
-        for out, at, stop in zip(files, cuts[1:], cuts[2:]):
-            failed += os.waitpid(pids[0], 0)[1] != 0
-            del pids[0]
-            at = read_chunks(out, take, at)
-            run(at, stop)
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, 9)  # SIGKILL: a failed run needs no more rows
-        raise
+        for worker, at, stop in zip(workers, cuts[1:], cuts[2:]):
+            failed += not worker.wait()
+            run(worker.read(take, at), stop)
     finally:
-        for out in files:
-            out.close()
-        failed += sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
+        for worker in workers:
+            worker.close()
     if failed:
         raise OSError(f"{failed} of {k - 1} forked workers failed")
 
 
-def fork_chunks(out, items: Callable[[], Iterable]) -> int:
-    """Fork a process that writes each ``(at, payload)`` of ``items()`` to
-    ``out`` as a length-prefixed ``marshal`` chunk until one raises (the
-    reader runs the rest and meets the error), then leaves through
-    ``os._exit``, flushing no inherited buffer: 0, or 1 when a write
-    failed.  Return its pid."""
-    def chunks():
-        with contextlib.suppress(Exception):  # raised by items, not writes
-            for item in items():
-                chunk = marshal.dumps(item)
-                yield len(chunk).to_bytes(4, "little") + chunk
+class Worker:
+    """A forked process that writes each ``(at, payload)`` of ``items()``
+    as a length-prefixed ``marshal`` chunk to its own unlinked temporary
+    file until one raises (the reader runs the rest and meets the error),
+    then leaves by ``os._exit``, flushing no inherited buffer: 0, or 1 on
+    a failed write.  ``close`` kills and reaps it unless ``wait`` did, and
+    closes its file."""
 
-    if (pid := os.fork()) == 0:
+    def __init__(self, items: Callable[[], Iterable]):
+        def chunks():
+            with contextlib.suppress(Exception):  # raised by items, not writes
+                for chunk in map(marshal.dumps, items()):
+                    yield len(chunk).to_bytes(4, "little") + chunk
+
+        self.file = tempfile.TemporaryFile()
         try:
-            out.writelines(chunks())
-            out.flush()
-            os._exit(0)
-        finally:
-            os._exit(1)
-    return pid
+            self.pid = os.fork()
+        except BaseException:
+            self.file.close()
+            raise
+        if self.pid == 0:
+            try:
+                self.file.writelines(chunks())
+                self.file.flush()
+                os._exit(0)
+            finally:
+                os._exit(1)
 
+    @staticmethod
+    def spare() -> int:
+        """How many may run beside this process: CPUs - 1, 0 without fork."""
+        return _cpus() - 1 if hasattr(os, "fork") else 0
 
-def read_chunks(file, take: Callable, at: int = 0) -> int:
-    """``take(payload)`` for each whole chunk of ``file``; the last
-    chunk's ``at``, or ``at`` without one."""
-    file.seek(0)
-    while len(head := file.read(4)) == 4:
-        n = int.from_bytes(head, "little")
-        if len(chunk := file.read(n)) < n:
-            break
-        at, payload = marshal.loads(chunk)
-        take(payload)
-    return at
+    def wait(self) -> bool:
+        """Reap the worker; whether it exited 0."""
+        status, self.pid = os.waitpid(self.pid, 0)[1], None
+        return status == 0
+
+    def read(self, take: Callable, at: int = 0) -> int:
+        """``take(payload)`` of each whole chunk; the last one's ``at``."""
+        self.file.seek(0)
+        while len(head := self.file.read(4)) == 4:
+            n = int.from_bytes(head, "little")
+            if len(chunk := self.file.read(n)) < n:
+                break
+            at, payload = marshal.loads(chunk)
+            take(payload)
+        return at
+
+    def close(self) -> None:
+        if self.pid is not None:
+            os.kill(self.pid, 9)  # SIGKILL: a failed run needs no more rows
+            self.wait()
+        self.file.close()
 
 
 def _pread(file, start: int, stop: int) -> memoryview:
@@ -495,6 +506,8 @@ def sample_tuples(space: GSpace, plan: SamplePlan,
     box, seed = space.default_box, plan.seed
     draw, sep, count = space.draw, plan.min_separation, plan.count
     extra = list(structured(structured_points(space)))
+    if count > sys.maxsize - len(extra):  # no index could reach the last
+        raise ValueError(f"count must be <= {sys.maxsize - len(extra)}")
     dim = 1 if draw is nonzero_draw else len(box)
     width = points + _SPARE_DRAWS * (draw is nonzero_draw and not weights)
     bounds = box[:dim] * width + ((0.0, 1.0),) * bool(weights)

@@ -139,6 +139,11 @@ def test_nan_min_separation_exits_two_promptly():
     ("bound --delta 0.5 --schedule explicit:1;0.5 --max-iters 2 "
      "--config cfg:alpha=0.9",
      "error: --alpha needs --schedule constant, got 'explicit:1;0.5'"),
+    # a count whose last witness tuple no index can hold draws nothing
+    ("check-axioms --space perimeter-1 --samples 100000000000000000000",
+     "error: count must be <= 9223372036854775749"),
+    ("check-convexity --space perimeter-1 --samples 9223372036854775807",
+     "error: count must be <= 9223372036854775767"),
 ])
 def test_error_exit_message(args, line, tmp_path, capsys):
     argv = []
@@ -339,6 +344,17 @@ def test_iterate_region_warning_names_failing_residuals(tmp_path, capsys):
             "(1-(a+3b) <= 0, 1-2b <= 0); bound columns omitted"
             in summary.splitlines())
     assert "inf" not in summary and "nan" not in summary
+
+
+def test_iterate_region_warning_at_b_one_half(tmp_path, capsys):
+    # 1-2b is 0 on the region's edge, where 1-b would still be 1/2
+    rc = run(["iterate", "--space", "perimeter-1", "--mapping", "affine:k=0.5",
+              "--condition", "four-term", "--coeff", "a=0,b=0.5,c=0,d=0",
+              "--max-iters", "2", "--out", str(tmp_path / "t.csv")])
+    assert rc == 0
+    assert ("warning: coefficients outside the applicable region "
+            "(1-(a+3b) <= 0, 1-2b <= 0); bound columns omitted"
+            in capsys.readouterr().out.splitlines())
 
 
 def test_iterate_delta_rounded_to_one_is_vacuous(tmp_path, capsys):

@@ -140,6 +140,17 @@ def test_leaving_the_domain_names_the_mapping_and_point():
     assert str(raised.value) == message.replace(repr(x), "(2.0,)", 1)
 
 
+def test_leaving_the_domain_at_the_third_point_is_found():
+    # only the image of the third point, 0, lies outside the domain
+    sign = gfix.make_sign_example_space()
+    T = gfix.Mapping("zero-at-3", lambda p: (0.0,) if p == (3.0,) else p)
+    spec = ContractionSpec(ConditionKind.K_SUM, {"k": 0.3})
+    with pytest.raises(gfix.DomainError) as raised:
+        gfix.rhs_value(spec, sign, T, (1.0,), (2.0,), (3.0,))
+    assert str(raised.value) == ("zero-at-3 maps (3.0,) to (0.0,), which is "
+                                 "not in the domain of sign-example")
+
+
 def test_check_condition_constant_map_passes():
     T = gfix.make_affine_contraction((3.0,), 0.0)
     spec = four_term(0.0, 0.4, 0.4, 0.4)

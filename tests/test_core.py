@@ -438,6 +438,19 @@ def test_derived_near_miss_margins(monkeypatch):
     assert worst["derived-vi"] == 3 - 1e-9 * 2
 
 
+def test_derived_i_floor_near_miss_margin(monkeypatch):
+    # separated triples sit at tol/2: above 0, below derived-i's floor tol,
+    # so the floor alone fails them, each by tol/2
+    def g(x, y, z):
+        return 0.0 if x == y == z else 5e-10
+    space = gfix.GSpace(name="low", dim=1, g=g, draw=core.box_draw,
+                        contains=lambda p: 0.0 <= p[0] <= 3.0,
+                        default_box=((0.0, 3.0),))
+    worst = worst_margins(monkeypatch, gfix.check_derived, space,
+                          gfix.SamplePlan(seed=0, count=50))
+    assert worst["derived-i"] == 1e-9 - 5e-10 == 5e-10
+
+
 def test_axiom_near_miss_margins(monkeypatch):
     # G(x,x,x) = -0.5 misses 0 from below, by 0.5; G(x,x,y) lies on
     # axiom-ii's floor; the six orders of three distinct points give 4 or

@@ -40,6 +40,20 @@ LATE_LOG = ["iterate", "--space", "perimeter-1", "--mapping", "affine:k=0",
             "--schedule", "explicit:" + ";".join(["0.3"] * 30 + ["1", "0.3"]),
             "--x0", "1", "--max-iters", "40", "--condition", "four-term",
             "--coeff", "a=0,b=0,c=0,d=0"]
+# T = 0 at alpha 0.5 halves x_n, as fast as any delta's bound allows;
+# four-term with b = c = d = 0 has delta a, and below 1e-8 the chain may
+# go to log space, so no writer forks
+TINY = ["iterate", "--space", "perimeter-3", "--mapping", "affine:k=0",
+        "--x0", "1,2,3", "--max-iters", "40"]
+
+
+def four_term(a):
+    return ["--condition", "four-term", "--coeff", f"a={a!r},b=0,c=0,d=0"]
+
+
+# 1 - (1 - delta) just below and just above 1e-8: every 1 - c near 1e-8
+# is a multiple of 2**-53, and 1e-8 * 2**53 is 90071992.5...
+BELOW, ABOVE = 90071992 * 2.0 ** -53, 90071993 * 2.0 ** -53
 
 CASES = {
     "iterate": (ITERATE + BOUNDS, 0),
@@ -55,6 +69,11 @@ CASES = {
                            "--alpha", "1", "--max-iters", "41"], 0),
     "explicit-past-stop": (PAST_STOP, 0),
     "explicit-late-log-space": (LATE_LOG, 0),
+    # delta 7e-9: linear while alpha <= 0.5, log space from the alpha 1
+    # of step 30, after the writer would have covered blocks
+    "explicit-tiny-delta-late-log-space": (LATE_LOG[:-1] + [
+        "a=7e-9,b=0,c=0,d=0"], 0),
+    "iterate-tiny-delta-stays-linear": (TINY + four_term(1e-10), 0),
 }
 
 
@@ -118,6 +137,25 @@ def test_an_iterate_forks_one_writer_at_most(cpus, forks, monkeypatch,
     assert code == 0 and len(forks) == (cpus > 1)
 
 
+@pytest.mark.parametrize("delta, writers", [(0.5, 1), (0.0, 0), (BELOW, 0)])
+def test_a_writer_forks_only_where_the_chain_stays_linear(
+        delta, writers, forks, monkeypatch, capsys, tmp_path):
+    code, _, _ = run(monkeypatch, capsys, tmp_path, TINY + four_term(delta),
+                     2, 7)
+    assert code == 0 and len(forks) == writers
+
+
+@pytest.mark.parametrize("delta, linear", [(BELOW, False), (ABOVE, True)])
+def test_stays_linear_at_its_boundary(delta, linear):
+    assert 1.0 - (1.0 - delta) == delta and (delta < 1e-8) is not linear
+    assert analysis.stays_linear(delta) is linear
+    # alpha 1 gives the factor delta: B_1 is delta only in linear space
+    rows = analysis._rate_chain(delta, lambda: iter([1.0, 0.5]))
+    assert (rows.column(2)[1] == delta) is linear
+
+
+# a delta whose chain may go to log space forks no writer, so the text of
+# LATE_LOG (delta 0) is all formatted after the run
 @pytest.mark.parametrize("args, written", [(ITERATE + BOUNDS, True),
                                            (ITERATE, True),
                                            (LATE_LOG, False)])
@@ -282,8 +320,9 @@ def test_a_chain_restarted_mid_way_equals_the_old_arrays(delta):
                             len(MID_CHAIN))
     assert (array("d", rb.alphas), array("d", rb.factors),
             array("d", rb.products)) == (alphas, factors, products)
-    rows, log_space = analysis._rate_chain(delta, lambda: iter(MID_CHAIN))
-    assert log_space == (delta != 0.5) and rows.width == 3
+    rows = analysis._rate_chain(delta, lambda: iter(MID_CHAIN))
+    assert analysis.stays_linear(delta) is (delta == 0.5)
+    assert rows.width == 3
     assert array("d", rows.column(2)) == products
     # a trace of these step sizes: its bound and slack views over the chain
     errors = [0.5 ** (n % 7) for n in range(len(MID_CHAIN) + 1)]
@@ -446,6 +485,20 @@ def test_a_platform_without_pread_reads_the_same_rows(
     monkeypatch.delattr(os, "fork")
     assert run(monkeypatch, capsys, tmp_path, args, 2, 7) == both
     assert both[0] == 0
+
+
+def test_a_failed_fork_exits_two_and_closes_its_files(
+        spills, monkeypatch, capsys, tmp_path):
+    def fork():
+        raise OSError(11, "Resource temporarily unavailable")
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 7)
+    code = cli.main([*ITERATE, *BOUNDS, "--out", str(tmp_path / "t.csv")])
+    assert code == 2 and capsys.readouterr().err == (
+        "error: [Errno 11] Resource temporarily unavailable\n")
+    # the store's file and the one the writer's Worker opened
+    assert len(spills) == 2 and all(f.closed for f in spills)
 
 
 def test_spill_error_exits_two(monkeypatch, capsys, tmp_path):

@@ -11,6 +11,10 @@ bytecode written.  A mutant is KILLED when pytest exits non-zero and
 SURVIVED otherwise.  Prints one line per mutant with its time, and exits
 1 if any mutant survived.  Stdlib only; the repository is only read.
 
+``EQUIVALENT`` lists mutants that no input can tell from the source,
+each with the reason; their snippets are checked to occur exactly once,
+so the list follows the code, but they are not run.
+
 Left off the list: the four-term-alt orientation mutant (``_sides``
 giving four-term-alt the primary displacement G(p,Tp,Tp)).  Every
 bundled space has G(x,x,y) = G(x,y,y), so no test can tell the two
@@ -105,8 +109,8 @@ MUTANTS = [
      "the no-os.pread read starts one double late",
      ["tests/test_row_store.py"]),
     ("src/gfix/core.py",
-     "run(at, stop)",
-     "run(stop, stop)",
+     "run(worker.read(take, at), stop)",
+     "run(max(worker.read(take, at), stop), stop)",
      "forked_ranges skips the rest of a range after a worker's chunks",
      ["tests/test_csv_ranges.py", "tests/test_check_ranges.py"]),
     ("src/gfix/core.py",
@@ -130,10 +134,10 @@ MUTANTS = [
      "lo, hi = start, max(stop - h, 0)",
      "a CSV range's data rows start at its line index, not past the head",
      ["tests/test_csv_ranges.py"]),
-    ("src/gfix/cli.py",
-     "not report.log_space",
-     "True",
-     "iterate keeps the writer's text after the chain goes to log space",
+    ("src/gfix/analysis.py",
+     "1.0 - (1.0 - delta) >= _LOGSPACE_TRIGGER",
+     "1.0 - (1.0 - delta) >= _LOGSPACE_TRIGGER / 2",
+     "stays_linear holds down to 5e-9, so a writer serves a log-space chain",
      ["tests/test_row_store.py"]),
     ("src/gfix/cli.py",
      "e0 = e[0] if at == 0 else e0",
@@ -141,8 +145,8 @@ MUTANTS = [
      "the writer takes e_0 from row 1",
      ["tests/test_row_store.py"]),
     ("src/gfix/cli.py",
-     "lines[core.read_chunks(lines.file, fh.write):]",
-     "lines[core.read_chunks(lines.file, fh.write) + 1:]",
+     "lines[lines.worker.read(fh.write):]",
+     "lines[lines.worker.read(fh.write) + 1:]",
      "the lines the writer covered are counted one too high",
      ["tests/test_row_store.py"]),
     ("src/gfix/rng.py",
@@ -180,6 +184,92 @@ MUTANTS = [
      "if False:",
      "verify_bound accepts a tol that is not finite and >= 0",
      ["tests/test_analysis.py"]),
+    ("src/gfix/contractions.py",
+     "contains(ty) and contains(tz))",
+     "contains(ty))",
+     "a condition's domain check skips the third point's image",
+     ["tests/test_contractions.py"]),
+    ("src/gfix/core.py",
+     'yield ge, "derived-i", (x, y, z), gxyz, tol',
+     'yield ge, "derived-i", (x, y, z), gxyz, 0.0',
+     "derived-i's floor for separated triples drops from tol to 0",
+     ["tests/test_core.py"]),
+    ("src/gfix/contractions.py",
+     '"1-2b": 1.0 - 2.0 * w["b"]',
+     '"1-2b": 1.0 - w["b"]',
+     "four-term's region residual 1 - 2b weakened to 1 - b",
+     ["tests/test_cli.py"]),
+    ("src/gfix/contractions.py",
+     '(w["a"] + 2.0 * w["b"]) / (1.0 - w["b"])',
+     '(w["a"] + 2.0 * w["b"]) / (1.0 - 2.0 * w["b"])',
+     "four-term-alt's delta divides by 1 - 2b, not 1 - b",
+     ["tests/test_contractions.py"]),
+    ("src/gfix/contractions.py",
+     'w["k"] / (1.0 - 2.0 * w["k"])',
+     'w["k"] / (1.0 - w["k"])',
+     "k-sum's delta divides by 1 - k, not 1 - 2k",
+     ["tests/test_contractions.py"]),
+    ("src/gfix/contractions.py",
+     '"1/3-k": 1.0 / 3.0 - w["k"]',
+     '"1/3-k": 1.0 / 2.0 - w["k"]',
+     "k-sum's region residual 1/3 - k widened to 1/2 - k",
+     ["tests/test_contractions.py"]),
+    ("src/gfix/contractions.py",
+     '"1/2-a": 0.5 - w["a"]',
+     '"1/2-a": 1.0 - w["a"]',
+     "three-term's region residual 1/2 - a widened to 1 - a",
+     ["tests/test_contractions.py"]),
+    ("src/gfix/mann.py",
+     "if max_iters < 1:",
+     "if max_iters < 0:",
+     "StoppingRule takes max_iters 0",
+     ["tests/test_records.py"]),
+    ("src/gfix/mann.py",
+     "max_iters = min(max_iters, sched.limit)",
+     "max_iters = max_iters",
+     "run_mann steps past an explicit schedule's last value",
+     ["tests/test_mann.py"]),
+    ("src/gfix/mann.py",
+     "OVERFLOW_GUARD.__ge__",
+     "OVERFLOW_GUARD.__gt__",
+     "a coordinate exactly on the overflow guard diverges",
+     ["tests/test_mann.py"]),
+    ("src/gfix/mann.py",
+     "OVERFLOW_GUARD = 1e150",
+     "OVERFLOW_GUARD = 1e300",
+     "the overflow guard raised from 1e150 to 1e300",
+     ["tests/test_mann.py"]),
+    ("src/gfix/cli.py",
+     '"," * (5 - values)',
+     '"," * (4 - values)',
+     "the iterate CSV leaves one blank column too few",
+     ["tests/test_cli.py"]),
+    ("src/gfix/rng.py",
+     "* 0xBF58476D1CE4E5B9 & mask",
+     "* 0xBF58476D1CE4E5B9",
+     "rng._mix drops the mask after its first multiply",
+     ["tests/test_lanes.py"]),
+    ("src/gfix/convexity.py",
+     "_LAMBDA_ANCHORS = (0.0, 0.5, 1.0)",
+     "_LAMBDA_ANCHORS = (0.0, 1.0)",
+     "convexity no longer checks the midpoint lambda 1/2",
+     ["tests/test_golden.py"]),
+    ("src/gfix/core.py",
+     'yield abs_tol, "axiom-i", (x,), g(x, x, x), 0.0',
+     'yield abs_tol, "axiom-i", (x,), 0.5 * g(x, x, x), 0.0',
+     "axiom-i reads G(x,x,x) halved",
+     ["tests/test_core.py"]),
+]
+
+# (file, old, new, why): mutants no input can tell from the source, so
+# they are not run; each snippet must still occur exactly once
+EQUIVALENT = [
+    ("src/gfix/analysis.py",
+     "1.0 - (1.0 - delta) >= _LOGSPACE_TRIGGER",
+     "1.0 - (1.0 - delta) > _LOGSPACE_TRIGGER",
+     "stays_linear's >= as >: every 1 - c near 1e-8 is a multiple of "
+     "2**-53, and 1e-8 * 2**53 is not an integer, so no delta reaches "
+     "the boundary"),
 ]
 
 
@@ -203,7 +293,7 @@ def run(file: str, old: str, new: str, tests: list) -> bool:
 
 
 def main() -> int:
-    for file, old, *_ in MUTANTS:
+    for file, old, *_ in MUTANTS + EQUIVALENT:
         count = (ROOT / file).read_text().count(old)
         assert count == 1, f"{file}: {old!r} occurs {count} times"
     survivors = 0
@@ -214,7 +304,8 @@ def main() -> int:
         print(f"{'KILLED' if killed else 'SURVIVED':8} "
               f"{time.perf_counter() - start:5.1f} s  {file}: {why}",
               flush=True)
-    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} killed")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} killed; "
+          f"{len(EQUIVALENT)} equivalent mutants listed, not run")
     return 1 if survivors else 0
 
 
