@@ -30,61 +30,51 @@ RateBound.__doc__ = """Step sizes alpha_0 .. alpha_{n-1}, per-step factors
     ``core.Sized`` over the rate chain's rows."""
 
 
-def stays_linear(delta: float) -> bool:
-    """Whether the rate chain of ``delta`` stays linear for any step sizes
-    in [0, 1]: a rounded 1 - a*c, c = 1 - delta, is never below 1 - c."""
-    return 1.0 - (1.0 - delta) >= _LOGSPACE_TRIGGER
-
-
-def _chain(alphas, delta: float, b: float) -> tuple:
-    """Factors 1 - a*(1-delta) of ``alphas``, and b, b*f_0, b*f_0*f_1, ...
-    lazily: a block of the linear chain, as ``_rate_chain`` multiplies."""
+def _chain(alphas, delta: float, b: float, log_b: float | None) -> tuple:
+    """Factors f_k = 1 - a_k*(1-delta) of ``alphas``, the products b*f_0,
+    b*f_0*f_1, ... and the (b, log_b) that the next block continues from:
+    a block of the chain that ``_rate_chain`` and ``cli._Writer`` run.
+    The chain multiplies up to its first factor below 1e-8; from there on
+    ``log_b`` is not None and it sums logs, from log b, or from -inf once b
+    has underflowed to 0, so B survives underflow and a zero factor makes
+    it 0."""
     c = 1.0 - delta
     factors = array("d", (1.0 - a * c for a in alphas))
-    return factors, accumulate(factors, operator.mul, initial=b)
+    k = len(factors) if log_b is None else 0  # factors multiplied
+    if k and min(factors) < _LOGSPACE_TRIGGER:
+        k = next(i for i, f in enumerate(factors) if f < _LOGSPACE_TRIGGER)
+    linear = array("d", accumulate(factors[:k], operator.mul, initial=b))
+    products, b = linear[1:], linear[-1]
+    if log_b is None and k < len(factors):
+        log_b = math.log(b) if b else -math.inf
+    for f in factors[k:]:
+        log_b = log_b + math.log(f) if f else -math.inf
+        products.append(b := math.exp(log_b))
+    return factors, products, (b, log_b)
 
 
 def _rate_chain(delta: float,
                 step_sizes: Callable[[], Iterable[float]]) -> Rows:
     """Rows (alpha_{n-1}, factor_{n-1}, B_n) for n = 0 .. len(alphas),
     alpha and factor NaN in row 0, from delta and the alphas
-    ``step_sizes()``.  ``step_sizes`` is called once delta has passed, so
-    a bad delta is reported ahead of any schedule error, and again, to
-    rebuild the chain in log space, at the first factor below 1e-8; that
-    never happens where ``stays_linear(delta)``."""
+    ``step_sizes()``, read once, 1024 at a time, through ``_chain``.
+    ``step_sizes`` is called once delta has passed, so a bad delta is
+    reported ahead of any schedule error."""
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must be in [0, 1), got {delta}")
-
-    def put(*columns):
-        values = array("d", [0.0]) * (3 * len(columns[0]))
-        for j, column in enumerate(columns):
-            values[j::3] = column
+    alphas, rows, state = iter(step_sizes()), Rows(3), (1.0, None)
+    rows.add((math.nan, math.nan, 1.0))
+    while chunk := array("d", islice(alphas, 1024)):
+        factors, products, state = _chain(chunk, delta, *state)
+        values = array("d", [0.0]) * (3 * len(chunk))
+        values[0::3], values[1::3], values[2::3] = chunk, factors, products
         rows.add(values)
-
-    for log_space in (False, True):
-        alphas, rows = iter(step_sizes()), Rows(3)
-        log_b, b = 0.0, 1.0
-        put(*(array("d", [v]) for v in (math.nan, math.nan, 1.0)))
-        while chunk := array("d", islice(alphas, 1024)):
-            factors, linear = _chain(chunk, delta, b)
-            if log_space:  # survives underflow; a zero factor makes B 0
-                products = array("d")
-                for f in factors:
-                    log_b = log_b + math.log(f) if f else -math.inf
-                    products.append(math.exp(log_b))
-            elif min(factors) < _LOGSPACE_TRIGGER:
-                break
-            else:
-                products = array("d", linear)[1:]
-                b = products[-1]
-            put(chunk, factors, products)
-        else:
-            return rows
+    return rows
 
 
 def product_bound(delta: float, sched: StepSchedule, n: int) -> RateBound:
-    """B_0 .. B_n for the given factor and schedule, accumulated in log
-    space when some factor drops below 1e-8."""
+    """B_0 .. B_n for the given factor and schedule, in log space from
+    the first factor below 1e-8 on (``_chain``)."""
     rows = _rate_chain(delta, lambda: map(sched.alpha_at,
                                           step_range(sched, n)))
     return RateBound(factors=rows.column(1)[1:], products=rows.column(2),

@@ -10,8 +10,8 @@ byte-identical, on any number of CPUs.  The sampled checks and the CSVs
 run in ``core.forked_ranges`` of at least ``core.MIN_TUPLES`` witness
 tuples or ``MIN_ROWS`` lines; iterate and bound keep their columns in
 ``core.Rows``, and a CSV is a ``core.Sized`` of lines formatted as they
-are read.  Where a ``core.Worker`` is spare and ``analysis.stays_linear``,
-iterate's ``_Writer`` formats the spilled rows' lines during the run.
+are read.  Where a ``core.Worker`` is spare, iterate's ``_Writer``
+formats the spilled rows' lines during the run.
 """
 
 from __future__ import annotations
@@ -232,8 +232,9 @@ class _Writer:
     a ``core.Worker`` at the first, where one is spare, then sends each
     spilled row count through a pipe.  The worker reads the rows by those
     counts (its copy of the store counts those of the fork), takes its
-    bounds from ``analysis._chain``'s products and e_0 of row 0, and
-    writes ``_csv``'s lines as ``_pieces``, whose lines done index them."""
+    bounds from ``analysis._chain``'s products, carried from block to
+    block, and e_0 of row 0, and writes ``_csv``'s lines as ``_pieces``,
+    whose lines done index them."""
 
     def __init__(self, template, dim, errors, delta):
         self.spec = template, dim, errors, delta
@@ -254,7 +255,7 @@ class _Writer:
     def _texts(self, rows: core.Rows, pipe: int):
         os.close(self.pipe)  # so that the parent's close ends the loop
         template, dim, errors, delta = self.spec
-        at, b = 0, 1.0
+        at, state = 0, (1.0, None)
         while len(count := os.read(pipe, 8)) == 8:
             rows.spilled = int.from_bytes(count, "little") * rows.width
             for alphas, residuals, e in rows.read(
@@ -263,8 +264,10 @@ class _Writer:
                 columns += [e] * errors
                 if delta is not None:
                     e0 = e[0] if at == 0 else e0
-                    *products, b = analysis._chain(alphas, delta, b)[1]
-                    bounds = [p * e0 for p in products]
+                    b = state[0]  # B_at, for the block's first row
+                    _, products, state = analysis._chain(alphas, delta,
+                                                         *state)
+                    bounds = [p * e0 for p in (b, *products[:-1])]
                     columns += [bounds, [x - y for x, y in zip(bounds, e)]]
                 csv = _csv([CSV_HEADER] * (at == 0), template, columns)
                 for done, text in _pieces(csv, 0, len(csv)):
@@ -403,9 +406,7 @@ def _cmd_iterate(args: argparse.Namespace, settings: Settings) -> int:
     template = "%d" + ",%.17g" * values + "," * (5 - values)
     writer = _Writer(template, space.dim, errors, delta)
     with contextlib.closing(writer):
-        # the writer's bounds are linear: no writer if they may not be
-        trace = mann.run_mann(target, mapping, x0, sched, stop, writer if (
-            delta is None or analysis.stays_linear(delta)) else None)
+        trace = mann.run_mann(target, mapping, x0, sched, stop, writer)
         columns = [trace.alphas, trace.residuals]
         columns += [trace.true_errors] * errors
         report = (None if delta is None

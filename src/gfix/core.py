@@ -34,7 +34,6 @@ import itertools
 import marshal
 import math
 import os
-import sys
 import tempfile
 import weakref
 from array import array
@@ -54,6 +53,7 @@ _RATIO_FLOOR = 1e-15  # denominator clamp for worst-ratio diagnostics
 MIN_TUPLES = 1000  # fewest witness tuples a range gets: 10-30 ms; a fork ~2 ms
 _CHUNK_TUPLES = 64  # witness tuples per chunk a check worker sends
 _BLOCK_VALUES = 32768  # doubles a row store keeps in memory: 256 KB
+MAX_COUNT = 10 ** 8  # most samples or steps a run takes; README gives its cost
 
 
 class DomainError(ValueError):
@@ -78,6 +78,16 @@ class GSpace:
     default_box: Box
 
 
+def check_count(n: int, what: str, low: int = 1) -> None:
+    """Raise a ValueError naming ``what`` unless ``n`` lies in
+    low..MAX_COUNT, so that a run that ``n`` counts ends in bounded
+    time."""
+    if n < low:
+        raise ValueError(f"{what} must be >= {low}")
+    if n > MAX_COUNT:
+        raise ValueError(f"{what} must be <= {MAX_COUNT}")
+
+
 class SamplePlan:
     """How to sample a space: seed, sample count, and the separation
     below which strict-inequality axioms are not checked.  Points are
@@ -87,8 +97,7 @@ class SamplePlan:
 
     def __init__(self, seed: int, count: int,
                  min_separation: float = 1e-3):
-        if count < 1:
-            raise ValueError("count must be >= 1")
+        check_count(count, "count")
         sep = min_separation
         if not math.isfinite(sep) or not 0.0 <= sep:
             raise ValueError(
@@ -506,8 +515,6 @@ def sample_tuples(space: GSpace, plan: SamplePlan,
     box, seed = space.default_box, plan.seed
     draw, sep, count = space.draw, plan.min_separation, plan.count
     extra = list(structured(structured_points(space)))
-    if count > sys.maxsize - len(extra):  # no index could reach the last
-        raise ValueError(f"count must be <= {sys.maxsize - len(extra)}")
     dim = 1 if draw is nonzero_draw else len(box)
     width = points + _SPARE_DRAWS * (draw is nonzero_draw and not weights)
     bounds = box[:dim] * width + ((0.0, 1.0),) * bool(weights)

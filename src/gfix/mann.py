@@ -15,7 +15,7 @@ from itertools import chain
 
 from .contractions import Mapping
 from .convexity import ConvexGSpace
-from .core import DomainError, GSpace, Point, Rows, Sized
+from .core import DomainError, GSpace, Point, Rows, Sized, check_count
 
 OVERFLOW_GUARD = 1e150
 
@@ -75,21 +75,20 @@ def explicit_schedule(values: Sequence[float]) -> StepSchedule:
 
 def step_range(sched: StepSchedule, n: int) -> range:
     """range(n), once n is a step count that ``sched`` can drive."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_count(n, "n", 0)
     if sched.limit is not None and n > sched.limit:
         raise ValueError(f"explicit schedule has only {sched.limit} values")
     return range(n)
 
 
 class StoppingRule:
-    """Stop after max_iters >= 1 steps or at a residual <= residual_tol."""
+    """Stop after max_iters steps, 1 .. ``core.MAX_COUNT``, or at a
+    residual <= residual_tol."""
 
     __slots__ = ("max_iters", "residual_tol")
 
     def __init__(self, max_iters: int = 10000, residual_tol: float = 1e-10):
-        if max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        check_count(max_iters, "max_iters")
         if not 0 <= residual_tol < math.inf:
             raise ValueError("residual_tol must be finite and >= 0")
         self.max_iters, self.residual_tol = max_iters, residual_tol

@@ -139,11 +139,25 @@ def test_nan_min_separation_exits_two_promptly():
     ("bound --delta 0.5 --schedule explicit:1;0.5 --max-iters 2 "
      "--config cfg:alpha=0.9",
      "error: --alpha needs --schedule constant, got 'explicit:1;0.5'"),
-    # a count whose last witness tuple no index can hold draws nothing
+    # a count above core.MAX_COUNT draws and iterates nothing
     ("check-axioms --space perimeter-1 --samples 100000000000000000000",
-     "error: count must be <= 9223372036854775749"),
+     "error: count must be <= 100000000"),
     ("check-convexity --space perimeter-1 --samples 9223372036854775807",
-     "error: count must be <= 9223372036854775767"),
+     "error: count must be <= 100000000"),
+    ("check-axioms --space perimeter-1 --samples 100000001",
+     "error: count must be <= 100000000"),
+    ("check-derived --space perimeter-1 --samples 100000001",
+     "error: count must be <= 100000000"),
+    ("check-convexity --space max-1 --samples 100000001",
+     "error: count must be <= 100000000"),
+    ("check-condition --space perimeter-1 --mapping affine:k=0.5 "
+     "--condition four-term --coeff a=0.5,b=0,c=0,d=0 --samples 100000001",
+     "error: count must be <= 100000000"),
+    ("iterate --space perimeter-1 --mapping affine:k=0.5 "
+     "--max-iters 100000001",
+     "error: max_iters must be <= 100000000"),
+    ("bound --delta 0.5 --max-iters 100000001",
+     "error: n must be <= 100000000"),
 ])
 def test_error_exit_message(args, line, tmp_path, capsys):
     argv = []

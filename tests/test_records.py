@@ -16,6 +16,8 @@ import pytest
 
 import gfix
 from gfix import ConditionKind, ContractionSpec, SamplePlan, StoppingRule
+from gfix.core import MAX_COUNT
+from gfix.mann import step_range
 
 
 def test_only_the_records_the_tracer_rebuilds_are_dataclasses():
@@ -41,7 +43,11 @@ CHECKED = [
      "min_separation", math.nan),
     (SamplePlan, {"seed": 1, "count": 5, "min_separation": 1e-3},
      "min_separation", -1.0),
+    (SamplePlan, {"seed": 1, "count": 5, "min_separation": 1e-3},
+     "count", MAX_COUNT + 1),
     (StoppingRule, {"max_iters": 10, "residual_tol": 0.0}, "max_iters", 0),
+    (StoppingRule, {"max_iters": 10, "residual_tol": 0.0},
+     "max_iters", MAX_COUNT + 1),
     (StoppingRule, {"max_iters": 10, "residual_tol": 0.0},
      "residual_tol", math.inf),
     (ContractionSpec, {"kind": ConditionKind.K_SUM,
@@ -77,3 +83,12 @@ def test_no_way_of_building_a_record_takes_a_bad_value(cls, good, field, bad):
             continue
         pytest.fail(f"{way} built {cls.__name__} with {field}={bad!r}: "
                     f"{getattr(built, field)!r}")
+
+
+def test_a_count_on_the_cap_is_taken():
+    # a plan, a rule and a step range check their counts and run nothing
+    assert SamplePlan(seed=1, count=MAX_COUNT).count == MAX_COUNT
+    assert StoppingRule(max_iters=MAX_COUNT).max_iters == MAX_COUNT
+    assert len(step_range(gfix.harmonic_schedule(), MAX_COUNT)) == MAX_COUNT
+    with pytest.raises(ValueError, match=f"^n must be <= {MAX_COUNT}$"):
+        step_range(gfix.harmonic_schedule(), MAX_COUNT + 1)

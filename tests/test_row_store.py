@@ -17,7 +17,6 @@ import operator
 import os
 import tempfile
 from array import array
-from itertools import accumulate
 
 import pytest
 
@@ -41,14 +40,36 @@ LATE_LOG = ["iterate", "--space", "perimeter-1", "--mapping", "affine:k=0",
             "--x0", "1", "--max-iters", "40", "--condition", "four-term",
             "--coeff", "a=0,b=0,c=0,d=0"]
 # T = 0 at alpha 0.5 halves x_n, as fast as any delta's bound allows;
-# four-term with b = c = d = 0 has delta a, and below 1e-8 the chain may
-# go to log space, so no writer forks
+# four-term with b = c = d = 0 has delta a
 TINY = ["iterate", "--space", "perimeter-3", "--mapping", "affine:k=0",
         "--x0", "1,2,3", "--max-iters", "40"]
 
 
 def four_term(a):
     return ["--condition", "four-term", "--coeff", f"a={a!r},b=0,c=0,d=0"]
+
+
+def explicit(*runs):
+    """An explicit schedule of (alpha, count) runs."""
+    return "explicit:" + ";".join(";".join([a] * n) for a, n in runs)
+
+
+# delta 7e-9 and alpha 1 - 1e-9 at step 16 give a factor below 1e-8 that
+# leaves B far above underflow: the first factor of a 16-row block, and
+# every row its own block at a block of 1 or 7 values (perimeter-1 rows
+# are 4 wide); residual-tol 0 keeps the run going after it
+BOUNDARY = ["iterate", "--space", "perimeter-1", "--mapping", "affine:k=0",
+            "--schedule", explicit(("0.3", 16), ("0.999999999", 1),
+                                   ("0.3", 23)),
+            "--x0", "1", "--max-iters", "40", "--residual-tol", "0",
+            *four_term(7e-9)]
+# the alpha 1 of the last recorded row, x_30, is never stepped, so only
+# the writer's chain meets its factor below 1e-8
+LAST_ROW = LATE_LOG[:6] + [explicit(("0.3", 30), ("1", 1)), "--x0", "1",
+                           "--max-iters", "30", *four_term(7e-9)]
+# 0.1 a step: B_n underflows to 0 at n = 324, then the alpha 1 of step
+# 400 makes a factor below 1e-8; x_0 = 1e100 keeps x_n above underflow
+UNDERFLOW = explicit(("0.9", 400), ("1", 1))
 
 
 # 1 - (1 - delta) just below and just above 1e-8: every 1 - c near 1e-8
@@ -70,10 +91,18 @@ CASES = {
     "explicit-past-stop": (PAST_STOP, 0),
     "explicit-late-log-space": (LATE_LOG, 0),
     # delta 7e-9: linear while alpha <= 0.5, log space from the alpha 1
-    # of step 30, after the writer would have covered blocks
+    # of step 30, after the writer has covered blocks
     "explicit-tiny-delta-late-log-space": (LATE_LOG[:-1] + [
         "a=7e-9,b=0,c=0,d=0"], 0),
     "iterate-tiny-delta-stays-linear": (TINY + four_term(1e-10), 0),
+    "explicit-switch-on-a-block-boundary": (BOUNDARY, 0),
+    "explicit-switch-at-the-last-row": (LAST_ROW, 0),
+    "bound-underflow-before-late-log-space": (
+        ["bound", "--delta", "1e-10", "--schedule", UNDERFLOW,
+         "--max-iters", "401"], 0),
+    "iterate-underflow-before-late-log-space": (
+        LATE_LOG[:6] + [UNDERFLOW, "--x0", "1e100", "--max-iters", "401",
+                        "--residual-tol", "0", *four_term(1e-10)], 0),
 }
 
 
@@ -137,36 +166,38 @@ def test_an_iterate_forks_one_writer_at_most(cpus, forks, monkeypatch,
     assert code == 0 and len(forks) == (cpus > 1)
 
 
-@pytest.mark.parametrize("delta, writers", [(0.5, 1), (0.0, 0), (BELOW, 0)])
-def test_a_writer_forks_only_where_the_chain_stays_linear(
-        delta, writers, forks, monkeypatch, capsys, tmp_path):
+# one writer whatever delta is, 0 and below 1e-8 too
+@pytest.mark.parametrize("delta", [0.5, 0.0, BELOW])
+def test_a_writer_forks_for_every_delta(delta, forks, monkeypatch, capsys,
+                                        tmp_path):
     code, _, _ = run(monkeypatch, capsys, tmp_path, TINY + four_term(delta),
                      2, 7)
-    assert code == 0 and len(forks) == writers
+    assert code == 0 and len(forks) == 1
 
 
 @pytest.mark.parametrize("delta, linear", [(BELOW, False), (ABOVE, True)])
 def test_stays_linear_at_its_boundary(delta, linear):
     assert 1.0 - (1.0 - delta) == delta and (delta < 1e-8) is not linear
-    assert analysis.stays_linear(delta) is linear
     # alpha 1 gives the factor delta: B_1 is delta only in linear space
     rows = analysis._rate_chain(delta, lambda: iter([1.0, 0.5]))
     assert (rows.column(2)[1] == delta) is linear
 
 
-# a delta whose chain may go to log space forks no writer, so the text of
-# LATE_LOG (delta 0) is all formatted after the run
-@pytest.mark.parametrize("args, written", [(ITERATE + BOUNDS, True),
-                                           (ITERATE, True),
-                                           (LATE_LOG, False)])
-def test_the_writer_text_is_dropped_after_log_space(
-        args, written, monkeypatch, capsys, tmp_path):
+# the writer carries the chain's state from block to block, so it covers
+# a chain that goes to log space after its first block as well
+@pytest.mark.parametrize("case", [
+    "iterate", "iterate-no-bound", "explicit-late-log-space",
+    "explicit-switch-on-a-block-boundary", "explicit-switch-at-the-last-row",
+    "iterate-underflow-before-late-log-space"])
+@pytest.mark.parametrize("block", [7, 64])
+def test_the_writer_text_is_used_after_log_space(
+        case, block, monkeypatch, capsys, tmp_path):
     kinds = []
     real = cli._write_lines
     monkeypatch.setattr(cli, "_write_lines", lambda path, lines: kinds.append(
         type(lines)) or real(path, lines))
-    assert run(monkeypatch, capsys, tmp_path, args, 2, 64)[0] == 0
-    assert kinds[0] is (cli._Written if written else core.Sized)
+    assert run(monkeypatch, capsys, tmp_path, CASES[case][0], 2, block)[0] == 0
+    assert kinds[0] is cli._Written
 
 
 class PoisonedRows:
@@ -246,17 +277,22 @@ def test_an_interrupted_run_closes_its_files_and_reaps_the_writer(
     assert len(forks) == 1 and all(f.closed for f in spills)
 
 
-def old_chain(delta, alphas):
-    """Factors and products as the array-based chain built them."""
+def reference_chain(delta, alphas):
+    """Factors and products in whole arrays, one factor at a time: linear
+    up to the first factor below 1e-8, then exp of a sum of logs from
+    log B_k there, -inf where B_k is 0.  Where that factor is the first,
+    or there is none, these are the arrays the array-based chain built."""
     alphas = array("d", alphas)
     factors = array("d", (1.0 - a * (1.0 - delta) for a in alphas))
-    if min(factors, default=1.0) < 1e-8:
-        products, log_b = array("d", [1.0]), 0.0
-        for f in factors:
+    products, log_b = array("d", [1.0]), None
+    for f in factors:
+        if log_b is None and f < 1e-8:
+            log_b = math.log(products[-1]) if products[-1] else -math.inf
+        if log_b is None:
+            products.append(products[-1] * f)
+        else:
             log_b = log_b + math.log(f) if f else -math.inf
             products.append(math.exp(log_b))
-    else:
-        products = array("d", accumulate(factors, operator.mul, initial=1.0))
     return alphas, factors, products
 
 
@@ -293,7 +329,7 @@ def test_library_columns_equal_the_old_arrays(
     assert array("d", trace.true_errors) == array(
         "d", (g(p, (1.0, -2.0), (1.0, -2.0)) for p in points))
 
-    _, _, products = old_chain(delta, trace.alphas[:len(trace) - 1])
+    _, _, products = reference_chain(delta, trace.alphas[:len(trace) - 1])
     bounds = array("d", (b * trace.true_errors[0] for b in products))
     report = gfix.verify_bound(trace, delta)
     assert array("d", gfix.trace_products(trace, delta)) == products
@@ -303,25 +339,25 @@ def test_library_columns_equal_the_old_arrays(
 
     n = len(trace) - 1 if sched.limit else steps
     rb = gfix.product_bound(delta, sched, n)
-    old = old_chain(delta, map(sched.alpha_at, range(n)))
+    old = reference_chain(delta, map(sched.alpha_at, range(n)))
     assert (array("d", rb.alphas), array("d", rb.factors),
             array("d", rb.products)) == old
 
 
 # the factor 1 - 1.0*(1 - delta) of row 3000 sends the chain to log space
-# for delta 1e-10 and 0, after three linear chunks; for 0.5 it stays linear
+# for delta 1e-10 and 0, after two whole linear chunks and mid-way through
+# the third; for 0.5 it stays linear
 MID_CHAIN = [0.3] * 3000 + [1.0] + [0.2] * 2000
 
 
 @pytest.mark.parametrize("delta", [1e-10, 0.0, 0.5])
-def test_a_chain_restarted_mid_way_equals_the_old_arrays(delta):
-    alphas, factors, products = old_chain(delta, MID_CHAIN)
+def test_a_chain_switched_mid_way_equals_its_reference(delta):
+    alphas, factors, products = reference_chain(delta, MID_CHAIN)
     rb = gfix.product_bound(delta, gfix.explicit_schedule(MID_CHAIN),
                             len(MID_CHAIN))
     assert (array("d", rb.alphas), array("d", rb.factors),
             array("d", rb.products)) == (alphas, factors, products)
     rows = analysis._rate_chain(delta, lambda: iter(MID_CHAIN))
-    assert analysis.stays_linear(delta) is (delta == 0.5)
     assert rows.width == 3
     assert array("d", rows.column(2)) == products
     # a trace of these step sizes: its bound and slack views over the chain
@@ -335,6 +371,29 @@ def test_a_chain_restarted_mid_way_equals_the_old_arrays(delta):
         "d", map(operator.sub, bounds, errors))
 
 
+# the alpha 1 of step 30 gives a factor below 1e-8 that leaves B far above
+# underflow at delta 5e-9 and 1e-10; after 324 steps of 0.9, B is 0 first
+SWITCH = [0.3] * 30 + [1.0] + [0.2] * 20
+
+
+@pytest.mark.parametrize("delta, alphas", [
+    (5e-9, SWITCH), (1e-10, SWITCH), (1e-10, [0.9] * 400 + [1.0, 0.5])],
+    ids=["switch-5e-9", "switch-1e-10", "underflow-first"])
+def test_a_chain_in_blocks_equals_one_piece(delta, alphas):
+    whole = analysis._chain(alphas, delta, 1.0, None)
+    # the switch is the first or the last factor of a block of 1, 2 or 30
+    # or 31, and inside one of 7 or 64
+    for size in (1, 2, 7, 30, 31, 64):
+        state, factors, products = (1.0, None), array("d"), array("d")
+        for at in range(0, len(alphas), size):
+            f, p, state = analysis._chain(alphas[at:at + size], delta, *state)
+            factors += f
+            products += p
+        assert (factors, products, state) == whole
+
+
+# the factor 1e-10 of step 0 sends the chain to log space, where it
+# stays, with no second read
 @pytest.mark.parametrize("delta, log_space", [(0.5, False), (1e-10, True)])
 def test_a_chain_reads_its_step_sizes_once_unless_it_restarts(delta,
                                                               log_space):
@@ -342,12 +401,8 @@ def test_a_chain_reads_its_step_sizes_once_unless_it_restarts(delta,
     sched = mann.StepSchedule("harmonic", lambda k: calls.append(k) or
                               1.0 / (k + 1), True)
     rb = gfix.product_bound(delta, sched, n)
-    assert len(rb.products) == n + 1
-    if log_space:  # factor 1e-10 at step 0: one chunk, then the whole chain
-        assert n < len(calls) <= n + 1024
-        assert calls[-n:] == list(range(n))
-    else:
-        assert calls == list(range(n))
+    assert len(rb.products) == n + 1 and calls == list(range(n))
+    assert (rb.products[1] != rb.factors[0]) is log_space
 
 
 def spy_reads(monkeypatch):
@@ -423,7 +478,7 @@ def test_a_pass_reads_each_block_once(long_trace, monkeypatch):
 
 
 # delta 0.5 stays linear; delta 0 meets the zero factor 1 - 1.0 at step
-# 0, so the chain is built twice, the second time in log space
+# 0, so the chain goes to log space there
 @pytest.mark.parametrize("delta", [0.5, 0.0], ids=["linear", "log-space"])
 def test_a_bound_reads_the_first_error_once(long_trace, delta, monkeypatch):
     trace = long_trace

@@ -99,9 +99,14 @@ MUTANTS = [
      "ge passes a value 1e-12 short of its bound",
      ["tests/test_core.py"]),
     ("src/gfix/core.py",
-     "if count < 1:",
-     "if False:",
-     "SamplePlan takes a count below 1",
+     'check_count(count, "count")',
+     'check_count(count, "count", 0)',
+     "SamplePlan takes a count of 0",
+     ["tests/test_records.py"]),
+    ("src/gfix/core.py",
+     "if n > MAX_COUNT:",
+     "if n >= MAX_COUNT:",
+     "a count exactly at the cap is rejected",
      ["tests/test_records.py"]),
     ("src/gfix/core.py",
      "file.seek(8 * start)",
@@ -135,9 +140,30 @@ MUTANTS = [
      "a CSV range's data rows start at its line index, not past the head",
      ["tests/test_csv_ranges.py"]),
     ("src/gfix/analysis.py",
-     "1.0 - (1.0 - delta) >= _LOGSPACE_TRIGGER",
-     "1.0 - (1.0 - delta) >= _LOGSPACE_TRIGGER / 2",
-     "stays_linear holds down to 5e-9, so a writer serves a log-space chain",
+     "k = next(i for i, f",
+     "k = next(i + 1 for i, f",
+     "the chain switches to log space one row late",
+     ["tests/test_row_store.py"]),
+    ("src/gfix/analysis.py",
+     "return factors, products, (b, log_b)",
+     "return factors, products, (b, None)",
+     "log space is not carried into the next block",
+     ["tests/test_row_store.py"]),
+    ("src/gfix/analysis.py",
+     "products.append(b := math.exp(log_b))",
+     "products.append(math.exp(log_b))",
+     "after a switch the chain's state keeps the last linear B, so the "
+     "writer pairs the next block's first row with it",
+     ["tests/test_row_store.py"]),
+    ("src/gfix/analysis.py",
+     "log_b = math.log(b) if b else -math.inf",
+     "log_b = 0.0 if b else -math.inf",
+     "a late switch starts the log sum at 0, not at log B_k",
+     ["tests/test_analysis.py"]),
+    ("src/gfix/analysis.py",
+     "log_b = math.log(b) if b else -math.inf",
+     "log_b = math.log(b)",
+     "a late switch takes the log of a B that underflowed to 0",
      ["tests/test_row_store.py"]),
     ("src/gfix/cli.py",
      "e0 = e[0] if at == 0 else e0",
@@ -220,8 +246,8 @@ MUTANTS = [
      "three-term's region residual 1/2 - a widened to 1 - a",
      ["tests/test_contractions.py"]),
     ("src/gfix/mann.py",
-     "if max_iters < 1:",
-     "if max_iters < 0:",
+     'check_count(max_iters, "max_iters")',
+     'check_count(max_iters, "max_iters", 0)',
      "StoppingRule takes max_iters 0",
      ["tests/test_records.py"]),
     ("src/gfix/mann.py",
@@ -263,14 +289,7 @@ MUTANTS = [
 
 # (file, old, new, why): mutants no input can tell from the source, so
 # they are not run; each snippet must still occur exactly once
-EQUIVALENT = [
-    ("src/gfix/analysis.py",
-     "1.0 - (1.0 - delta) >= _LOGSPACE_TRIGGER",
-     "1.0 - (1.0 - delta) > _LOGSPACE_TRIGGER",
-     "stays_linear's >= as >: every 1 - c near 1e-8 is a multiple of "
-     "2**-53, and 1e-8 * 2**53 is not an integer, so no delta reaches "
-     "the boundary"),
-]
+EQUIVALENT = []
 
 
 def run(file: str, old: str, new: str, tests: list) -> bool:
