@@ -22,6 +22,7 @@ from .core import CheckReport, Point, Rows, Sized, evaluate, le, le_tol
 from .mann import IterationTrace, StepSchedule, step_range
 
 _LOGSPACE_TRIGGER = 1e-8  # switch to log accumulation below this factor
+_FLOOR_ULPS = 4  # ulps per coordinate of u in the rounding floor of e_n
 
 
 RateBound = namedtuple("RateBound", "factors products alphas")
@@ -97,9 +98,16 @@ def verify_bound(trace: IterationTrace, delta: float,
                  tol: float = 1e-9) -> BoundReport:
     """Check the cumulative bound against a trace's true errors e_n.
 
-    A step fails where its slack is NaN or below -tol*max(1, bound_n):
-    ``core.le_tol``'s rule for e_n <= bound_n, as rounding in B_n*e_0
-    grows with the bound.  Only a ``min_slack`` below -tol reads it.
+    A step fails where its slack is NaN or below -(tol*max(1, bound_n)
+    + floor): ``core.le_tol``'s rule for e_n <= bound_n, as rounding in
+    B_n*e_0 grows with the bound, plus a floor for e_n, which rounding
+    keeps from reaching 0.  The floor is G(u, v, v), v the trace's
+    ``fixed_point`` u moved 4 ulps toward 0 per coordinate, or 0 where u
+    is None.  A step's blend rounds its two products and its sum, and T
+    rounds once more, each by up to half an ulp near u: so x_n can stop
+    2 ulps from u, where a step of less than that is rounded away, and
+    the floor takes twice that.  Only a ``min_slack`` below -(tol +
+    floor) reads the rule.
 
     Raises for delta >= 1: a non-contracting factor makes any `holds`
     verdict meaningless, and for a ``tol`` that is not finite and >= 0:
@@ -110,6 +118,11 @@ def verify_bound(trace: IterationTrace, delta: float,
     errors = trace.true_errors
     if errors is None:
         raise ValueError("trace has no true errors (fixed point unknown)")
+    u, floor = trace.fixed_point, 0.0
+    if u is not None:
+        # toward 0, so that v stays finite
+        v = tuple(c - math.copysign(_FLOOR_ULPS * math.ulp(c), c) for c in u)
+        floor = trace.space.g(u, v, v)
     products, e0 = trace_products(trace, delta), errors[0]
     bounds = Sized(len(products), lambda a, b: map(
         operator.mul, products[a:b], repeat(e0)))
@@ -117,8 +130,8 @@ def verify_bound(trace: IterationTrace, delta: float,
         operator.sub, bounds[a:b], errors[a:b]))
     # min() passes over a NaN slack; a NaN must fail the bound instead
     min_slack = math.nan if any(map(math.isnan, slacks)) else min(slacks)
-    holds = min_slack >= -tol or (min_slack < -tol and max(
-        map(le_tol, errors, bounds, repeat(tol))) <= 0.0)
+    holds = min_slack >= -tol - floor or (min_slack < -tol - floor and max(
+        map(le_tol, errors, bounds, repeat(tol))) <= floor)
     return BoundReport(slacks, min_slack, holds, bounds)
 
 

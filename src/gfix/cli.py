@@ -162,7 +162,8 @@ _TYPES = {name: kind for name, kind, _ in _OPTIONS}
 class Settings:
     """One command's option values: explicit flags win over the config
     file, which wins over the command's defaults.  Each is converted once,
-    read or not; ``values`` keep their given form for the config line.
+    read or not, and the config line echoes the converted value, so a
+    file's ``samples=010`` echoes as the flag's ``--samples 010`` does.
     The config file is flat ``key=value`` lines of the command's own
     option names; '#' starts a comment.  ``given`` holds the names that a
     flag or the file set."""
@@ -178,9 +179,8 @@ class Settings:
             file = _pairs(lines, f" in {args.config}", own)
         flags = {name: value for name in own if
                  (value := getattr(args, name.replace("-", "_"))) is not None}
-        self.values = {**own, **file, **flags}
         self.given, self.typed = {*file, *flags}, {}
-        for name, value in self.values.items():  # in _OPTIONS order
+        for name, value in {**own, **file, **flags}.items():  # _OPTIONS order
             if own[name] is _REQUIRED and value in (_REQUIRED, ""):
                 raise ConfigError(f"--{name} is required")
             self.typed[name] = (None if value is None
@@ -192,7 +192,7 @@ class Settings:
 
     def config_line(self) -> str:
         return "# config: " + " ".join(
-            f"{k}={v}" for k, v in sorted(self.values.items()) if v is not None)
+            f"{k}={v}" for k, v in sorted(self.typed.items()) if v is not None)
 
 
 def _csv(head: list, template: str, columns: tuple) -> core.Sized:
@@ -348,11 +348,19 @@ def _schedule(settings: Settings) -> mann.StepSchedule:
     return parse_schedule(text, settings.get("alpha"))
 
 
+def _count(settings: Settings, name: str, low: int = 1) -> int:
+    """The count ``name`` once it lies in low..``core.MAX_COUNT``; an
+    error names its flag."""
+    n = settings.get(name)
+    core.check_count(n, f"--{name}", low)
+    return n
+
+
 def _cmd_check(args: argparse.Namespace, settings: Settings) -> int:
     cmd = args.command
     space = _space(settings, convex=cmd == "check-convexity")
     plan = SamplePlan(seed=settings.get("seed"),
-                      count=settings.get("samples"),
+                      count=_count(settings, "samples"),
                       min_separation=settings.get("min-separation"))
     tol = settings.get("tol")
     if cmd == "check-axioms":
@@ -376,7 +384,7 @@ def _cmd_iterate(args: argparse.Namespace, settings: Settings) -> int:
     mapping = parse_mapping(settings.get("mapping"), space.dim)
     sched = _schedule(settings)
     x0 = _coords(settings.get("x0"), "--x0", space.dim, ",")
-    stop = mann.StoppingRule(max_iters=settings.get("max-iters"),
+    stop = mann.StoppingRule(max_iters=_count(settings, "max-iters"),
                              residual_tol=settings.get("residual-tol"))
 
     warnings, delta = [], None
@@ -435,7 +443,8 @@ def _cmd_iterate(args: argparse.Namespace, settings: Settings) -> int:
 def _cmd_bound(args: argparse.Namespace, settings: Settings) -> int:
     delta = settings.get("delta")
     sched = _schedule(settings)
-    rb = analysis.product_bound(delta, sched, settings.get("max-iters"))
+    rb = analysis.product_bound(delta, sched,
+                                _count(settings, "max-iters", 0))
     _write_lines(args.out, _csv(
         ["n,alpha_n,factor,B_n", "0,,,%.17g" % rb.products[0]],
         "%d,%.17g,%.17g,%.17g", (range(1, len(rb.products)), rb.alphas,

@@ -131,21 +131,27 @@ class Collector:
     rank the margin, or +inf for a NaN or +-inf margin, whose id gains
     ``:non-finite``: the 10 worst violations, ties in the order first
     seen, or placeholders of rank 0; a row enters above ``worst[0]``
-    alone.  ``report`` changes nothing and makes a ``Violation`` of each
-    survivor.  A non-finite margin makes ``worst_margin`` +inf, or NaN
-    for good once a NaN margin is seen, and ``worst_ratio``, when ratios
-    are noted, the same.
+    alone.  With ``ratio``, ``record`` also notes lhs / max(rhs, 1e-15),
+    NaN for a NaN rhs: the first enters ``worst_ratio``, a later one only
+    when strictly larger, and a NaN stays.  ``report`` changes nothing
+    and makes a ``Violation`` of each survivor.  A non-finite margin
+    makes ``worst_margin`` +inf, or NaN for good once a NaN margin is
+    seen, and a noted ``worst_ratio`` the same.
     """
 
-    def __init__(self):
+    def __init__(self, ratio: bool = False):
         self.total = self.count = 0
         self.worst = [(0.0, 0, "", (), 0.0, 0.0, 0.0)] * _KEEP_WORST
         self.worst_margin = -math.inf
-        self.worst_ratio: float | None = None
+        self.ratio, self.worst_ratio = ratio, None
 
     def record(self, check_id: str, witness: tuple, lhs: float, rhs: float,
                margin: float) -> None:
         self.total += 1
+        if self.ratio:
+            q = lhs / max(rhs, _RATIO_FLOOR)  # NaN for a NaN rhs
+            if self.worst_ratio is None or q > self.worst_ratio:
+                self.worst_ratio = q
         if margin > self.worst_margin or margin != margin:
             self.worst_margin = margin
         if -math.inf < margin <= 0.0:
@@ -397,10 +403,11 @@ def evaluate(items: Sequence, inequalities: Callable, tol: float,
     a ``Sized`` or a list, of which a range reads ``items[start:stop]``.
 
     ``inequalities(*t)`` returns or yields ``(form, check_id, witness,
-    lhs, rhs)`` rows; a row's margin is ``form(lhs, rhs, tol)``.  With
-    ``ratio`` the report also carries the worst lhs/rhs ratio.  ``tol``
-    lies in [0, 1): below, equalities fail; above, slack exceeds values.
-    It is checked first, so a bad one makes no range and draws nothing.
+    lhs, rhs)`` rows; a row's margin is ``form(lhs, rhs, tol)``.  Every
+    row goes through ``Collector(ratio).record``, so with ``ratio`` the
+    report also carries the worst lhs/rhs ratio.  ``tol`` lies in [0, 1):
+    below, equalities fail; above, slack exceeds values.  It is checked
+    first, so a bad one makes no range and draws nothing.
 
     The tuples run in ``forked_ranges`` of ``MIN_TUPLES`` or more.  A
     worker sends its rows in chunks of ``_CHUNK_TUPLES`` tuples, a passing
@@ -409,22 +416,13 @@ def evaluate(items: Sequence, inequalities: Callable, tol: float,
     """
     if not 0.0 <= tol < 1.0:
         raise ValueError(f"tol must be in [0, 1), got {tol}")
-    col = Collector()
+    col = Collector(ratio)
     record, rows = col.record, []
 
-    if ratio:  # the first ratio enters, a later one when strictly larger
-        def keep(check_id, witness, lhs, rhs, margin):
-            record(check_id, witness, lhs, rhs, margin)
-            q = lhs / max(rhs, _RATIO_FLOOR)  # NaN for a NaN rhs
-            if col.worst_ratio is None or q > col.worst_ratio:
-                col.worst_ratio = q
-    else:
-        keep = record
-
-    def run(witnesses, keep=keep):
+    def run(witnesses, out):
         for t in witnesses:
             for form, check_id, witness, lhs, rhs in inequalities(*t):
-                keep(check_id, witness, lhs, rhs, form(lhs, rhs, tol))
+                out(check_id, witness, lhs, rhs, form(lhs, rhs, tol))
 
     def send(check_id, witness, lhs, rhs, margin):
         # record reads no witness of a row that passes
@@ -440,10 +438,10 @@ def evaluate(items: Sequence, inequalities: Callable, tol: float,
 
     def take(rows):
         for row in rows:
-            keep(*row)
+            record(*row)
 
     forked_ranges(len(items), MIN_TUPLES, work,
-                  lambda start, stop: run(items[start:stop]), take)
+                  lambda start, stop: run(items[start:stop], record), take)
     return col.report()
 
 

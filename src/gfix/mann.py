@@ -96,22 +96,24 @@ class StoppingRule:
 
 class IterationTrace:
     """Full record of one run: iterates ``points``, step sizes, residuals
-    G(x_n, Tx_n, Tx_n) and, when the fixed point is known, true errors
+    G(x_n, Tx_n, Tx_n) and, when the fixed point u is known, true errors
     G(x_n, u, u).  The columns are parallel; entry n describes x_n.
     ``run_mann`` gives each as a ``core.Sized`` over one row store, the
-    points read from its first ``space.dim`` columns; a hand-built trace
-    may leave them None.  Two traces are equal when all fields are."""
+    points read from its first ``space.dim`` columns, and records the
+    mapping's ``fixed_point``; a hand-built trace may leave them None.
+    Two traces are equal when all fields are."""
 
     __slots__ = ("space", "alphas", "residuals", "true_errors", "status",
-                 "points")
+                 "points", "fixed_point")
 
     def __init__(self, space: GSpace, alphas: Sequence[float],
                  residuals: Sequence[float],
                  true_errors: Sequence[float] | None, status: str,
-                 points: Sequence[Point] | None = None):
+                 points: Sequence[Point] | None = None,
+                 fixed_point: Point | None = None):
         self.space, self.alphas, self.residuals = space, alphas, residuals
         self.true_errors, self.status = true_errors, status
-        self.points = points
+        self.points, self.fixed_point = points, fixed_point
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -176,4 +178,4 @@ def run_mann(cs: ConvexGSpace, T: Mapping, x0: Point, sched: StepSchedule,
         space, rows.column(dim), rows.column(dim + 1),
         rows.column(dim + 2) if u is not None else None, status,
         Sized(len(rows), lambda a, b: chain.from_iterable(
-            zip(*block) for block in rows.read(a, b, range(dim)))))
+            zip(*block) for block in rows.read(a, b, range(dim)))), u)

@@ -236,6 +236,30 @@ def test_a_tight_bound_holds_far_from_its_fixed_point(
     assert code == 0
 
 
+# x_n stops 2 ulps of the center from it, where a step is rounded away,
+# while B_n*e_0 goes on to 0: only the floor for e_n, G(u, v, v) with v
+# 4 ulps from u, holds the bound; a floor of 1 ulp fails it
+@pytest.mark.parametrize("center, x0, min_slack", [
+    ("1e9", "1000000001", "-4.76837158203125e-07"),
+    ("-1e9", "-999999999", "-4.76837158203125e-07"),
+    ("1e12", "1000000000001", "-0.00048828125"),
+    ("-1e12", "-999999999999", "-0.00048828125"),
+    ("1e15", "1000000000000001", "-0.5"),
+    ("-1e15", "-999999999999999", "-0.5"),
+])
+def test_a_tight_bound_holds_near_a_far_fixed_point(
+        center, x0, min_slack, tmp_path, capsys):
+    code = main(["iterate", "--space", "perimeter-1", "--mapping",
+                 f"affine:k=0.5,center={center}", f"--x0={x0}",
+                 "--schedule", "constant", "--max-iters", "200",
+                 "--residual-tol", "0", "--condition", "four-term",
+                 "--coeff", "a=0.5,b=0,c=0,d=0",
+                 "--out", str(tmp_path / "t.csv")])
+    out = capsys.readouterr().out.splitlines()
+    assert "bound_holds: true" in out and f"min_slack: {min_slack}" in out
+    assert code == 0
+
+
 def test_a_false_premise_still_fails_the_bound(tmp_path, capsys):
     # the map contracts at its k = 0.12, not at the claimed delta 0.102,
     # and the slack falls to -0.276, far below the relative allowance

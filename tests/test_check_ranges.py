@@ -65,7 +65,8 @@ def each_range_count(forks, monkeypatch, capsys, args):
     return one
 
 
-@pytest.mark.parametrize("args, code", [
+# each check command, passing and failing
+CHECKS = [
     (["check-axioms", "--space", "perimeter-3"], 0),
     # min-separation 1 makes the sampler reject about one draw in ten
     (["check-axioms", "--space", "sign-example", "--min-separation", "1"], 0),
@@ -76,7 +77,10 @@ def each_range_count(forks, monkeypatch, capsys, args):
       *FOUR_TERM], 0),
     (["check-condition", "--space", "perimeter-2", "--mapping", "affine:k=2",
       *FOUR_TERM], 1),
-])
+]
+
+
+@pytest.mark.parametrize("args, code", CHECKS)
 def test_every_range_count_gives_the_same_report(
         args, code, forks, monkeypatch, capsys):
     one = each_range_count(forks, monkeypatch, capsys,
@@ -152,14 +156,15 @@ def test_non_finite_values_past_range_zero(forks, monkeypatch):
     assert report.violations[0].witness[0] == quads[190][0]
 
 
-@pytest.mark.parametrize("args", [
-    ["check-axioms", "--space", "perimeter-3"],
-    ["check-condition", "--space", "perimeter-2", "--mapping", "affine:k=2",
-     *FOUR_TERM]])
+# every input of CHECKS, the passing check-axioms one and the failing
+# check-condition one first
+@pytest.mark.parametrize("args", [CHECKS[0][0], CHECKS[-1][0], *(
+    args for args, _ in CHECKS[1:-1])])
 def test_a_worker_sends_no_witness_of_a_passing_row(
         args, forks, monkeypatch, capsys):
     # record reads the witness of a failing row only; this process still
-    # records every row, passing ones with None for their witness
+    # records every row, once, passing ones from a worker with None for
+    # their witness
     seen = []
     record = core.Collector.record
 
@@ -168,12 +173,15 @@ def test_a_worker_sends_no_witness_of_a_passing_row(
         record(self, check_id, witness, lhs, rhs, margin)
     monkeypatch.setattr(core.Collector, "record", spy)
     one = run(monkeypatch, capsys, [*args, "--samples", "400"], 1)
-    assert not any(none for none, _ in seen)
-    seen.clear()
-    assert run(monkeypatch, capsys, [*args, "--samples", "400"], 2) == one
     assert f"total_checks: {len(seen)}\n" in one[1]
-    assert {passing for none, passing in seen if none} == {True}
-    assert not any(none for none, passing in seen if not passing)
+    assert not any(none for none, _ in seen)
+    for cpus in (2, 3):
+        seen.clear()
+        assert run(monkeypatch, capsys, [*args, "--samples", "400"],
+                   cpus) == one
+        assert f"total_checks: {len(seen)}\n" in one[1]
+        assert {passing for none, passing in seen if none} == {True}
+        assert not any(none for none, passing in seen if not passing)
 
 
 def offset_to_zero(space_key: str, index: int, samples: int) -> str:

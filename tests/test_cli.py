@@ -104,7 +104,7 @@ def test_nan_min_separation_exits_two_promptly():
      "error: explicit schedule has only 1 values"),
     ("bound --delta 0.5 --schedule power:0",
      "error: power schedule needs a finite p > 0"),
-    ("bound --delta 0.5 --max-iters -1", "error: n must be >= 0"),
+    ("bound --delta 0.5 --max-iters -1", "error: --max-iters must be >= 0"),
     ("check-condition --space perimeter-1 --mapping affine:k=0.5 "
      "--condition sum --coeff a=x,b=0",
      "error: --coeff a: expected float, got 'x'"),
@@ -141,23 +141,27 @@ def test_nan_min_separation_exits_two_promptly():
      "error: --alpha needs --schedule constant, got 'explicit:1;0.5'"),
     # a count above core.MAX_COUNT draws and iterates nothing
     ("check-axioms --space perimeter-1 --samples 100000000000000000000",
-     "error: count must be <= 100000000"),
+     "error: --samples must be <= 100000000"),
     ("check-convexity --space perimeter-1 --samples 9223372036854775807",
-     "error: count must be <= 100000000"),
+     "error: --samples must be <= 100000000"),
     ("check-axioms --space perimeter-1 --samples 100000001",
-     "error: count must be <= 100000000"),
+     "error: --samples must be <= 100000000"),
     ("check-derived --space perimeter-1 --samples 100000001",
-     "error: count must be <= 100000000"),
+     "error: --samples must be <= 100000000"),
     ("check-convexity --space max-1 --samples 100000001",
-     "error: count must be <= 100000000"),
+     "error: --samples must be <= 100000000"),
     ("check-condition --space perimeter-1 --mapping affine:k=0.5 "
      "--condition four-term --coeff a=0.5,b=0,c=0,d=0 --samples 100000001",
-     "error: count must be <= 100000000"),
+     "error: --samples must be <= 100000000"),
     ("iterate --space perimeter-1 --mapping affine:k=0.5 "
      "--max-iters 100000001",
-     "error: max_iters must be <= 100000000"),
+     "error: --max-iters must be <= 100000000"),
     ("bound --delta 0.5 --max-iters 100000001",
-     "error: n must be <= 100000000"),
+     "error: --max-iters must be <= 100000000"),
+    ("iterate --space perimeter-1 --mapping affine:k=0.5 --max-iters 0",
+     "error: --max-iters must be >= 1"),
+    ("check-axioms --space perimeter-1 --config cfg:samples=0",
+     "error: --samples must be >= 1"),
 ])
 def test_error_exit_message(args, line, tmp_path, capsys):
     argv = []
@@ -225,6 +229,25 @@ def test_seed_from_flag_or_config_file(tmp_path, capsys):
     assert run(["check-axioms", "--space", "perimeter-1", "--samples", "5",
                 "--config", str(cfg)]) == 0
     assert "seed=4" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, lines", [
+    ("check-axioms --space perimeter-1", ["min-separation=1", "samples=010"]),
+    ("iterate --space perimeter-1 --mapping affine:k=0.5",
+     ["residual-tol=0", "x0=2", "max-iters=03", "alpha=.5"]),
+])
+def test_a_file_value_echoes_as_the_same_flag(command, lines, tmp_path,
+                                              capsys):
+    # the config line echoes each value converted, whatever its source
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("".join(line + "\n" for line in lines))
+    flags = [f"--{line}" for line in lines]
+    echoed = []
+    for argv in (["--config", str(cfg)], flags):
+        assert run([*command.split(), *argv]) == 0
+        echoed += [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("# config: ")]
+    assert len(echoed) == 2 and echoed[0] == echoed[1]
 
 
 @pytest.mark.parametrize("args", [

@@ -219,6 +219,16 @@ def test_applicability_three_term_a_too_large():
     assert verdict.residuals["1/2-a"] == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("a, b, satisfied", [
+    # sum's region is a + 3b > 0 and 1 - (a + 3b) > 0, each strict
+    (0.25, 0.25, False), (0.125, 0.25, True), (0.0, 0.0, False),
+    (0.0, 0.25, True),
+])
+def test_applicability_sum_region_edges(a, b, satisfied):
+    spec = ContractionSpec(ConditionKind.SUM, {"a": a, "b": b})
+    assert gfix.check_applicability(spec).satisfied is satisfied
+
+
 def test_applicability_k_sum_boundary_is_strict():
     spec = ContractionSpec(ConditionKind.K_SUM, {"k": 1.0 / 3.0})
     assert not gfix.check_applicability(spec).satisfied

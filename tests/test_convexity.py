@@ -4,6 +4,7 @@
 import math
 
 import gfix
+from gfix import core
 
 PERIM2 = gfix.make_perimeter_space(2)
 PERIM1 = gfix.make_perimeter_space(1)
@@ -29,6 +30,24 @@ def test_endpoint_identities_exact():
     x, y = (3.5, -1.25), (-2.0, 7.0)
     assert g(PERIM2.w.blend(x, y, 1.0), x, x) == 0.0
     assert g(PERIM2.w.blend(x, y, 0.0), y, y) == 0.0
+
+
+def test_each_g_value_of_convexity_has_its_own_weight(monkeypatch):
+    # blend(x, y, lam) weighs x by lam, so the right side weighs G(x,u,v)
+    # by lam and G(y,u,v) by 1 - lam: every row's right side is that sum
+    rows, record = [], core.Collector.record
+
+    def spy(self, check_id, witness, lhs, rhs, margin):
+        rows.append((witness, rhs))
+        record(self, check_id, witness, lhs, rhs, margin)
+    monkeypatch.setattr(core.Collector, "record", spy)
+    monkeypatch.setattr(core, "_cpus", lambda: 1)  # every row recorded here
+    plan = gfix.SamplePlan(seed=0, count=20)
+    assert gfix.check_convexity(PERIM1, plan).passed
+    g = PERIM1.space.g
+    assert len(rows) > 80 and all(
+        rhs == lam * g(x, u, v) + (1.0 - lam) * g(y, u, v)
+        for (x, y, u, v, lam), rhs in rows)
 
 
 def test_check_convexity_passes_bundled_structures():

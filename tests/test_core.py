@@ -271,6 +271,28 @@ def test_collector_infinite_margin_is_worst(margins, worst):
     assert report.worst_ratio is None
 
 
+def test_collector_keeps_the_first_of_equal_ratios():
+    # -0.0 equals the 0.0 first noted, so it must not replace it; a
+    # smaller ratio stays out and a larger one enters
+    col = Collector(ratio=True)
+    for lhs, rhs in ((0.0, 1.0), (-0.0, 1.0), (-1.0, 1.0)):
+        col.record("x", (0,), lhs, rhs, -1.0)
+    assert repr(col.report().worst_ratio) == "0.0"
+    col.record("x", (1,), 3.0, 2.0, -1.0)
+    assert col.report().worst_ratio == 1.5
+
+
+@pytest.mark.parametrize("rhs, ratio", [
+    # the clamp is the larger of rhs and 1e-15, NaN for a NaN rhs
+    (0.5, 4.0), (0.0, 2.0 / 1e-15), (-1.0, 2.0 / 1e-15), (math.nan, math.nan),
+])
+def test_collector_ratio_clamps_its_denominator(rhs, ratio):
+    col = Collector(ratio=True)
+    col.record("x", (0,), 2.0, rhs, -1.0)  # a passing margin: no override
+    col.record("x", (1,), 1.0, 1.0, -1.0)  # smaller, or after a NaN
+    assert repr(col.report().worst_ratio) == repr(ratio)
+
+
 def test_collector_keeps_the_first_of_tied_rows():
     # eleven rows tie at margin 1: the first ten seen stay, in that order
     col = Collector()
@@ -282,18 +304,23 @@ def test_collector_keeps_the_first_of_tied_rows():
 
 class SortedCollector:
     """The sort-based Collector the heap replaced, kept as the reference:
-    a Violation per violation, re-sorted (stably) past 40 and at report."""
+    a Violation per violation, re-sorted (stably) past 40 and at report;
+    with ``ratio``, the worst lhs/rhs ratio as ``evaluate`` once noted it."""
 
-    def __init__(self):
+    def __init__(self, ratio=False):
         self.total = 0
         self.count = 0
         self.worst = []
         self.non_finite = []
         self.worst_margin = -math.inf
-        self.worst_ratio = None
+        self.ratio, self.worst_ratio = ratio, None
 
     def record(self, check_id, witness, lhs, rhs, margin):
         self.total += 1
+        if self.ratio:
+            q = lhs / max(rhs, 1e-15)
+            if self.worst_ratio is None or q > self.worst_ratio:
+                self.worst_ratio = q
         if margin > self.worst_margin or margin != margin:
             self.worst_margin = margin
         if -math.inf < margin <= 0.0:
@@ -312,10 +339,6 @@ class SortedCollector:
             if len(self.non_finite) < 10:
                 self.non_finite.append(core.Violation(
                     f"{check_id}:non-finite", witness, lhs, rhs, margin))
-
-    def note_ratio(self, ratio):
-        if self.worst_ratio is None or ratio > self.worst_ratio:
-            self.worst_ratio = ratio
 
     def report(self):
         self.worst.sort(key=operator.attrgetter("margin"), reverse=True)
@@ -338,9 +361,10 @@ _ROW = st.tuples(_MARGIN, _SIDE, _SIDE)
 
 
 def feed(col, rows):
+    """``col`` after recording row i as tuple i, the margin given."""
     for i, (margin, lhs, rhs) in enumerate(rows):
         col.record(f"c{i % 3}", (i,), lhs, rhs, margin)
-        col.note_ratio(lhs / max(rhs, 1e-15))
+    return col
 
 
 def evaluated(rows, cut):
@@ -349,8 +373,8 @@ def evaluated(rows, cut):
     made = []
 
     class Reporting(Collector):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, ratio):
+            super().__init__(ratio)
             made.append(self)
 
     def row(i):
@@ -378,9 +402,8 @@ def test_heap_collector_matches_sorted_reference(rows, inserted, cut):
     for at, margin in inserted:
         rows.insert(at, (margin, 1.0, 1.0))
     # repr tells NaN, 0.0 and -0.0 apart and finds NaN equal to itself
-    ref = SortedCollector()
-    feed(ref, rows)
-    expected = repr(ref.report())
+    expected = repr(feed(SortedCollector(ratio=True), rows).report())
+    assert repr(feed(Collector(ratio=True), rows).report()) == expected
     assert repr(evaluated(rows, None)) == expected
     assert repr(evaluated(rows, cut)) == expected  # report changes nothing
 
@@ -436,6 +459,22 @@ def test_derived_near_miss_margins(monkeypatch):
     assert worst["derived-v"] == 5 - (2 / 3) * 7 - 1e-9 * (2 / 3) * 7
     assert worst["derived-v"] == 0.33333332866666726
     assert worst["derived-vi"] == 3 - 1e-9 * 2
+
+
+def test_derived_iii_near_miss_margin(monkeypatch):
+    # G(x,y,y) is 2 + 4e-9 where x < y and 1 where x > y, so at x < y
+    # derived-iii misses 2 G(y,x,x) by 4e-9, less its slack 2e-9
+    def g(x, y, z):
+        if x == y == z:
+            return 0.0
+        single, double = (x, y) if y == z else (y, x) if x == z else (z, x)
+        return 2.0 + 4e-9 if single < double else 1.0
+    space = gfix.GSpace(name="lopsided", dim=1, g=g, draw=core.box_draw,
+                        contains=lambda p: 0.0 <= p[0] <= 3.0,
+                        default_box=((0.0, 3.0),))
+    worst = worst_margins(monkeypatch, gfix.check_derived, space,
+                          gfix.SamplePlan(seed=0, count=50))
+    assert worst["derived-iii"] == (2.0 + 4e-9) - 2.0 * 1.0 - 1e-9 * 2.0 > 0
 
 
 def test_derived_i_floor_near_miss_margin(monkeypatch):

@@ -285,6 +285,48 @@ MUTANTS = [
      'yield abs_tol, "axiom-i", (x,), 0.5 * g(x, x, x), 0.0',
      "axiom-i reads G(x,x,x) halved",
      ["tests/test_core.py"]),
+    ("src/gfix/core.py",
+     "if self.worst_ratio is None or q > self.worst_ratio:",
+     "if self.worst_ratio is None or q >= self.worst_ratio:",
+     "a later ratio equal to the worst replaces it",
+     ["tests/test_core.py"]),
+    ("src/gfix/core.py",
+     "q = lhs / max(rhs, _RATIO_FLOOR)",
+     "q = lhs / max(_RATIO_FLOOR, rhs)",
+     "the ratio clamp gives a NaN rhs a finite ratio",
+     ["tests/test_core.py"]),
+    ("src/gfix/analysis.py",
+     "floor = trace.space.g(u, v, v)",
+     "floor = 0.0",
+     "verify_bound drops its rounding floor for e_n",
+     ["tests/test_analysis.py"]),
+    ("src/gfix/analysis.py",
+     "_FLOOR_ULPS = 4",
+     "_FLOOR_ULPS = 1",
+     "verify_bound's rounding floor moves u by 1 ulp, not 4",
+     ["tests/test_analysis.py"]),
+    ("src/gfix/contractions.py",
+     'lambda w: (w["a"] + w["b"]) / (1.0 - 2.0 * w["b"]))\n\n_SUM',
+     'lambda w: (w["a"] + w["b"]) / (1.0 - w["b"]))\n\n_SUM',
+     "four-term's delta divides by 1 - b, not 1 - 2b",
+     ["tests/test_contractions.py"]),
+    ("src/gfix/contractions.py",
+     '"a+3b": w["a"] + 3.0 * w["b"],\n'
+     '               "1-(a+3b)": 1.0 - (w["a"] + 3.0 * w["b"])',
+     '"a+3b": w["a"] + 3.0 * w["b"],\n'
+     '               "1-(a+3b)": 1.0 - (w["a"] + 2.0 * w["b"])',
+     "sum's region residual 1 - (a + 3b) widened to 1 - (a + 2b)",
+     ["tests/test_contractions.py"]),
+    ("src/gfix/core.py",
+     'g(x, y, y), 2.0 * g(y, x, x)',
+     'g(x, y, y), 2.1 * g(y, x, x)',
+     "derived-iii's factor 2 weakened to 2.1",
+     ["tests/test_core.py"]),
+    ("src/gfix/convexity.py",
+     "lam * gx + (1.0 - lam) * gy",
+     "(1.0 - lam) * gx + lam * gy",
+     "convexity weighs G(x,u,v) by 1 - lam and G(y,u,v) by lam",
+     ["tests/test_convexity.py"]),
 ]
 
 # (file, old, new, why): mutants no input can tell from the source, so
