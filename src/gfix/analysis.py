@@ -3,7 +3,8 @@
 For applicable coefficient regions the error of the averaged iteration
 contracts per step by 1 - alpha_n*(1-delta), where delta is the
 condition's derived factor (``contractions.check_applicability``).  B_n
-is the product of those factors over steps 0..n-1 (B_0 = 1), so B_n
+is the product of those factors over steps 0..n-1 (B_0 = 1), a sum of
+their logs throughout where the first is below 1e-8 (``_chain``), so B_n
 pairs with iterate x_n and
 
     G(x_n, u, u) <= B_n * G(x_0, u, u).
@@ -21,7 +22,7 @@ from itertools import accumulate, islice, repeat
 from .core import CheckReport, Point, Rows, Sized, evaluate, le, le_tol
 from .mann import IterationTrace, StepSchedule, step_range
 
-_LOGSPACE_TRIGGER = 1e-8  # switch to log accumulation below this factor
+_LOGSPACE_TRIGGER = 1e-8  # a chain whose first factor is below it sums logs
 _FLOOR_ULPS = 4  # ulps per coordinate of u in the rounding floor of e_n
 
 
@@ -31,55 +32,54 @@ RateBound.__doc__ = """Step sizes alpha_0 .. alpha_{n-1}, per-step factors
     ``core.Sized`` over the rate chain's rows."""
 
 
-def _chain(alphas, delta: float, b: float, log_b: float | None) -> tuple:
-    """Factors f_k = 1 - a_k*(1-delta) of ``alphas``, the products b*f_0,
-    b*f_0*f_1, ... and the (b, log_b) that the next block continues from:
-    a block of the chain that ``_rate_chain`` and ``cli._Writer`` run.
-    The chain multiplies up to its first factor below 1e-8; from there on
-    ``log_b`` is not None and it sums logs, from log b, or from -inf once b
-    has underflowed to 0, so B survives underflow and a zero factor makes
-    it 0."""
+def _chain(alphas, delta: float, state: tuple | None = None) -> tuple:
+    """Factors f_k = 1 - a_k*(1-delta) of ``alphas``, each row's B (the
+    product of the factors before its own) and the state (B, log B) after
+    them that the next block continues from: a block of the chain that
+    ``_rate_chain`` and ``cli._Writer`` run.  The first block (``state``
+    None) picks the mode from the first factor: below 1e-8 the chain sums
+    logs throughout, from log B_0 = 0, so B survives underflow; else it
+    multiplies throughout, and log B is None."""
     c = 1.0 - delta
     factors = array("d", (1.0 - a * c for a in alphas))
-    k = len(factors) if log_b is None else 0  # factors multiplied
-    if k and min(factors) < _LOGSPACE_TRIGGER:
-        k = next(i for i, f in enumerate(factors) if f < _LOGSPACE_TRIGGER)
-    linear = array("d", accumulate(factors[:k], operator.mul, initial=b))
-    products, b = linear[1:], linear[-1]
-    if log_b is None and k < len(factors):
-        log_b = math.log(b) if b else -math.inf
-    for f in factors[k:]:
-        log_b = log_b + math.log(f) if f else -math.inf
-        products.append(b := math.exp(log_b))
-    return factors, products, (b, log_b)
+    b, log_b = state or (1.0, None)
+    if state is None and factors and factors[0] < _LOGSPACE_TRIGGER:
+        log_b = 0.0
+    if log_b is None:
+        products = array("d", accumulate(factors, operator.mul, initial=b))
+    else:
+        logs = list(accumulate([math.log(f) if f else -math.inf
+                                for f in factors], initial=log_b))
+        products, log_b = array("d", map(math.exp, logs)), logs[-1]
+    return factors, products[:-1], (products[-1], log_b)
 
 
 def _rate_chain(delta: float,
                 step_sizes: Callable[[], Iterable[float]]) -> Rows:
-    """Rows (alpha_{n-1}, factor_{n-1}, B_n) for n = 0 .. len(alphas),
-    alpha and factor NaN in row 0, from delta and the alphas
+    """Rows (alpha_n, factor_n, B_n) for n = 0 .. len(alphas), alpha and
+    factor NaN in the last row, from delta and the alphas
     ``step_sizes()``, read once, 1024 at a time, through ``_chain``.
     ``step_sizes`` is called once delta has passed, so a bad delta is
     reported ahead of any schedule error."""
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must be in [0, 1), got {delta}")
-    alphas, rows, state = iter(step_sizes()), Rows(3), (1.0, None)
-    rows.add((math.nan, math.nan, 1.0))
+    alphas, rows, state = iter(step_sizes()), Rows(3), None
     while chunk := array("d", islice(alphas, 1024)):
-        factors, products, state = _chain(chunk, delta, *state)
+        factors, products, state = _chain(chunk, delta, state)
         values = array("d", [0.0]) * (3 * len(chunk))
         values[0::3], values[1::3], values[2::3] = chunk, factors, products
         rows.add(values)
+    rows.add((math.nan, math.nan, state[0] if state else 1.0))
     return rows
 
 
 def product_bound(delta: float, sched: StepSchedule, n: int) -> RateBound:
-    """B_0 .. B_n for the given factor and schedule, in log space from
-    the first factor below 1e-8 on (``_chain``)."""
+    """B_0 .. B_n for the given factor and schedule, in log space only
+    where the first factor is below 1e-8 (``_chain``)."""
     rows = _rate_chain(delta, lambda: map(sched.alpha_at,
                                           step_range(sched, n)))
-    return RateBound(factors=rows.column(1)[1:], products=rows.column(2),
-                     alphas=rows.column(0)[1:])
+    return RateBound(factors=rows.column(1)[:-1], products=rows.column(2),
+                     alphas=rows.column(0)[:-1])
 
 
 BoundReport = namedtuple("BoundReport", "slacks min_slack holds bounds")

@@ -232,9 +232,9 @@ class _Writer:
     a ``core.Worker`` at the first, where one is spare, then sends each
     spilled row count through a pipe.  The worker reads the rows by those
     counts (its copy of the store counts those of the fork), takes its
-    bounds from ``analysis._chain``'s products, carried from block to
-    block, and e_0 of row 0, and writes ``_csv``'s lines as ``_pieces``,
-    whose lines done index them."""
+    bounds from each row's B_n of ``analysis._chain``, its state carried
+    from block to block, and e_0 of row 0, and writes ``_csv``'s lines as
+    ``_pieces``, whose lines done index them."""
 
     def __init__(self, template, dim, errors, delta):
         self.spec = template, dim, errors, delta
@@ -255,7 +255,7 @@ class _Writer:
     def _texts(self, rows: core.Rows, pipe: int):
         os.close(self.pipe)  # so that the parent's close ends the loop
         template, dim, errors, delta = self.spec
-        at, state = 0, (1.0, None)
+        at, state = 0, None
         while len(count := os.read(pipe, 8)) == 8:
             rows.spilled = int.from_bytes(count, "little") * rows.width
             for alphas, residuals, e in rows.read(
@@ -264,10 +264,8 @@ class _Writer:
                 columns += [e] * errors
                 if delta is not None:
                     e0 = e[0] if at == 0 else e0
-                    b = state[0]  # B_at, for the block's first row
-                    _, products, state = analysis._chain(alphas, delta,
-                                                         *state)
-                    bounds = [p * e0 for p in (b, *products[:-1])]
+                    _, products, state = analysis._chain(alphas, delta, state)
+                    bounds = [p * e0 for p in products]
                     columns += [bounds, [x - y for x, y in zip(bounds, e)]]
                 csv = _csv([CSV_HEADER] * (at == 0), template, columns)
                 for done, text in _pieces(csv, 0, len(csv)):
@@ -275,13 +273,14 @@ class _Writer:
                 at += len(alphas)
 
     def lines(self, csv: core.Sized) -> core.Sized:
-        """``csv``, as a ``_Written`` if the writer exited 0."""
+        """``csv``, as a ``_Written`` if a writer ran; OSError if it failed."""
         if self.worker is not None:
             os.close(self.pipe)
             self.pipe = None
-            if self.worker.wait():
-                csv = _Written(len(csv), csv.make)
-                csv.worker = self.worker
+            if not self.worker.wait():
+                raise OSError("the forked CSV writer failed")
+            csv = _Written(len(csv), csv.make)
+            csv.worker = self.worker
         return csv
 
     def close(self) -> None:

@@ -104,21 +104,25 @@ def test_product_bound_zero_factor():
 
 @pytest.mark.parametrize("delta", [1e-10, 5e-9, 0.0])
 def test_product_bound_is_within_gamma_n_of_the_exact_product(delta):
-    # B_0 .. B_30 multiply; the alpha 1 of step 30 gives the first factor
-    # below 1e-8, 0 at delta 0, and the chain sums logs from there
-    alphas = [0.3] * 30 + [1.0] + [0.2] * 20
-    rb = gfix.product_bound(delta, gfix.explicit_schedule(alphas), 51)
-    u, exact = 2.0 ** -53, [Fraction(1)]
-    for f in rb.factors:
-        exact.append(exact[-1] * Fraction(f))
-    for n, (b, x) in enumerate(zip(rb.products, exact)):
-        if n <= 30:  # Higham (2002), section 3.1: gamma_n = nu / (1 - nu)
-            assert abs(Fraction(b) - x) <= n * u / (1 - n * u) * x
-        elif x == 0:
-            assert b == 0.0
-        else:  # log B_n sums n rounded logs, rounding n times: an error
-            # within 2nu|log B_n| of log B_n, and relative in B_n
-            assert abs(Fraction(b) - x) <= 2 * n * u * (1 - math.log(x)) * x
+    # the alpha 1 of step 30 gives a factor below 1e-8, 0 at delta 0, and
+    # the chain multiplies on; an alpha 1 first makes it sum logs throughout
+    late, u = [0.3] * 30 + [1.0] + [0.2] * 20, 2.0 ** -53
+    for alphas in (late, [1.0] + late):
+        rb = gfix.product_bound(delta, gfix.explicit_schedule(alphas),
+                                len(alphas))
+        exact = [Fraction(1)]
+        for f in rb.factors:
+            exact.append(exact[-1] * Fraction(f))
+        logs = rb.factors[0] < 1e-8
+        for n, (b, x) in enumerate(zip(rb.products, exact)):
+            if not logs:  # Higham (2002), section 3.1: gamma_n = nu/(1 - nu)
+                assert abs(Fraction(b) - x) <= n * u / (1 - n * u) * x
+            elif x == 0:
+                assert b == 0.0
+            else:  # log B_n sums n rounded logs, rounding n times: an
+                # error within 2nu|log B_n| of log B_n, relative in B_n
+                assert abs(Fraction(b) - x) <= 2 * n * u * (
+                    1 - math.log(x)) * x
 
 
 @pytest.mark.parametrize("sched", [

@@ -477,6 +477,24 @@ def test_derived_iii_near_miss_margin(monkeypatch):
     assert worst["derived-iii"] == (2.0 + 4e-9) - 2.0 * 1.0 - 1e-9 * 2.0 > 0
 
 
+def test_derived_ii_and_iv_near_miss_margins(monkeypatch):
+    # G is 1 where two points are equal, and for three distinct points 1,
+    # or 2 + 4e-9 where all three lie above 1.5: there derived-ii's right
+    # side is 1 + 1, and so is derived-iv's for a fourth point below 1.5,
+    # so both miss by 4e-9, less the slack 2e-9
+    def g(x, y, z):
+        if len({x, y, z}) < 3:
+            return float(len({x, y, z}) - 1)
+        return 2.0 + 4e-9 if min(x, y, z)[0] > 1.5 else 1.0
+    space = gfix.GSpace(name="raised", dim=1, g=g, draw=core.box_draw,
+                        contains=lambda p: 0.0 <= p[0] <= 3.0,
+                        default_box=((0.0, 3.0),))
+    worst = worst_margins(monkeypatch, gfix.check_derived, space,
+                          gfix.SamplePlan(seed=0, count=50))
+    miss = (2.0 + 4e-9) - 2.0 - 1e-9 * 2.0
+    assert worst["derived-ii"] == worst["derived-iv"] == miss > 0
+
+
 def test_derived_i_floor_near_miss_margin(monkeypatch):
     # separated triples sit at tol/2: above 0, below derived-i's floor tol,
     # so the floor alone fails them, each by tol/2

@@ -64,6 +64,10 @@ CASES = {
                            "--max-iters", "5", "--out", "OUT"]),
     "bound-log": (0, ["bound", "--delta", "1e-10", "--schedule", "harmonic",
                       "--max-iters", "40", "--out", "OUT"]),
+    # the factor below 1e-8 of step 3 does not send the chain to log space
+    "bound-late-tiny": (0, ["bound", "--delta", "5e-9", "--schedule",
+                            "explicit:0.3;0.3;0.3;1;0.2;0.2;0.2",
+                            "--max-iters", "7", "--out", "OUT"]),
     "bound-constant": (0, ["bound", "--delta", "0.5", "--schedule",
                            "constant", "--alpha", "0.5", "--max-iters", "8"]),
 }

@@ -15,6 +15,7 @@ import gc
 import math
 import operator
 import os
+import signal
 import tempfile
 from array import array
 
@@ -33,8 +34,8 @@ PAST_STOP = ["iterate", "--space", "perimeter-1", "--mapping", "affine:k=0",
              "--schedule", "explicit:0.5;0.5;0.5;1;0.5", "--x0", "1",
              "--residual-tol", "0.3", "--condition", "four-term",
              "--coeff", "a=0,b=0,c=0,d=0"]
-# delta 0 again: the alpha 1 of step 30 makes a zero factor, so the chain
-# goes to log space after the writer has covered blocks; x_31 = 0 stops
+# delta 0 again: the alpha 1 of step 30 makes a zero factor, after the
+# writer has covered blocks, and the chain multiplies on; x_31 = 0 stops
 LATE_LOG = ["iterate", "--space", "perimeter-1", "--mapping", "affine:k=0",
             "--schedule", "explicit:" + ";".join(["0.3"] * 30 + ["1", "0.3"]),
             "--x0", "1", "--max-iters", "40", "--condition", "four-term",
@@ -57,19 +58,26 @@ def explicit(*runs):
 # delta 7e-9 and alpha 1 - 1e-9 at step 16 give a factor below 1e-8 that
 # leaves B far above underflow: the first factor of a 16-row block, and
 # every row its own block at a block of 1 or 7 values (perimeter-1 rows
-# are 4 wide); residual-tol 0 keeps the run going after it
+# are 4 wide), where a chain that picked its mode per block would sum
+# logs; residual-tol 0 keeps the run going after it
 BOUNDARY = ["iterate", "--space", "perimeter-1", "--mapping", "affine:k=0",
             "--schedule", explicit(("0.3", 16), ("0.999999999", 1),
                                    ("0.3", 23)),
             "--x0", "1", "--max-iters", "40", "--residual-tol", "0",
             *four_term(7e-9)]
 # the alpha 1 of the last recorded row, x_30, is never stepped, so only
-# the writer's chain meets its factor below 1e-8
+# the writer's chain meets its factor below 1e-8, in its last block
 LAST_ROW = LATE_LOG[:6] + [explicit(("0.3", 30), ("1", 1)), "--x0", "1",
                            "--max-iters", "30", *four_term(7e-9)]
 # 0.1 a step: B_n underflows to 0 at n = 324, then the alpha 1 of step
 # 400 makes a factor below 1e-8; x_0 = 1e100 keeps x_n above underflow
 UNDERFLOW = explicit(("0.9", 400), ("1", 1))
+# delta 0 and alpha 1 - 5e-9 make the first factor 5e-9, so the chain
+# sums logs throughout, in the writer's blocks too; T = 0 makes e_n
+# B_n e_0 in real arithmetic, and x_n stays far above underflow
+FIRST_TINY = LATE_LOG[:6] + [explicit(("0.999999995", 1), ("0.3", 39)),
+                             "--x0", "1", "--max-iters", "40",
+                             "--residual-tol", "0", *four_term(0.0)]
 
 
 # 1 - (1 - delta) just below and just above 1e-8: every 1 - c near 1e-8
@@ -90,8 +98,8 @@ CASES = {
                            "--alpha", "1", "--max-iters", "41"], 0),
     "explicit-past-stop": (PAST_STOP, 0),
     "explicit-late-log-space": (LATE_LOG, 0),
-    # delta 7e-9: linear while alpha <= 0.5, log space from the alpha 1
-    # of step 30, after the writer has covered blocks
+    # delta 7e-9: the factor below 1e-8 of the alpha 1 of step 30 comes
+    # after the writer has covered blocks, and the chain multiplies on
     "explicit-tiny-delta-late-log-space": (LATE_LOG[:-1] + [
         "a=7e-9,b=0,c=0,d=0"], 0),
     "iterate-tiny-delta-stays-linear": (TINY + four_term(1e-10), 0),
@@ -103,6 +111,7 @@ CASES = {
     "iterate-underflow-before-late-log-space": (
         LATE_LOG[:6] + [UNDERFLOW, "--x0", "1e100", "--max-iters", "401",
                         "--residual-tol", "0", *four_term(1e-10)], 0),
+    "explicit-log-space-from-the-first-factor": (FIRST_TINY, 0),
 }
 
 
@@ -176,19 +185,24 @@ def test_a_writer_forks_for_every_delta(delta, forks, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("delta, linear", [(BELOW, False), (ABOVE, True)])
-def test_stays_linear_at_its_boundary(delta, linear):
+def test_the_first_factor_picks_the_mode_at_its_boundary(delta, linear):
     assert 1.0 - (1.0 - delta) == delta and (delta < 1e-8) is not linear
     # alpha 1 gives the factor delta: B_1 is delta only in linear space
     rows = analysis._rate_chain(delta, lambda: iter([1.0, 0.5]))
     assert (rows.column(2)[1] == delta) is linear
+    # after a first factor near 1/2, the factor delta of step 1 multiplies
+    rows = analysis._rate_chain(delta, lambda: iter([0.5, 1.0, 0.5]))
+    factors, products = rows.column(1), rows.column(2)
+    assert factors[1] == delta and products[2] == factors[0] * delta
 
 
 # the writer carries the chain's state from block to block, so it covers
-# a chain that goes to log space after its first block as well
+# a chain in log space, or one that meets a factor below 1e-8 late
 @pytest.mark.parametrize("case", [
     "iterate", "iterate-no-bound", "explicit-late-log-space",
     "explicit-switch-on-a-block-boundary", "explicit-switch-at-the-last-row",
-    "iterate-underflow-before-late-log-space"])
+    "iterate-underflow-before-late-log-space",
+    "explicit-log-space-from-the-first-factor"])
 @pytest.mark.parametrize("block", [7, 64])
 def test_the_writer_text_is_used_after_log_space(
         case, block, monkeypatch, capsys, tmp_path):
@@ -263,6 +277,29 @@ def test_every_path_closes_its_files_and_reaps_the_writer(
     assert spills and all(f.closed for f in spills)
 
 
+def test_a_dead_writer_exits_two(spills, forks, monkeypatch, capsys,
+                                 tmp_path):
+    # the forked writer kills itself at its first text, so it exits by a
+    # signal; the command writes no file, and its summary never prints
+    parent, pieces = os.getpid(), cli._pieces
+
+    def killed(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return pieces(*args)
+    monkeypatch.setattr(cli, "_pieces", killed)
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 7)
+    out = tmp_path / "t.csv"
+    assert cli.main([*ITERATE, *BOUNDS, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: the forked CSV writer "
+                                   "failed\n")
+    assert len(forks) == 1 and not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert spills and all(f.closed for f in spills)
+
+
 def test_an_interrupted_run_closes_its_files_and_reaps_the_writer(
         spills, forks, monkeypatch, tmp_path):
     fail_in_run(monkeypatch, KeyboardInterrupt)
@@ -278,16 +315,15 @@ def test_an_interrupted_run_closes_its_files_and_reaps_the_writer(
 
 
 def reference_chain(delta, alphas):
-    """Factors and products in whole arrays, one factor at a time: linear
-    up to the first factor below 1e-8, then exp of a sum of logs from
-    log B_k there, -inf where B_k is 0.  Where that factor is the first,
-    or there is none, these are the arrays the array-based chain built."""
+    """Factors and products in whole arrays, one factor at a time: exp of
+    a sum of logs from 0, -inf from a zero factor on, where the first
+    factor is below 1e-8, else linear throughout.  Where no later factor
+    is below 1e-8, these are the arrays the array-based chain built."""
     alphas = array("d", alphas)
     factors = array("d", (1.0 - a * (1.0 - delta) for a in alphas))
-    products, log_b = array("d", [1.0]), None
+    products = array("d", [1.0])
+    log_b = 0.0 if factors and factors[0] < 1e-8 else None
     for f in factors:
-        if log_b is None and f < 1e-8:
-            log_b = math.log(products[-1]) if products[-1] else -math.inf
         if log_b is None:
             products.append(products[-1] * f)
         else:
@@ -344,9 +380,9 @@ def test_library_columns_equal_the_old_arrays(
             array("d", rb.products)) == old
 
 
-# the factor 1 - 1.0*(1 - delta) of row 3000 sends the chain to log space
-# for delta 1e-10 and 0, after two whole linear chunks and mid-way through
-# the third; for 0.5 it stays linear
+# the factor 1 - 1.0*(1 - delta) of row 3000 is below 1e-8 for delta
+# 1e-10 and 0, after two whole chunks and mid-way through the third, and
+# the chain multiplies on
 MID_CHAIN = [0.3] * 3000 + [1.0] + [0.2] * 2000
 
 
@@ -372,21 +408,28 @@ def test_a_chain_switched_mid_way_equals_its_reference(delta):
 
 
 # the alpha 1 of step 30 gives a factor below 1e-8 that leaves B far above
-# underflow at delta 5e-9 and 1e-10; after 324 steps of 0.9, B is 0 first
+# underflow at delta 5e-9 and 1e-10, and the chain multiplies on; after 324
+# steps of 0.9, B is 0 first; an alpha 1 first makes the chain sum logs
+# throughout, to -inf after the zero factors of delta 0
 SWITCH = [0.3] * 30 + [1.0] + [0.2] * 20
 
 
 @pytest.mark.parametrize("delta, alphas", [
-    (5e-9, SWITCH), (1e-10, SWITCH), (1e-10, [0.9] * 400 + [1.0, 0.5])],
-    ids=["switch-5e-9", "switch-1e-10", "underflow-first"])
+    (5e-9, SWITCH), (1e-10, SWITCH), (1e-10, [0.9] * 400 + [1.0, 0.5]),
+    (1e-10, [1.0] + SWITCH), (0.0, [1.0] + SWITCH)],
+    ids=["switch-5e-9", "switch-1e-10", "underflow-first", "log-space",
+         "log-space-zero-factor"])
 def test_a_chain_in_blocks_equals_one_piece(delta, alphas):
-    whole = analysis._chain(alphas, delta, 1.0, None)
-    # the switch is the first or the last factor of a block of 1, 2 or 30
-    # or 31, and inside one of 7 or 64
+    whole = analysis._chain(alphas, delta)
+    _, factors, products = reference_chain(delta, alphas)
+    assert whole[:2] == (factors, products[:-1])
+    assert whole[2][0] == products[-1]
+    # a factor below 1e-8 is the first or the last factor of a block of 1,
+    # 2, 30 or 31, and inside one of 7 or 64
     for size in (1, 2, 7, 30, 31, 64):
-        state, factors, products = (1.0, None), array("d"), array("d")
+        state, factors, products = None, array("d"), array("d")
         for at in range(0, len(alphas), size):
-            f, p, state = analysis._chain(alphas[at:at + size], delta, *state)
+            f, p, state = analysis._chain(alphas[at:at + size], delta, state)
             factors += f
             products += p
         assert (factors, products, state) == whole

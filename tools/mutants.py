@@ -140,30 +140,22 @@ MUTANTS = [
      "a CSV range's data rows start at its line index, not past the head",
      ["tests/test_csv_ranges.py"]),
     ("src/gfix/analysis.py",
-     "k = next(i for i, f",
-     "k = next(i + 1 for i, f",
-     "the chain switches to log space one row late",
+     "if state is None and factors and factors[0] < _LOGSPACE_TRIGGER:\n"
+     "        log_b = 0.0",
+     "if log_b is None and factors and factors[0] < _LOGSPACE_TRIGGER:\n"
+     "        log_b = math.log(b) if b else -math.inf",
+     "the mode is re-decided in every block, so a chain that meets a "
+     "factor below 1e-8 first in a block sums logs from there",
      ["tests/test_row_store.py"]),
     ("src/gfix/analysis.py",
-     "return factors, products, (b, log_b)",
-     "return factors, products, (b, None)",
-     "log space is not carried into the next block",
+     "factors and factors[0] <",
+     "factors and factors[-1] <",
+     "the mode is read from the first block's last factor",
      ["tests/test_row_store.py"]),
     ("src/gfix/analysis.py",
-     "products.append(b := math.exp(log_b))",
-     "products.append(math.exp(log_b))",
-     "after a switch the chain's state keeps the last linear B, so the "
-     "writer pairs the next block's first row with it",
-     ["tests/test_row_store.py"]),
-    ("src/gfix/analysis.py",
-     "log_b = math.log(b) if b else -math.inf",
-     "log_b = 0.0 if b else -math.inf",
-     "a late switch starts the log sum at 0, not at log B_k",
-     ["tests/test_analysis.py"]),
-    ("src/gfix/analysis.py",
-     "log_b = math.log(b) if b else -math.inf",
-     "log_b = math.log(b)",
-     "a late switch takes the log of a B that underflowed to 0",
+     "(products[-1], log_b)",
+     "(products[-2], log_b)",
+     "a block's state is one row short, so the next block repeats a B",
      ["tests/test_row_store.py"]),
     ("src/gfix/cli.py",
      "e0 = e[0] if at == 0 else e0",
@@ -327,11 +319,49 @@ MUTANTS = [
      "(1.0 - lam) * gx + lam * gy",
      "convexity weighs G(x,u,v) by 1 - lam and G(y,u,v) by lam",
      ["tests/test_convexity.py"]),
+    ("src/gfix/core.py",
+     '"axiom-ii", (x, y), gxxy, STRICT_FLOOR',
+     '"axiom-ii", (x, y), gxxy, 0.0',
+     "axiom-ii's floor drops from STRICT_FLOOR to 0",
+     ["tests/test_core.py"]),
+    ("src/gfix/core.py",
+     "gxyz, g(x, x, y) + g(x, x, z)",
+     "gxyz, g(x, x, y) + g(x, y, z)",
+     "derived-ii's right side reads G(x,y,z) for G(x,x,z), so it holds "
+     "for any G >= 0",
+     ["tests/test_core.py"]),
+    ("src/gfix/core.py",
+     "(x, y, z, a), gxyz, gxaz + gayz",
+     "(x, y, z, a), gxyz, gxaz + gxyz",
+     "derived-iv's right side reads G(x,y,z) for G(a,y,z), so it holds "
+     "for any G >= 0",
+     ["tests/test_core.py"]),
+    ("src/gfix/contractions.py",
+     'lambda w: (w["a"] + w["b"]) / (1.0 - 2.0 * w["b"]))\n\n_ROWS',
+     'lambda w: (w["a"] + w["b"]) / (1.0 - w["b"]))\n\n_ROWS',
+     "sum's delta divides by 1 - b, not 1 - 2b",
+     ["tests/test_contractions.py"]),
+    ("src/gfix/core.py",
+     "lo + 0.75 * (hi - lo)",
+     "lo + 0.7 * (hi - lo)",
+     "the structured pass's three-quarter point moves to 0.7",
+     ["tests/test_core.py"]),
+    ("src/gfix/rng.py",
+     "((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB",
+     "(z ^ (z >> 27)) * 0x94D049BB133111EB",
+     "rng._mix drops the mask before its second multiply",
+     ["tests/test_lanes.py"]),
 ]
 
 # (file, old, new, why): mutants no input can tell from the source, so
 # they are not run; each snippet must still occur exactly once
-EQUIVALENT = []
+EQUIVALENT = [
+    ("src/gfix/analysis.py",
+     "factors[0] < _LOGSPACE_TRIGGER",
+     "factors[0] <= _LOGSPACE_TRIGGER",
+     "no factor equals the trigger: near 1e-8, every 1 - a*c is a "
+     "multiple of 2**-53, and the double 1e-8 is not"),
+]
 
 
 def run(file: str, old: str, new: str, tests: list) -> bool:
